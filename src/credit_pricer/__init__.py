@@ -26,6 +26,8 @@ from .credit_instruments import (
     bond_price,
     callable_bond_price,
     early_redemption_boundary,
+    exercise_value,
+    option_price_paths,
     puttable_bond_price,
     survival_probability,
 )
@@ -89,11 +91,13 @@ __all__ = [
     "delta",
     "draw_verification_case",
     "early_redemption_boundary",
+    "exercise_value",
     "image_transform",
     "mc_barrier_price",
     "mu",
     "norm_cdf",
     "norm_pdf",
+    "option_price_paths",
     "pde_solve_tbvp",
     "power_binary_price",
     "puttable_bond_price",

@@ -14,41 +14,26 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
-from .bs_closed_form import (
-    IndicatorDirection,
-    PowerBinaryParams,
-    image_transform,
-    power_binary_price,
-)
+from . import verification
 from .credit_instruments import (
     BondSpec,
     OptionKind,
     OptionSpec,
-    _option_price_composed,
-    _option_price_formula,
     barrier_level,
     bond_option_price,
     bond_price,
     callable_bond_price,
     early_redemption_boundary,
+    exercise_value,
     puttable_bond_price,
     survival_probability,
 )
 from .errors import InvalidParamsError, NumericalError, PricerError
-from .oracles import (
-    GridSpec,
-    McSpec,
-    Scheme,
-    draw_verification_case,
-    mc_barrier_price,
-    pde_solve_tbvp,
-    quadrature_green,
-)
-from .special_functions import MarketParams, norm_cdf, norm_pdf
+from .oracles import GridSpec, McSpec, Scheme
+from .special_functions import MarketParams
 
 __all__ = ["RunConfig", "PriceCurve", "load_config", "main"]
 
@@ -106,24 +91,22 @@ class RunConfig:
     out: str | None
 
     def to_dict(self) -> dict:
+        mc = asdict(self.mc)
+        del mc["seed"]  # echoed once, as numerics.seed
         doc = {
-            "market": {"r": self.market.r, "q": self.market.q, "sigma": self.market.sigma},
-            "bond": {"T": self.bond.T, "a": self.bond.a, "b": self.bond.b, "R": self.bond.R},
+            "market": asdict(self.market),
+            "bond": asdict(self.bond),
             "points": {"V": list(self.points_v), "t": list(self.points_t)},
             "curves": {"samples": self.samples, "v_max_mult": self.v_max_mult,
                        "series_V": list(self.series_v), "series_t": list(self.series_t)},
             "numerics": {
                 "seed": self.seed,
-                "grid": {"n_space": self.grid.n_space, "n_time": self.grid.n_time,
-                         "x_max_mult": self.grid.x_max_mult,
-                         "scheme": self.grid.scheme.value},
-                "mc": {"n_paths": self.mc.n_paths, "n_steps": self.mc.n_steps,
-                       "bridge_correction": self.mc.bridge_correction},
+                "grid": {**asdict(self.grid), "scheme": self.grid.scheme.value},
+                "mc": mc,
             },
         }
         if self.option is not None:
-            doc["option"] = {"T1": self.option.T1, "E": self.option.E,
-                             "kind": self.option.kind.value}
+            doc["option"] = {**asdict(self.option), "kind": self.option.kind.value}
         if self.out is not None:
             doc["out"] = self.out
         return doc
@@ -251,15 +234,8 @@ def _with_overrides(config: RunConfig, args) -> RunConfig:
     out = config.out if getattr(args, "out", None) is None else args.out
     if seed == config.seed and samples == config.samples and out == config.out:
         return config
-    mc = McSpec(n_paths=config.mc.n_paths, n_steps=config.mc.n_steps,
-                seed=seed, bridge_correction=config.mc.bridge_correction)
-    return RunConfig(
-        market=config.market, bond=config.bond, option=config.option,
-        points_v=config.points_v, points_t=config.points_t,
-        samples=samples, v_max_mult=config.v_max_mult,
-        series_v=config.series_v, series_t=config.series_t,
-        seed=seed, grid=config.grid, mc=mc, out=out,
-    )
+    return replace(config, seed=seed, samples=samples, out=out,
+                   mc=replace(config.mc, seed=seed))
 
 
 def _echo(config: RunConfig) -> None:
@@ -344,12 +320,6 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
-def _exercise_value(v: float, config: RunConfig, option: OptionSpec) -> float:
-    b_t1 = bond_price(v, option.T1, config.bond, config.market)
-    gap = option.E - b_t1 if option.kind is OptionKind.PUT else b_t1 - option.E
-    return max(gap, 0.0)
-
-
 def cmd_curves(config: RunConfig, figure: int) -> int:
     """Sample the requested figure's curves and write one CSV."""
     bond, market = config.bond, config.market
@@ -378,7 +348,7 @@ def cmd_curves(config: RunConfig, figure: int) -> int:
                     pts.append((t, bond_option_price(v, t, bond, option, market)))
                 else:
                     # continuous limit at expiry: the exercise value
-                    pts.append((t, _exercise_value(v, config, option)))
+                    pts.append((t, exercise_value(v, bond, option, market)))
             curves.append(PriceCurve("t", f"{option.kind.value}_V{v:g}", tuple(pts), meta))
     elif figure == 4:
         option = _require_option(config)
@@ -414,310 +384,49 @@ def cmd_curves(config: RunConfig, figure: int) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# verify command
-
-def _pde_surfaces(config: RunConfig):
-    """Solve the bond, survival, and (if configured) option problems on the
-    config grid, in flattened coordinates with the barrier at 1."""
-    bond, market = config.bond, config.market
-    c = market.r - market.q - bond.a
-
-    def solve(payoff, boundary, r_disc, horizon, align=None):
-        return pde_solve_tbvp(payoff, boundary, c, market.sigma, r_disc,
-                              horizon, config.grid, align_at=align)
-
-    out = {
-        "bond": solve(lambda x: 1.0,
-                      lambda t: bond.R * math.exp(-market.r * (bond.T - t)),
-                      market.r, bond.T),
-        "survival": solve(lambda x: 1.0, lambda t: 0.0, 0.0, bond.T),
-    }
-    if config.option is not None:
-        lvl_t1 = barrier_level(bond, config.option.T1)
-        for kind in (OptionKind.PUT, OptionKind.CALL):
-            option = OptionSpec(T1=config.option.T1, E=config.option.E, kind=kind)
-            K = early_redemption_boundary(bond, option, config.market).K
-            align = K * math.exp(bond.a * (bond.T - option.T1)) / bond.b
-
-            def payoff(x, option=option, lvl=lvl_t1):
-                return _exercise_value(lvl * x, config, option)
-
-            out[kind.value] = solve(payoff, lambda t: 0.0, market.r, option.T1,
-                                    align=align)
-    return out
-
-
-def _flatten(v: float, t: float, bond: BondSpec) -> float:
-    return v * math.exp(bond.a * (bond.T - t)) / bond.b
-
-
-def _check_pde(config: RunConfig):
-    bond, market = config.bond, config.market
-    surfaces = _pde_surfaces(config)
-    t1 = config.option.T1 if config.option is not None else bond.T / 2.0
-    probes_t = [0.0, t1 / 2.0]
-    checks = []
-
-    def rel_err(closed, surface, ts):
-        worst = 0.0
-        for v in config.series_v:
-            for t in ts:
-                cf = closed(v, t)
-                pde = surface.value(_flatten(v, t, bond), t)
-                worst = max(worst, abs(pde - cf) / max(abs(cf), 1e-12))
-        return worst
-
-    checks.append(("pde_bond_agreement", lambda: (
-        rel_err(lambda v, t: bond_price(v, t, bond, market),
-                surfaces["bond"], probes_t + [t1]), 1e-3)))
-    checks.append(("pde_survival_agreement", lambda: (
-        rel_err(lambda v, t: survival_probability(v, t, bond, market),
-                surfaces["survival"], probes_t + [t1]), 1e-3)))
-    if config.option is not None:
-        for kind in (OptionKind.PUT, OptionKind.CALL):
-            option = OptionSpec(T1=config.option.T1, E=config.option.E, kind=kind)
-            checks.append((f"pde_{kind.value}_agreement", lambda option=option, kind=kind: (
-                rel_err(lambda v, t: bond_option_price(v, t, bond, option, market),
-                        surfaces[kind.value], probes_t), 1e-3)))
-    return checks
-
-
-def _check_mc(config: RunConfig):
-    bond, market = config.bond, config.market
-    checks = []
-
-    def bond_check():
-        v0 = config.points_v[0]
-        est, se = mc_barrier_price(
-            lambda v: 1.0,
-            lambda t: bond.R * math.exp(-market.r * (bond.T - t)),
-            bond.T, bond.a, bond.b, market, config.mc, v0)
-        cf = bond_price(v0, 0.0, bond, market)
-        return abs(est - cf) / se, 3.0
-
-    checks.append(("mc_bond_within_3se", bond_check))
-    if config.option is not None:
-        option = config.option
-
-        def composite_check():
-            v0 = config.points_v[0]
-            if option.kind is OptionKind.PUT:
-                cf = puttable_bond_price(v0, 0.0, bond, option, market)
-                exercise = max
-            else:
-                cf = callable_bond_price(v0, 0.0, bond, option, market)
-                exercise = min
-            est, se = mc_barrier_price(
-                lambda v: exercise(bond_price(v, option.T1, bond, market), option.E),
-                lambda t: bond.R * math.exp(-market.r * (bond.T - t)),
-                option.T1, bond.a, bond.b, market, config.mc, v0,
-                barrier_anchor=bond.T)
-            return abs(est - cf) / se, 3.0
-
-        name = "mc_puttable_within_3se" if option.kind is OptionKind.PUT \
-            else "mc_callable_within_3se"
-        checks.append((name, composite_check))
-    return checks
-
-
-def _check_quadrature(config: RunConfig):
-    checks = []
-
-    def sweep():
-        rng = random.Random(config.seed)
-        worst = 0.0
-        for _ in range(200):
-            X, tau, params, market = draw_verification_case(rng)
-            cf = power_binary_price(X, 0.0, tau, params, market)
-            qd = quadrature_green(X, tau, params, market)
-            worst = max(worst, abs(cf - qd) / max(abs(cf), abs(qd), 1e-300))
-        return worst, 1e-6
-
-    def bond_pairwise():
-        # survival weight as the image of a cash binary, each leg priced by
-        # quadrature under zero rate and dividend -c
-        bond, market = config.bond, config.market
-        c = market.r - market.q - bond.a
-        drift_only = MarketParams(r=0.0, q=-c, sigma=market.sigma)
-        gamma = 1.0 - 2.0 * c / (market.sigma * market.sigma)
-        cash = PowerBinaryParams(beta=0.0, i=0.0, L=0.0, K=1.0, tau1=0.0,
-                                 tau2=0.0, tau3=1.0,
-                                 direction=IndicatorDirection.ABOVE)
-        worst = 0.0
-        for v in config.series_v:
-            x = _flatten(v, 0.0, bond)
-            w = (quadrature_green(x, bond.T, cash, drift_only)
-                 - x**gamma * quadrature_green(1.0 / x, bond.T, cash, drift_only))
-            quad_bond = math.exp(-market.r * bond.T) * (bond.R + (1.0 - bond.R) * w)
-            cf = bond_price(v, 0.0, bond, market)
-            worst = max(worst, abs(quad_bond - cf))
-        return worst, 1e-8
-
-    checks.append(("quadrature_power_binary_sweep", sweep))
-    checks.append(("quadrature_bond_agreement", bond_pairwise))
-    return checks
-
-
-def _check_invariants(config: RunConfig):
-    bond, market = config.bond, config.market
-    checks = []
-
-    # Probe grid for the strict bounds: V up to 3x the barrier, t up to
-    # 0.95 T. Further out the survival weight saturates to 1.0 in double
-    # precision and a strict inequality stops being measurable. measured is
-    # the count of violated strict inequalities, so 0 is the only pass.
-    def survival_shape():
-        violations = 0
-        for mt in range(20):
-            t = bond.T * mt / 20.0
-            lvl = barrier_level(bond, t)
-            prev = None
-            for mx in range(1, 51):
-                v = lvl * (1.0 + 0.04 * mx)
-                w = survival_probability(v, t, bond, market)
-                violations += not (0.0 < w < 1.0)
-                if prev is not None:
-                    violations += not (w > prev)
-                prev = w
-        return violations, 0.0
-
-    def bond_shape():
-        violations = 0
-        for mt in range(20):
-            t = bond.T * mt / 20.0
-            lvl = barrier_level(bond, t)
-            disc = math.exp(-market.r * (bond.T - t))
-            prev = None
-            for mx in range(1, 51):
-                v = lvl * (1.0 + 0.04 * mx)
-                p = bond_price(v, t, bond, market)
-                violations += not (bond.R * disc < p < disc)
-                if prev is not None:
-                    violations += not (p > prev)
-                prev = p
-        return violations, 0.0
-
-    def annihilation():
-        rng = random.Random(config.seed + 1)
-        worst = 0.0
-        for _ in range(25):
-            X, tau, params, mkt = draw_verification_case(rng)
-            level = X * math.exp(rng.uniform(-0.5, 0.5))
-            c = mkt.r - mkt.q
-
-            def u(x, t, tau=tau, params=params, mkt=mkt):
-                return power_binary_price(x, t, tau, params, mkt)
-
-            barriered = image_transform(u, level, c, mkt.sigma)
-            worst = max(worst, abs(barriered(level, 0.0)))
-        return worst, 1e-12
-
-    def parity():
-        option = _require_option(config)
-        eps = 1e-8
-        t = option.T1 - eps
-        put = OptionSpec(T1=option.T1, E=option.E, kind=OptionKind.PUT)
-        call = OptionSpec(T1=option.T1, E=option.E, kind=OptionKind.CALL)
-        worst = 0.0
-        for v in config.series_v:
-            p = bond_option_price(v, t, bond, put, market)
-            c = bond_option_price(v, t, bond, call, market)
-            b = bond_price(v, t, bond, market)
-            worst = max(worst, abs(p - c - (option.E - b)))
-        return worst, 1e-6
-
-    def complement():
-        rng = random.Random(config.seed + 2)
-        worst = 0.0
-        for _ in range(100):
-            X, tau, params, mkt = draw_verification_case(rng)
-            if params.K <= 0.0:
-                continue
-            above = PowerBinaryParams(beta=params.beta, i=params.i, L=params.L,
-                                      K=params.K, tau1=params.tau1, tau2=params.tau2,
-                                      tau3=params.tau3,
-                                      direction=IndicatorDirection.ABOVE)
-            below = PowerBinaryParams(beta=params.beta, i=params.i, L=params.L,
-                                      K=params.K, tau1=params.tau1, tau2=params.tau2,
-                                      tau3=params.tau3,
-                                      direction=IndicatorDirection.BELOW)
-            full = PowerBinaryParams(beta=params.beta, i=params.i, L=params.L,
-                                     K=0.0, tau1=params.tau1, tau2=params.tau2,
-                                     tau3=params.tau3,
-                                     direction=IndicatorDirection.ABOVE)
-            lhs = power_binary_price(X, 0.0, tau, above, mkt) \
-                + power_binary_price(X, 0.0, tau, below, mkt)
-            rhs = power_binary_price(X, 0.0, tau, full, mkt)
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
-        return worst, 1e-10
-
-    def hedge_positivity():
-        # phi(xi) + xi * Phi(xi) > 0 everywhere; count violations
-        violations = 0
-        for k in range(2001):
-            xi = -10.0 + 20.0 * k / 2000.0
-            violations += not (norm_pdf(xi) + xi * norm_cdf(xi) > 0.0)
-        return violations, 0.0
-
-    def dual_path():
-        rng = random.Random(config.seed + 3)
-        worst = 0.0
-        for _ in range(50):
-            mkt = MarketParams(r=rng.uniform(0.01, 0.08), q=rng.uniform(0.0, 0.03),
-                               sigma=rng.uniform(0.2, 0.7))
-            bnd = BondSpec(T=rng.uniform(1.5, 3.0), a=rng.uniform(-0.05, 0.08),
-                           b=100.0, R=rng.uniform(0.0, 0.9))
-            t1 = bnd.T * rng.uniform(0.3, 0.7)
-            disc = math.exp(-mkt.r * (bnd.T - t1))
-            e = disc * (bnd.R + (1.0 - bnd.R) * rng.uniform(0.2, 0.9))
-            kind = rng.choice((OptionKind.PUT, OptionKind.CALL))
-            option = OptionSpec(T1=t1, E=e, kind=kind)
-            t = rng.uniform(0.0, 0.8) * t1
-            v = barrier_level(bnd, t) * math.exp(rng.uniform(0.01, 1.5))
-            boundary = early_redemption_boundary(bnd, option, mkt).K
-            lhs = _option_price_formula(v, t, bnd, option, mkt, boundary)
-            rhs = _option_price_composed(v, t, bnd, option, mkt, boundary)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-        return worst, 1e-9
-
-    checks.append(("survival_bounds_and_monotone", survival_shape))
-    checks.append(("bond_bounds_and_monotone", bond_shape))
-    checks.append(("image_barrier_annihilation", annihilation))
-    if config.option is not None:
-        checks.append(("put_call_parity_at_expiry", parity))
-    checks.append(("direction_complement_identity", complement))
-    checks.append(("hedge_ratio_positivity", hedge_positivity))
-    checks.append(("option_formula_vs_composition", dual_path))
-    return checks
+def _verify_checks(config: RunConfig, suite: str):
+    """Yield the suite's checks in order, each run when it is reached."""
+    bond, market, option = config.bond, config.market, config.option
+    probe_v, v0, seed = config.series_v, config.points_v[0], config.seed
+    if suite in ("pde", "all"):
+        surfaces = verification.pde_surfaces(bond, market, option, config.grid)
+        yield verification.pde_bond_agreement(surfaces, bond, market, option, probe_v)
+        yield verification.pde_survival_agreement(surfaces, bond, market, option, probe_v)
+        if option is not None:
+            for kind in OptionKind:
+                yield verification.pde_option_agreement(
+                    surfaces, bond, market, replace(option, kind=kind), probe_v)
+    if suite in ("mc", "all"):
+        yield verification.mc_bond(bond, market, v0, config.mc)
+        if option is not None:
+            yield verification.mc_composite(bond, market, option, v0, config.mc)
+    if suite in ("quadrature", "all"):
+        yield verification.quadrature_sweep(seed)
+        yield verification.quadrature_bond(bond, market, probe_v)
+    if suite == "all":
+        yield verification.survival_shape(bond, market)
+        yield verification.bond_shape(bond, market)
+        yield verification.image_annihilation(seed + 1)
+        if option is not None:
+            yield verification.parity_at_expiry(bond, market, option, probe_v)
+        yield verification.direction_complement(seed + 2)
+        yield verification.hedge_positivity()
+        yield verification.formula_vs_composition(seed + 3)
 
 
 def cmd_verify(config: RunConfig, suite: str) -> int:
     _echo(config)
     checks = []
-    if suite in ("pde", "all"):
-        checks += _check_pde(config)
-    if suite in ("mc", "all"):
-        checks += _check_mc(config)
-    if suite in ("quadrature", "all"):
-        checks += _check_quadrature(config)
-    if suite == "all":
-        checks += _check_invariants(config)
+    for check in _verify_checks(config, suite):
+        checks.append(check)
+        if check.error is not None:
+            print(f"FAIL  {check.name:<34} numerical failure: {check.error}")
+        else:
+            print(f"{'PASS' if check.ok else 'FAIL'}  {check.name:<34} "
+                  f"measured={check.measured:.6e}  tol={check.tol:.6e}")
     if not checks:
         raise InvalidParamsError(f"unknown suite '{suite}'")
-
-    failures = 0
-    for name, fn in checks:
-        try:
-            measured, tol = fn()
-            ok = measured <= tol
-        except NumericalError as exc:
-            measured, tol, ok = math.nan, math.nan, False
-            print(f"FAIL  {name:<34} numerical failure: {exc}")
-            failures += 1
-            continue
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<34} measured={measured:.6e}  tol={tol:.6e}")
-        failures += 0 if ok else 1
+    failures = sum(not check.ok for check in checks)
     print(f"{len(checks)} checks, {failures} failed")
     return 1 if failures else 0
 

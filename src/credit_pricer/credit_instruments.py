@@ -41,7 +41,9 @@ __all__ = [
     "bond_price",
     "survival_probability",
     "early_redemption_boundary",
+    "option_price_paths",
     "bond_option_price",
+    "exercise_value",
     "puttable_bond_price",
     "callable_bond_price",
 ]
@@ -366,6 +368,29 @@ def _option_price_composed(
     return knocked_out(V * math.exp(a * (bond.T - t)), t)
 
 
+def option_price_paths(
+    V: float,
+    t: float,
+    bond: BondSpec,
+    option: OptionSpec,
+    market: MarketParams,
+) -> tuple[float, float]:
+    """The knockout option price by both evaluation paths, as (literal
+    closed form, compositional construction), before any agreement check
+    or clipping. Validates the inputs like bond_option_price and returns
+    (0, 0) on the knockout boundary. Domain: V >= barrier, 0 <= t < T1.
+    """
+    _validate_option(bond, option, market)
+    lvl = _check_time_and_barrier(V, t, bond)
+    if not t < option.T1:
+        raise DomainError(f"t must precede option maturity {option.T1}, got {t}")
+    if V == lvl:
+        return 0.0, 0.0  # knockout boundary
+    K = early_redemption_boundary(bond, option, market).K
+    return (_option_price_formula(V, t, bond, option, market, K),
+            _option_price_composed(V, t, bond, option, market, K))
+
+
 def bond_option_price(
     V: float,
     t: float,
@@ -382,15 +407,7 @@ def bond_option_price(
     beyond 1e-9 raises a numerical error instead of returning either
     number. Domain: V >= barrier, 0 <= t < T1.
     """
-    _validate_option(bond, option, market)
-    lvl = _check_time_and_barrier(V, t, bond)
-    if not t < option.T1:
-        raise DomainError(f"t must precede option maturity {option.T1}, got {t}")
-    if V == lvl:
-        return 0.0  # knockout boundary
-    K = early_redemption_boundary(bond, option, market).K
-    via_formula = _option_price_formula(V, t, bond, option, market, K)
-    via_composition = _option_price_composed(V, t, bond, option, market, K)
+    via_formula, via_composition = option_price_paths(V, t, bond, option, market)
     if abs(via_formula - via_composition) > _PATH_AGREEMENT_TOL * max(1.0, abs(via_formula)):
         raise NumericalError(
             "option pricing paths disagree: "
@@ -401,7 +418,9 @@ def bond_option_price(
     return max(via_formula, 0.0)
 
 
-def _exercise_payoff(V: float, bond: BondSpec, option: OptionSpec, market: MarketParams) -> float:
+def exercise_value(V: float, bond: BondSpec, option: OptionSpec, market: MarketParams) -> float:
+    """Option payoff at expiry T1 for firm value V: (E - B(V, T1))^+ for a
+    put, (B(V, T1) - E)^+ for a call."""
     b_t1 = bond_price(V, option.T1, bond, market)
     if option.kind is OptionKind.PUT:
         return max(option.E - b_t1, 0.0)
@@ -423,7 +442,7 @@ def puttable_bond_price(
         return bond_price(V, t, bond, market)
     if t == option.T1:
         _validate_option(bond, option, market)
-        return bond_price(V, t, bond, market) + _exercise_payoff(V, bond, option, market)
+        return bond_price(V, t, bond, market) + exercise_value(V, bond, option, market)
     return bond_price(V, t, bond, market) + bond_option_price(V, t, bond, option, market)
 
 
@@ -442,5 +461,5 @@ def callable_bond_price(
         return bond_price(V, t, bond, market)
     if t == option.T1:
         _validate_option(bond, option, market)
-        return bond_price(V, t, bond, market) - _exercise_payoff(V, bond, option, market)
+        return bond_price(V, t, bond, market) - exercise_value(V, bond, option, market)
     return bond_price(V, t, bond, market) - bond_option_price(V, t, bond, option, market)

@@ -10,40 +10,17 @@ its budget; run `pytest -s tests/test_acceptance.py` to watch them stream.
 """
 
 import math
-import random
 import time
 
-import pytest
-
 from credit_pricer import (
-    BondSpec,
     GridSpec,
-    IndicatorDirection,
-    MarketParams,
     McSpec,
-    OptionKind,
-    OptionSpec,
-    PowerBinaryParams,
-    barrier_level,
     bond_option_price,
-    bond_price,
-    draw_verification_case,
     early_redemption_boundary,
-    image_transform,
-    mc_barrier_price,
-    norm_cdf,
-    norm_pdf,
-    pde_solve_tbvp,
-    power_binary_price,
-    puttable_bond_price,
-    quadrature_green,
-    survival_probability,
+    exercise_value,
+    verification,
 )
 from credit_pricer.cli import main
-from credit_pricer.credit_instruments import (
-    _option_price_composed,
-    _option_price_formula,
-)
 
 _PROBE_V = (139.0, 199.0, 300.0)
 
@@ -66,80 +43,40 @@ def test_criterion_1_early_redemption_boundary(bond, put_spec, market):
 
 def test_criterion_2_quadrature_equivalence():
     start = time.monotonic()
-    rng = random.Random(1729)
-    worst = 0.0
-    for _ in range(200):
-        x, tau, params, market = draw_verification_case(rng)
-        cf = power_binary_price(x, 0.0, tau, params, market)
-        quad = quadrature_green(x, tau, params, market)
-        worst = max(worst, abs(cf - quad) / max(abs(cf), abs(quad), 1e-300))
+    check = verification.quadrature_sweep(1729)
     elapsed = time.monotonic() - start
-    ok = worst <= 1e-6 and elapsed < 30.0
+    assert check.tol == 1e-6
+    ok = check.ok and elapsed < 30.0
     _report("criterion 2, closed form vs quadrature", ok,
-            f"200 draws, worst rel {worst:.2e} (tol 1e-6), "
+            f"200 draws, worst rel {check.measured:.2e} (tol 1e-6), "
             f"{elapsed:.1f}s (budget 30s)")
 
 
 def test_criterion_3_pde_cross_check(bond, put_spec, call_spec, market):
     """Crank-Nicolson agreement at V in {139, 199, 300}, t in {0, 0.5, T1-}.
 
-    Bond and survival probes t=T1 as an interior grid time of their own
+    Bond and survival probe t=T1 as an interior grid time of their own
     problem. For the options, t=T1- is the expiry limit: the closed form
     just before T1 against the scheme's terminal condition, which the
     solver holds exactly at the nodes. Interior option probes stop at 0.5.
     """
     start = time.monotonic()
-    t1 = put_spec.T1
-    c = market.r - market.q - bond.a
-    grid = GridSpec(n_space=801, n_time=800)
-    lvl_t1 = barrier_level(bond, t1)
-    boundary_k = early_redemption_boundary(bond, put_spec, market).K
-    align = boundary_k * math.exp(bond.a * (bond.T - t1)) / bond.b
-
-    def rebate(t):
-        return bond.R * math.exp(-market.r * (bond.T - t))
-
-    def exercise(x, spec):
-        b_t1 = bond_price(lvl_t1 * x, t1, bond, market)
-        gain = spec.E - b_t1 if spec.kind is OptionKind.PUT else b_t1 - spec.E
-        return max(gain, 0.0)
-
-    surfaces = {
-        "bond": pde_solve_tbvp(lambda x: 1.0, rebate, c, market.sigma,
-                               market.r, bond.T, grid),
-        "survival": pde_solve_tbvp(lambda x: 1.0, lambda t: 0.0, c,
-                                   market.sigma, 0.0, bond.T, grid),
-    }
+    surfaces = verification.pde_surfaces(bond, market, put_spec,
+                                         GridSpec(n_space=801, n_time=800))
+    checks = [
+        verification.pde_bond_agreement(surfaces, bond, market, put_spec, _PROBE_V),
+        verification.pde_survival_agreement(surfaces, bond, market, put_spec, _PROBE_V),
+    ] + [verification.pde_option_agreement(surfaces, bond, market, spec, _PROBE_V)
+         for spec in (put_spec, call_spec)]
+    assert all(check.tol == 1e-3 for check in checks)
+    worst = {check.name: check.measured for check in checks}
     for spec in (put_spec, call_spec):
-        surfaces[spec.kind.value] = pde_solve_tbvp(
-            lambda x, spec=spec: exercise(x, spec), lambda t: 0.0, c,
-            market.sigma, market.r, t1, grid, align_at=align)
-
-    def flat(v, t):
-        return v * math.exp(bond.a * (bond.T - t)) / bond.b
-
-    worst = {}
-    for name, closed in (
-        ("bond", lambda v, t: bond_price(v, t, bond, market)),
-        ("survival", lambda v, t: survival_probability(v, t, bond, market)),
-    ):
-        worst[name] = max(
-            abs(surfaces[name].value(flat(v, t), t) - closed(v, t))
-            / max(abs(closed(v, t)), 1e-12)
-            for v in _PROBE_V for t in (0.0, 0.5, t1))
-    for spec in (put_spec, call_spec):
-        name = spec.kind.value
-        errs = [
-            abs(surfaces[name].value(flat(v, t), t)
-                - bond_option_price(v, t, bond, spec, market))
-            / max(abs(bond_option_price(v, t, bond, spec, market)), 1e-12)
-            for v in _PROBE_V for t in (0.0, 0.5)]
-        errs += [
-            abs(bond_option_price(v, t1 - 1e-9, bond, spec, market)
-                - exercise(flat(v, t1), spec))
-            / max(abs(exercise(flat(v, t1), spec)), 1e-12)
-            for v in _PROBE_V]
-        worst[name] = max(errs)
+        expiry_gap = max(
+            abs(bond_option_price(v, spec.T1 - 1e-9, bond, spec, market)
+                - exercise_value(v, bond, spec, market))
+            / max(abs(exercise_value(v, bond, spec, market)), 1e-12)
+            for v in _PROBE_V)
+        worst[f"{spec.kind.value}_expiry_limit"] = expiry_gap
     elapsed = time.monotonic() - start
 
     overall = max(worst.values())
@@ -154,113 +91,30 @@ def test_criterion_4_monte_carlo_cross_check(bond, put_spec, market):
     start = time.monotonic()
     mc = McSpec(n_paths=100000, n_steps=200, seed=1729,
                 bridge_correction=True)
-
-    def rebate(t):
-        return bond.R * math.exp(-market.r * (bond.T - t))
-
-    est, se = mc_barrier_price(lambda v: 1.0, rebate, bond.T, bond.a,
-                               bond.b, market, mc, 199.0)
-    z_bond = abs(est - bond_price(199.0, 0.0, bond, market)) / se
-
-    est, se = mc_barrier_price(
-        lambda v: max(bond_price(v, put_spec.T1, bond, market), put_spec.E),
-        rebate, put_spec.T1, bond.a, bond.b, market, mc, 199.0,
-        barrier_anchor=bond.T)
-    cf = puttable_bond_price(199.0, 0.0, bond, put_spec, market)
-    z_puttable = abs(est - cf) / se
+    bond_check = verification.mc_bond(bond, market, 199.0, mc)
+    puttable_check = verification.mc_composite(bond, market, put_spec, 199.0, mc)
     elapsed = time.monotonic() - start
 
-    ok = z_bond <= 3.0 and z_puttable <= 3.0 and elapsed < 60.0
+    assert bond_check.tol == puttable_check.tol == 3.0
+    ok = bond_check.ok and puttable_check.ok and elapsed < 60.0
     _report("criterion 4, Monte-Carlo cross-check", ok,
-            f"bond z={z_bond:.2f}, puttable z={z_puttable:.2f} (tol 3 SE), "
+            f"bond z={bond_check.measured:.2f}, "
+            f"puttable z={puttable_check.measured:.2f} (tol 3 SE), "
             f"{elapsed:.1f}s (budget 60s)")
 
 
-def test_criterion_5_invariant_suite(bond, put_spec, call_spec, market):
-    failures = []
-
-    # survival weight: strict bounds and positive finite-difference slope
-    # in the firm value on a 50x20 (x, t) grid above the barrier
-    violations = 0
-    for mt in range(20):
-        t = bond.T * mt / 20.0
-        lvl = barrier_level(bond, t)
-        ladder = [survival_probability(lvl * (1.0 + 0.04 * mx), t, bond, market)
-                  for mx in range(1, 51)]
-        violations += sum(not (0.0 < w < 1.0) for w in ladder)
-        violations += sum(not (b > a) for a, b in zip(ladder, ladder[1:]))
-    if violations:
-        failures.append(f"survival shape ({violations} violations)")
-
-    # bond: R e^{-r(T-t)} < B < e^{-r(T-t)} and B_V > 0 on the same grid
-    violations = 0
-    for mt in range(20):
-        t = bond.T * mt / 20.0
-        lvl = barrier_level(bond, t)
-        disc = math.exp(-market.r * (bond.T - t))
-        ladder = [bond_price(lvl * (1.0 + 0.04 * mx), t, bond, market)
-                  for mx in range(1, 51)]
-        violations += sum(not (bond.R * disc < p < disc) for p in ladder)
-        violations += sum(not (b > a) for a, b in zip(ladder, ladder[1:]))
-    if violations:
-        failures.append(f"bond shape ({violations} violations)")
-
-    # image transform annihilates at the barrier
-    rng = random.Random(1730)
-    worst = 0.0
-    for _ in range(25):
-        x, tau, params, mkt = draw_verification_case(rng)
-        level = x * math.exp(rng.uniform(-0.5, 0.5))
-
-        def u(y, t, tau=tau, params=params, mkt=mkt):
-            return power_binary_price(y, t, tau, params, mkt)
-
-        barriered = image_transform(u, level, mkt.r - mkt.q, mkt.sigma)
-        worst = max(worst, abs(barriered(level, 0.0)))
-    if worst > 1e-12:
-        failures.append(f"image annihilation {worst:.2e} > 1e-12")
-
-    # put-call parity at expiry: P - C -> E - B
-    t = put_spec.T1 - 1e-8
-    worst = max(
-        abs(bond_option_price(v, t, bond, put_spec, market)
-            - bond_option_price(v, t, bond, call_spec, market)
-            - (put_spec.E - bond_price(v, t, bond, market)))
-        for v in _PROBE_V)
-    if worst > 1e-6:
-        failures.append(f"parity at expiry {worst:.2e} > 1e-6")
-
-    # above-strike and below-strike legs sum to the unconditional price
-    rng = random.Random(1731)
-    worst = 0.0
-    for _ in range(100):
-        x, tau, params, mkt = draw_verification_case(rng)
-        if params.K <= 0.0:
-            continue
-        legs = {}
-        for direction, strike in ((IndicatorDirection.ABOVE, params.K),
-                                  (IndicatorDirection.BELOW, params.K),
-                                  (IndicatorDirection.ABOVE, 0.0)):
-            p = PowerBinaryParams(beta=params.beta, i=params.i, L=params.L,
-                                  K=strike, tau1=params.tau1,
-                                  tau2=params.tau2, tau3=params.tau3,
-                                  direction=direction)
-            legs[(direction, strike)] = power_binary_price(x, 0.0, tau, p, mkt)
-        lhs = legs[(IndicatorDirection.ABOVE, params.K)] \
-            + legs[(IndicatorDirection.BELOW, params.K)]
-        rhs = legs[(IndicatorDirection.ABOVE, 0.0)]
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
-    if worst > 1e-10:
-        failures.append(f"direction complement {worst:.2e} > 1e-10")
-
-    # hedge slack phi(xi) + xi Phi(xi) stays strictly positive
-    violations = sum(
-        not (norm_pdf(-10.0 + 20.0 * k / 2000.0)
-             + (-10.0 + 20.0 * k / 2000.0)
-             * norm_cdf(-10.0 + 20.0 * k / 2000.0) > 0.0)
-        for k in range(2001))
-    if violations:
-        failures.append(f"hedge slack ({violations} violations)")
+def test_criterion_5_invariant_suite(bond, put_spec, market):
+    checks = [
+        (verification.survival_shape(bond, market), 0.0),
+        (verification.bond_shape(bond, market), 0.0),
+        (verification.image_annihilation(1730), 1e-12),
+        (verification.parity_at_expiry(bond, market, put_spec, _PROBE_V), 1e-6),
+        (verification.direction_complement(1731), 1e-10),
+        (verification.hedge_positivity(), 0.0),
+    ]
+    assert all(check.tol == tol for check, tol in checks)
+    failures = [f"{check.name} {check.measured:.2e} > {tol:.0e}"
+                for check, tol in checks if not check.ok]
 
     ok = not failures
     _report("criterion 5, invariant suite", ok,
@@ -271,29 +125,12 @@ def test_criterion_6_formula_vs_composition():
     """The literal option formula and the compositional path (power-binary
     legs, image transform, change of variables) must price identically."""
     start = time.monotonic()
-    rng = random.Random(24601)
-    worst = 0.0
-    for _ in range(100):
-        mkt = MarketParams(r=rng.uniform(0.01, 0.08),
-                           q=rng.uniform(0.0, 0.03),
-                           sigma=rng.uniform(0.2, 0.7))
-        bnd = BondSpec(T=rng.uniform(1.5, 3.0), a=rng.uniform(-0.05, 0.08),
-                       b=100.0, R=rng.uniform(0.0, 0.9))
-        t1 = bnd.T * rng.uniform(0.3, 0.7)
-        disc = math.exp(-mkt.r * (bnd.T - t1))
-        e = disc * (bnd.R + (1.0 - bnd.R) * rng.uniform(0.2, 0.9))
-        kind = rng.choice((OptionKind.PUT, OptionKind.CALL))
-        option = OptionSpec(T1=t1, E=e, kind=kind)
-        t = rng.uniform(0.0, 0.8) * t1
-        v = barrier_level(bnd, t) * math.exp(rng.uniform(0.01, 1.5))
-        boundary = early_redemption_boundary(bnd, option, mkt).K
-        lhs = _option_price_formula(v, t, bnd, option, mkt, boundary)
-        rhs = _option_price_composed(v, t, bnd, option, mkt, boundary)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
+    check = verification.formula_vs_composition(24601)
     elapsed = time.monotonic() - start
-    ok = worst <= 1e-9
-    _report("criterion 6, formula vs composition", ok,
-            f"100 draws, worst rel {worst:.2e} (tol 1e-9), {elapsed:.1f}s")
+    assert check.tol == 1e-9
+    assert verification.FORMULA_VS_COMPOSITION_DRAWS == 100
+    _report("criterion 6, formula vs composition", check.ok,
+            f"100 draws, worst rel {check.measured:.2e} (tol 1e-9), {elapsed:.1f}s")
 
 
 def test_criterion_7_curve_shapes(tmp_path, capsys):

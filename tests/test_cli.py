@@ -217,6 +217,19 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "0 failed" in out.splitlines()[-1]
         assert "FAIL" not in out
+        # the benchmark's verify gate compares this exact list
+        names = [line.split()[1] for line in out.splitlines()
+                 if line.startswith(("PASS ", "FAIL "))]
+        assert names == [
+            "pde_bond_agreement", "pde_survival_agreement",
+            "pde_put_agreement", "pde_call_agreement",
+            "mc_bond_within_3se", "mc_puttable_within_3se",
+            "quadrature_power_binary_sweep", "quadrature_bond_agreement",
+            "survival_bounds_and_monotone", "bond_bounds_and_monotone",
+            "image_barrier_annihilation", "put_call_parity_at_expiry",
+            "direction_complement_identity", "hedge_ratio_positivity",
+            "option_formula_vs_composition",
+        ]
 
     def test_quadrature_suite_reports_sweep(self, capsys):
         assert main(["verify", "--suite", "quadrature"]) == 0

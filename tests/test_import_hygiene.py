@@ -1,0 +1,41 @@
+"""Static check of how the package's modules import each other."""
+
+import ast
+import pathlib
+
+import credit_pricer
+
+# The oracles share no code with the closed forms: from those modules they
+# take only the types that describe a pricing problem.
+_ORACLE_IMPORTS_ALLOWED = {
+    "bs_closed_form": {"IndicatorDirection", "PowerBinaryParams"},
+    "special_functions": {"MarketParams"},
+}
+
+
+def _sibling_imports(path):
+    """(module, name) per name imported from a package module; name is None
+    when the whole module is imported."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("credit_pricer")):
+            module = (node.module or "").removeprefix("credit_pricer").lstrip(".")
+            for alias in node.names:
+                yield (module, alias.name) if module else (alias.name, None)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("credit_pricer."):
+                    yield alias.name.split(".")[1], None
+
+
+def test_no_private_or_closed_form_imports_across_modules():
+    private, oracle_leaks = [], []
+    for path in sorted(pathlib.Path(credit_pricer.__file__).parent.glob("*.py")):
+        for module, name in _sibling_imports(path):
+            if name is not None and name.startswith("_"):
+                private.append(f"{path.name}: {name} from {module}")
+            allowed = _ORACLE_IMPORTS_ALLOWED.get(module)
+            if path.stem == "oracles" and allowed is not None and name not in allowed:
+                oracle_leaks.append(f"{name or 'the module'} from {module}")
+    assert not private, f"private names imported across modules: {private}"
+    assert not oracle_leaks, f"oracles import closed-form code: {oracle_leaks}"
