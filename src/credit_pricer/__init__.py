@@ -9,7 +9,6 @@ emits.
 """
 
 from .bs_closed_form import (
-    BarrierProblemParams,
     IndicatorDirection,
     PowerBinaryParams,
     image_transform,
@@ -50,8 +49,6 @@ from .oracles import (
     quadrature_green,
 )
 from .special_functions import (
-    Correlation,
-    DeltaArgs,
     MarketParams,
     binorm_cdf,
     delta,
@@ -63,12 +60,9 @@ from .special_functions import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BarrierProblemParams",
     "BelowBarrierError",
     "BondSpec",
     "BoundaryResult",
-    "Correlation",
-    "DeltaArgs",
     "DomainError",
     "GridSpec",
     "IndicatorDirection",

@@ -9,21 +9,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, InvalidParamsError
-from .special_functions import (
-    Correlation,
-    DeltaArgs,
-    MarketParams,
-    binorm_cdf,
-    delta,
-    mu,
-    norm_cdf,
-)
+from .errors import DomainError, InvalidParamsError, NumericalError
+from .special_functions import MarketParams, binorm_cdf, delta, mu, norm_cdf
 
 __all__ = [
     "IndicatorDirection",
     "PowerBinaryParams",
-    "BarrierProblemParams",
     "power_binary_price",
     "tbvp_w",
     "image_transform",
@@ -106,7 +97,8 @@ def power_binary_price(
     -----
     Either orthant argument may degenerate to +inf (K = 0 drops the strike
     leg, L = 0 the probability leg), in which case the bivariate CDF is
-    replaced by the exact univariate reduction.
+    replaced by the exact univariate reduction. A prefactor that overflows
+    a float raises NumericalError.
     """
     if not (math.isfinite(X) and X > 0.0):
         raise DomainError(f"underlying must be positive and finite, got {X}")
@@ -124,14 +116,11 @@ def power_binary_price(
             return 0.0  # 1{X < 0} carries no mass
         a2 = math.inf
     else:
-        a2 = delta(DeltaArgs(X / p.K, tau, p.beta * tau, tau), market)
+        a2 = delta(X / p.K, tau, p.beta * tau, tau, market)
     if p.L == 0.0:
         a1 = math.inf
     else:
-        a1 = delta(
-            DeltaArgs(X**p.i / p.L, p.tau1 + p.i * tau, p.tau2 + p.i * p.beta * tau, clock),
-            market,
-        )
+        a1 = delta(X**p.i / p.L, p.tau1 + p.i * tau, p.tau2 + p.i * p.beta * tau, clock, market)
     rho = p.i * math.sqrt(tau / clock)
     if below:
         a2 = -a2
@@ -144,31 +133,16 @@ def power_binary_price(
     elif a2 == math.inf:
         orthant = norm_cdf(a1)
     else:
-        orthant = binorm_cdf(a1, a2, Correlation(rho))
-    return X**p.beta * math.exp(mu(p.beta, market) * tau) * orthant
+        orthant = binorm_cdf(a1, a2, rho)
+    try:
+        return X**p.beta * math.exp(mu(p.beta, market) * tau) * orthant
+    except OverflowError as exc:
+        raise NumericalError("power-binary price overflows a float") from exc
 
 
-@dataclass(frozen=True)
-class BarrierProblemParams:
-    """Down-and-out terminal-boundary problem on x > 1: drift carry c,
-    volatility sigma, horizon T. The solved quantity is the no-touch
-    probability of the unit barrier with terminal value 1."""
-
-    c: float
-    sigma: float
-    T: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.c) and math.isfinite(self.sigma) and math.isfinite(self.T)):
-            raise InvalidParamsError("barrier problem parameters must be finite")
-        if self.sigma <= 0.0:
-            raise InvalidParamsError(f"sigma must be positive, got {self.sigma}")
-        if self.T <= 0.0:
-            raise InvalidParamsError(f"T must be positive, got {self.T}")
-
-
-def tbvp_w(x: float, t: float, problem: BarrierProblemParams) -> float:
-    """Survival weight of the unit down-and-out barrier under drift c.
+def tbvp_w(x: float, t: float, c: float, sigma: float, T: float) -> float:
+    """Survival weight of the unit down-and-out barrier under drift carry c,
+    volatility sigma and horizon T.
 
     Solves w_t + sigma^2 x^2 w_xx / 2 + c x w_x = 0 on x > 1 with w(1, t) = 0
     and w(x, T) = 1. The closed form is
@@ -178,23 +152,29 @@ def tbvp_w(x: float, t: float, problem: BarrierProblemParams) -> float:
 
     the plain first-passage survival probability. w(1, t) is exactly 0 (both
     arguments coincide and the image prefactor is 1); x = +inf returns 1.
-    Domain: x >= 1 and t < T.
+    Raises InvalidParamsError unless c, sigma, T are finite and sigma, T > 0,
+    then DomainError unless x >= 1 and t < T.
     """
+    if not (math.isfinite(c) and math.isfinite(sigma) and math.isfinite(T)):
+        raise InvalidParamsError("barrier problem parameters must be finite")
+    if sigma <= 0.0:
+        raise InvalidParamsError(f"sigma must be positive, got {sigma}")
+    if T <= 0.0:
+        raise InvalidParamsError(f"T must be positive, got {T}")
     if math.isnan(x) or x < 1.0:
         raise DomainError(f"x must be >= 1, got {x}")
-    if not (t < problem.T):
-        raise DomainError(f"t must precede the horizon {problem.T}, got {t}")
+    if not (t < T):
+        raise DomainError(f"t must precede the horizon {T}, got {t}")
     if x == 1.0:
         return 0.0
     if x == math.inf:
         return 1.0
-    tau = problem.T - t
-    sig = problem.sigma
-    s = sig * math.sqrt(tau)
+    tau = T - t
+    s = sigma * math.sqrt(tau)
     lx = math.log(x)
-    drift = (problem.c - 0.5 * sig * sig) * tau
+    drift = (c - 0.5 * sigma * sigma) * tau
     n_minus = norm_cdf((-lx + drift) / s)
-    image = 0.0 if n_minus == 0.0 else x ** (1.0 - 2.0 * problem.c / (sig * sig)) * n_minus
+    image = 0.0 if n_minus == 0.0 else x ** (1.0 - 2.0 * c / (sigma * sigma)) * n_minus
     return norm_cdf((lx + drift) / s) - image
 
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 from .bs_closed_form import (
-    BarrierProblemParams,
     IndicatorDirection,
     PowerBinaryParams,
     image_transform,
@@ -30,7 +29,7 @@ from .errors import (
     InvalidParamsError,
     NumericalError,
 )
-from .special_functions import Correlation, MarketParams, binorm_cdf, norm_cdf
+from .special_functions import MarketParams, binorm_cdf, norm_cdf
 
 __all__ = [
     "OptionKind",
@@ -146,9 +145,7 @@ def survival_probability(V: float, t: float, bond: BondSpec, market: MarketParam
     lvl = _check_time_and_barrier(V, t, bond)
     if t == bond.T:
         return 1.0 if V > lvl else 0.0
-    m = market
-    problem = BarrierProblemParams(c=m.r - m.q - bond.a, sigma=m.sigma, T=bond.T)
-    return tbvp_w(V / lvl, t, problem)
+    return tbvp_w(V / lvl, t, market.r - market.q - bond.a, market.sigma, bond.T)
 
 
 def bond_price(V: float, t: float, bond: BondSpec, market: MarketParams) -> float:
@@ -238,10 +235,6 @@ def early_redemption_boundary(
     raise NumericalError("early redemption boundary iteration cap reached")
 
 
-def _n2(a: float, b: float, rho: float) -> float:
-    return binorm_cdf(a, b, Correlation(rho))
-
-
 def _option_price_formula(
     V: float,
     t: float,
@@ -285,22 +278,22 @@ def _option_price_formula(
             * (norm_cdf(b1) - norm_cdf(b2) - a_gam * (norm_cdf(bt1) - norm_cdf(bt2)))
             - loss
             * (
-                _n2(d, b1, rho)
-                - _n2(d, b2, rho)
-                - a_gam * (_n2(dt, bt1, rho) - _n2(dt, bt2, rho))
-                + _n2(d, -b1, -rho)
-                - _n2(d, -b5, -rho)
-                - a_gam * (_n2(dt, -bt1, -rho) - _n2(dt, -bt5, -rho))
+                binorm_cdf(d, b1, rho)
+                - binorm_cdf(d, b2, rho)
+                - a_gam * (binorm_cdf(dt, bt1, rho) - binorm_cdf(dt, bt2, rho))
+                + binorm_cdf(d, -b1, -rho)
+                - binorm_cdf(d, -b5, -rho)
+                - a_gam * (binorm_cdf(dt, -bt1, -rho) - binorm_cdf(dt, -bt5, -rho))
             )
         )
     return (
         (bond.R * disc - option.E * disc1) * (norm_cdf(b2) - a_gam * norm_cdf(bt2))
         + loss
         * (
-            _n2(d, b2, rho)
-            - a_gam * _n2(dt, bt2, rho)
-            + _n2(d, -b5, -rho)
-            - a_gam * _n2(dt, -bt5, -rho)
+            binorm_cdf(d, b2, rho)
+            - a_gam * binorm_cdf(dt, bt2, rho)
+            + binorm_cdf(d, -b5, -rho)
+            - a_gam * binorm_cdf(dt, -bt5, -rho)
         )
     )
 
@@ -379,6 +372,7 @@ def option_price_paths(
     closed form, compositional construction), before any agreement check
     or clipping. Validates the inputs like bond_option_price and returns
     (0, 0) on the knockout boundary. Domain: V >= barrier, 0 <= t < T1.
+    A float overflow on either path raises NumericalError.
     """
     _validate_option(bond, option, market)
     lvl = _check_time_and_barrier(V, t, bond)
@@ -387,8 +381,11 @@ def option_price_paths(
     if V == lvl:
         return 0.0, 0.0  # knockout boundary
     K = early_redemption_boundary(bond, option, market).K
-    return (_option_price_formula(V, t, bond, option, market, K),
-            _option_price_composed(V, t, bond, option, market, K))
+    try:
+        return (_option_price_formula(V, t, bond, option, market, K),
+                _option_price_composed(V, t, bond, option, market, K))
+    except OverflowError as exc:
+        raise NumericalError("option price overflows a float") from exc
 
 
 def bond_option_price(

@@ -36,42 +36,6 @@ class MarketParams:
             raise InvalidParamsError(f"sigma must be positive, got {self.sigma}")
 
 
-@dataclass(frozen=True)
-class Correlation:
-    """A correlation coefficient, validated to lie in [-1, 1]."""
-
-    rho: float
-
-    def __post_init__(self):
-        if math.isnan(self.rho) or abs(self.rho) > 1.0:
-            raise InvalidParamsError(f"correlation must lie in [-1, 1], got {self.rho}")
-
-
-@dataclass(frozen=True)
-class DeltaArgs:
-    """Arguments of the normalized log-moneyness term.
-
-    ratio is the price ratio inside the logarithm (+inf is allowed and stands
-    for a dropped probability factor). tau1 scales the drift, tau2 adds a
-    variance correction, tau3 is the positive variance clock. tau1 and tau2
-    may be negative; composed clocks arising in the pricing formulas are
-    validated by the caller before construction.
-    """
-
-    ratio: float
-    tau1: float
-    tau2: float
-    tau3: float
-
-    def __post_init__(self):
-        if math.isnan(self.ratio) or self.ratio <= 0.0:
-            raise InvalidParamsError(f"ratio must be positive, got {self.ratio}")
-        if not _all_finite(self.tau1, self.tau2, self.tau3):
-            raise InvalidParamsError("clock parameters must be finite")
-        if self.tau3 <= 0.0:
-            raise InvalidParamsError(f"tau3 must be positive, got {self.tau3}")
-
-
 def norm_pdf(x: float) -> float:
     """Standard normal density. Infinite arguments give 0; NaN raises."""
     if math.isnan(x):
@@ -135,16 +99,17 @@ def _gl_rule(rho: float):
     return _GL_RULES[-1][1]
 
 
-def binorm_cdf(a1: float, a2: float, corr: Correlation) -> float:
+def binorm_cdf(a1: float, a2: float, rho: float) -> float:
     """Lower-orthant probability P(X <= a1, Y <= a2) of a standard bivariate
-    normal pair with correlation corr.rho.
+    normal pair with correlation rho.
 
     Parameters
     ----------
     a1, a2 : float
-        Upper limits, extended reals (+-inf allowed).
-    corr : Correlation
-        Validated correlation coefficient.
+        Upper limits, extended reals (+-inf allowed); NaN raises DomainError.
+    rho : float
+        Correlation coefficient in [-1, 1]; NaN or a value outside raises
+        InvalidParamsError, checked before the limits.
 
     Returns
     -------
@@ -158,9 +123,10 @@ def binorm_cdf(a1: float, a2: float, corr: Correlation) -> float:
     quadrature correction closer to |rho| = 1. Degenerate correlations
     rho = +-1 and infinite limits reduce exactly before any quadrature runs.
     """
+    if math.isnan(rho) or abs(rho) > 1.0:
+        raise InvalidParamsError(f"correlation must lie in [-1, 1], got {rho}")
     if math.isnan(a1) or math.isnan(a2):
         raise DomainError("binorm_cdf: NaN argument")
-    rho = corr.rho
     if a1 == -math.inf or a2 == -math.inf:
         return 0.0
     if a1 == math.inf:
@@ -223,19 +189,27 @@ def binorm_cdf(a1: float, a2: float, corr: Correlation) -> float:
     return min(1.0, max(0.0, bvn))
 
 
-def delta(args: DeltaArgs, market: MarketParams) -> float:
+def delta(ratio: float, tau1: float, tau2: float, tau3: float, market: MarketParams) -> float:
     """Normalized drift-adjusted log ratio.
 
     Returns (ln(ratio) + (r - q - sigma^2/2) tau1 + sigma^2 tau2) divided by
     sigma sqrt(tau3). A ratio of +inf returns +inf, the convention for a
-    dropped probability factor.
+    dropped probability factor. tau1 and tau2 may be negative. Raises
+    InvalidParamsError, in this order, if ratio is NaN or not positive, a
+    clock is not finite, or tau3 is not positive.
     """
-    if math.isinf(args.ratio):
+    if math.isnan(ratio) or ratio <= 0.0:
+        raise InvalidParamsError(f"ratio must be positive, got {ratio}")
+    if not _all_finite(tau1, tau2, tau3):
+        raise InvalidParamsError("clock parameters must be finite")
+    if tau3 <= 0.0:
+        raise InvalidParamsError(f"tau3 must be positive, got {tau3}")
+    if math.isinf(ratio):
         return math.inf
     m = market
     sig2 = m.sigma * m.sigma
-    num = math.log(args.ratio) + (m.r - m.q - 0.5 * sig2) * args.tau1 + sig2 * args.tau2
-    return num / (m.sigma * math.sqrt(args.tau3))
+    num = math.log(ratio) + (m.r - m.q - 0.5 * sig2) * tau1 + sig2 * tau2
+    return num / (m.sigma * math.sqrt(tau3))
 
 
 def mu(beta: float, market: MarketParams) -> float:

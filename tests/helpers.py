@@ -4,6 +4,17 @@ import math
 
 _EPS = 2.220446049250313e-16
 
+# A put from the benchmark's book pool (index 99) at which the option price
+# overflows a float: small sigma, a fast-growing barrier, V far above it.
+OVERFLOW_CONFIG = {
+    "market": {"r": -0.03263721557104038, "q": 0.1685159687866016,
+               "sigma": 0.0726868998307426},
+    "bond": {"T": 2.8865814208984375, "a": 0.08142556454240835, "b": 100.0,
+             "R": 0.6021543182905019},
+    "option": {"T1": 0.6309661865234375, "E": 0.727081384612381, "kind": "put"},
+    "points": {"V": [172552.95928396392], "t": [0.2109222412109375]},
+}
+
 
 def pricing_residual(u, X, t, drift_coef, sigma, r_discount):
     """Finite-difference residual of u(X, t) against the pricing equation

@@ -7,11 +7,11 @@ import random
 import pytest
 
 from credit_pricer import (
-    BarrierProblemParams,
     DomainError,
     IndicatorDirection,
     InvalidParamsError,
     MarketParams,
+    NumericalError,
     PowerBinaryParams,
     draw_verification_case,
     image_transform,
@@ -172,6 +172,12 @@ class TestPowerBinaryPde:
 
 
 class TestPowerBinaryValidation:
+    def test_overflow_raises_numerical_error(self):
+        market = MarketParams(r=0.04, q=0.0, sigma=0.5)
+        params = PowerBinaryParams(beta=40.0, i=0.0, L=0.0, K=0.0, tau1=0.0, tau2=0.0, tau3=1.0)
+        with pytest.raises(NumericalError):
+            power_binary_price(1e10, 0.0, 1.0, params, market)
+
     def test_expired_claim_rejected(self):
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
         with pytest.raises(DomainError):
@@ -214,56 +220,51 @@ class TestPowerBinaryValidation:
 
 class TestSurvivalWeight:
     def test_on_barrier_is_exactly_zero(self):
-        problem = BarrierProblemParams(c=0.04, sigma=0.5, T=2.0)
-        assert tbvp_w(1.0, 0.0, problem) == 0.0
-        assert tbvp_w(1.0, 1.999, problem) == 0.0
+        assert tbvp_w(1.0, 0.0, 0.04, 0.5, 2.0) == 0.0
+        assert tbvp_w(1.0, 1.999, 0.04, 0.5, 2.0) == 0.0
 
     def test_far_field_limit_is_one(self):
-        problem = BarrierProblemParams(c=0.04, sigma=0.5, T=2.0)
-        assert tbvp_w(math.inf, 0.0, problem) == 1.0
-        assert tbvp_w(1e12, 0.0, problem) == pytest.approx(1.0, abs=1e-12)
+        assert tbvp_w(math.inf, 0.0, 0.04, 0.5, 2.0) == 1.0
+        assert tbvp_w(1e12, 0.0, 0.04, 0.5, 2.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_bounds_and_monotonicity(self):
-        problem = BarrierProblemParams(c=0.04, sigma=0.5, T=2.0)
         prev = 0.0
         for k in range(1, 60):
-            w = tbvp_w(1.0 + 0.05 * k, 0.3, problem)
+            w = tbvp_w(1.0 + 0.05 * k, 0.3, 0.04, 0.5, 2.0)
             assert 0.0 < w < 1.0
             assert w > prev
             prev = w
 
     def test_against_pde_oracle(self):
-        problem = BarrierProblemParams(c=0.04, sigma=0.5, T=1.0)
-        got = tbvp_w(1.5, 0.0, problem)
+        got = tbvp_w(1.5, 0.0, 0.04, 0.5, 1.0)
         assert got == pytest.approx(_W_PDE_REF, rel=1e-3)
 
     def test_solves_drift_equation(self):
         # no discounting term: w_t + sigma^2 x^2 w_xx / 2 + c x w_x = 0
-        problem = BarrierProblemParams(c=0.04, sigma=0.5, T=2.0)
+        c, sigma, T = 0.04, 0.5, 2.0
 
         def u(x, t):
-            return tbvp_w(x, t, problem)
+            return tbvp_w(x, t, c, sigma, T)
 
         for x, t in ((1.3, 0.5), (2.0, 1.0), (1.1, 0.1)):
-            res = pricing_residual(u, x, t, problem.c, problem.sigma, 0.0)
+            res = pricing_residual(u, x, t, c, sigma, 0.0)
             assert res <= 1e-5, f"residual {res:.3e} at x={x}, t={t}"
 
     def test_domain_errors(self):
-        problem = BarrierProblemParams(c=0.04, sigma=0.5, T=2.0)
         with pytest.raises(DomainError):
-            tbvp_w(0.9, 0.0, problem)
+            tbvp_w(0.9, 0.0, 0.04, 0.5, 2.0)
         with pytest.raises(DomainError):
-            tbvp_w(1.5, 2.0, problem)
+            tbvp_w(1.5, 2.0, 0.04, 0.5, 2.0)
         with pytest.raises(DomainError):
-            tbvp_w(math.nan, 0.0, problem)
+            tbvp_w(math.nan, 0.0, 0.04, 0.5, 2.0)
 
     def test_problem_validation(self):
-        with pytest.raises(InvalidParamsError):
-            BarrierProblemParams(c=0.04, sigma=0.0, T=2.0)
-        with pytest.raises(InvalidParamsError):
-            BarrierProblemParams(c=0.04, sigma=0.5, T=0.0)
-        with pytest.raises(InvalidParamsError):
-            BarrierProblemParams(c=math.inf, sigma=0.5, T=2.0)
+        for c, sigma, T in ((0.04, 0.0, 2.0), (0.04, 0.5, 0.0), (math.inf, 0.5, 2.0)):
+            with pytest.raises(InvalidParamsError):
+                tbvp_w(1.5, 0.0, c, sigma, T)
+            # the problem is checked before the domain
+            with pytest.raises(InvalidParamsError):
+                tbvp_w(0.9, 3.0, c, sigma, T)
 
 
 class TestImageTransform:
@@ -276,7 +277,6 @@ class TestImageTransform:
         """Image of the plain exercise probability under the unit barrier
         equals the closed-form survival weight."""
         c, sigma, T = 0.04, 0.5, 2.0
-        problem = BarrierProblemParams(c=c, sigma=sigma, T=T)
 
         def u_plus(x, t):
             tau = T - t
@@ -286,7 +286,7 @@ class TestImageTransform:
         barriered = image_transform(u_plus, 1.0, c, sigma)
         for x in (1.01, 1.3, 2.0, 5.0):
             for t in (0.0, 0.7, 1.5):
-                assert barriered(x, t) == pytest.approx(tbvp_w(x, t, problem), abs=1e-12)
+                assert barriered(x, t) == pytest.approx(tbvp_w(x, t, c, sigma, T), abs=1e-12)
 
     def test_annihilation_on_random_solutions(self):
         rng = random.Random(4242)

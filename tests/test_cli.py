@@ -8,7 +8,7 @@ import pytest
 
 from credit_pricer import bond_price
 from credit_pricer.cli import config_from_dict, main
-from helpers import bisect
+from helpers import OVERFLOW_CONFIG, bisect
 
 _BASE = {
     "market": {"r": 0.04, "q": 0.0, "sigma": 0.5},
@@ -61,6 +61,11 @@ class TestExitCodes:
         code = main(["price-bond", "--config", _write_config(tmp_path, doc)])
         assert code == 2
         assert "unknown keys" in capsys.readouterr().err
+
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys):
+        code = main(["price-option", "--config", _write_config(tmp_path, OVERFLOW_CONFIG)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("numerical failure:")
 
     def test_missing_config_file(self, capsys):
         assert main(["price-bond", "--config", "/nonexistent/config.json"]) == 3

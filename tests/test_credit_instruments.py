@@ -19,6 +19,7 @@ from credit_pricer import (
     InvalidParamsError,
     MarketParams,
     McSpec,
+    NumericalError,
     OptionKind,
     OptionSpec,
     PowerBinaryParams,
@@ -33,7 +34,8 @@ from credit_pricer import (
     survival_probability,
     verification,
 )
-from helpers import bisect, pricing_residual
+from credit_pricer.cli import config_from_dict
+from helpers import OVERFLOW_CONFIG, bisect, pricing_residual
 
 # Crank-Nicolson 801x800 oracle values at the reference parameter set
 _BOND_PDE_139 = 0.7261652861044696
@@ -50,6 +52,16 @@ _PUT_199_REG = 0.025236203472889948
 _CALL_300_REG = 0.03291360999089599
 _PUTTABLE_199_REG = 0.8344196202238693
 _CALLABLE_300_REG = 0.8427417456515123
+
+# (survival, bond, put, call) at t = 0, pinned to the last digit
+_REFERENCE_POINT_REG = {
+    139.0: (0.2888178092255876, 0.7261651747177601, 0.020001389803698907,
+            0.0054359721085479665),
+    199.0: (0.5885931024779081, 0.8091834167509794, 0.025236203472889948,
+            0.015881339206255854),
+    300.0: (0.8286204083591246, 0.8756553556424083, 0.013176351282557293,
+            0.03291360999089599),
+}
 
 
 class TestBondSpecValidation:
@@ -267,6 +279,22 @@ class TestBondOptionPrice:
             _PUT_199_REG, rel=1e-10)
         assert bond_option_price(300.0, 0.0, bond, call_spec, market) == pytest.approx(
             _CALL_300_REG, rel=1e-10)
+
+    @pytest.mark.parametrize("v", sorted(_REFERENCE_POINT_REG))
+    def test_reference_point_pinned(self, v, bond, market, put_spec, call_spec):
+        got = (survival_probability(v, 0.0, bond, market),
+               bond_price(v, 0.0, bond, market),
+               bond_option_price(v, 0.0, bond, put_spec, market),
+               bond_option_price(v, 0.0, bond, call_spec, market))
+        assert got == pytest.approx(_REFERENCE_POINT_REG[v], rel=1e-14, abs=0.0)
+
+    def test_overflow_raises_numerical_error(self):
+        cfg = config_from_dict(OVERFLOW_CONFIG)
+        v, t = cfg.points_v[0], cfg.points_t[0]
+        with pytest.raises(NumericalError):
+            bond_option_price(v, t, cfg.bond, cfg.option, cfg.market)
+        with pytest.raises(NumericalError):
+            puttable_bond_price(v, t, cfg.bond, cfg.option, cfg.market)
 
     def test_positivity(self, bond, market, put_spec, call_spec):
         # (300, 0.99) is deep out of the money for the put just before

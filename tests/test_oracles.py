@@ -8,7 +8,6 @@ import random
 import pytest
 
 from credit_pricer import (
-    BarrierProblemParams,
     DomainError,
     GridSpec,
     InvalidParamsError,
@@ -72,14 +71,14 @@ class TestPdeSolver:
         """Richardson measurement on the survival problem with the probe
         aligned to a grid node; both halvings should show order near 2 and
         each halving should cut the error by at least a factor 3."""
-        prob = BarrierProblemParams(c=0.04, sigma=0.5, T=1.0)
-        exact = tbvp_w(1.5, 0.0, prob)
+        c, sigma, T = 0.04, 0.5, 1.0
+        exact = tbvp_w(1.5, 0.0, c, sigma, T)
         errors = []
         for n in (100, 200, 400):
             g = GridSpec(n_space=n + 1, n_time=n)
             s = pde_solve_tbvp(payoff=lambda x: 1.0, boundary_value=lambda t: 0.0,
-                               c=prob.c, sigma=prob.sigma, r_discount=0.0,
-                               T=prob.T, grid=g, align_at=1.5)
+                               c=c, sigma=sigma, r_discount=0.0,
+                               T=T, grid=g, align_at=1.5)
             errors.append(abs(s.value(1.5, 0.0) - exact))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         for order in orders:
@@ -97,12 +96,12 @@ class TestPdeSolver:
         assert s.value(40.0, 0.0) == pytest.approx(math.exp(-2.0 * r), rel=1e-6)
 
     def test_implicit_euler_converges_first_order(self):
-        prob = BarrierProblemParams(c=0.04, sigma=0.5, T=1.0)
+        c, sigma, T = 0.04, 0.5, 1.0
         g = GridSpec(n_space=401, n_time=400, scheme=Scheme.IMPLICIT_EULER)
         s = pde_solve_tbvp(payoff=lambda x: 1.0, boundary_value=lambda t: 0.0,
-                           c=prob.c, sigma=prob.sigma, r_discount=0.0,
-                           T=prob.T, grid=g)
-        exact = tbvp_w(1.5, 0.0, prob)
+                           c=c, sigma=sigma, r_discount=0.0,
+                           T=T, grid=g)
+        exact = tbvp_w(1.5, 0.0, c, sigma, T)
         assert s.value(1.5, 0.0) == pytest.approx(exact, rel=2e-3)
 
     def test_nonfinite_payoff_rejected(self):

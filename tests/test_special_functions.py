@@ -12,8 +12,6 @@ import mpmath
 import pytest
 
 from credit_pricer import (
-    Correlation,
-    DeltaArgs,
     DomainError,
     InvalidParamsError,
     MarketParams,
@@ -113,56 +111,56 @@ class TestNormPdf:
 
 class TestBinormCdf:
     def test_infinite_first_limit_reduces_to_univariate(self):
-        assert binorm_cdf(math.inf, 0.7, Correlation(0.5)) == norm_cdf(0.7)
+        assert binorm_cdf(math.inf, 0.7, 0.5) == norm_cdf(0.7)
 
     def test_infinite_second_limit_reduces_to_univariate(self):
-        assert binorm_cdf(-0.3, math.inf, Correlation(-0.8)) == norm_cdf(-0.3)
+        assert binorm_cdf(-0.3, math.inf, -0.8) == norm_cdf(-0.3)
 
     def test_minus_infinity_is_zero(self):
-        assert binorm_cdf(-math.inf, 1.0, Correlation(0.2)) == 0.0
-        assert binorm_cdf(1.0, -math.inf, Correlation(0.2)) == 0.0
+        assert binorm_cdf(-math.inf, 1.0, 0.2) == 0.0
+        assert binorm_cdf(1.0, -math.inf, 0.2) == 0.0
 
     def test_origin_independent(self):
-        assert binorm_cdf(0.0, 0.0, Correlation(0.0)) == 0.25
+        assert binorm_cdf(0.0, 0.0, 0.0) == 0.25
 
     def test_origin_half_correlation(self):
         # closed form 1/4 + arcsin(rho)/(2 pi) = 1/3 at rho = 1/2
-        assert binorm_cdf(0.0, 0.0, Correlation(0.5)) == pytest.approx(1.0 / 3.0, abs=1e-13)
+        assert binorm_cdf(0.0, 0.0, 0.5) == pytest.approx(1.0 / 3.0, abs=1e-13)
 
     def test_reference_point(self):
-        got = binorm_cdf(0.3, -0.2, Correlation(0.6))
+        got = binorm_cdf(0.3, -0.2, 0.6)
         assert got == pytest.approx(0.3527678331221393, abs=1e-10)
 
     @pytest.mark.parametrize("a1,a2,rho,ref", _BINORM_REFS)
     def test_frozen_values(self, a1, a2, rho, ref):
-        assert abs(binorm_cdf(a1, a2, Correlation(rho)) - ref) <= 1e-12
+        assert abs(binorm_cdf(a1, a2, rho) - ref) <= 1e-12
 
     def test_perfect_positive_correlation(self):
         for a1, a2 in ((0.5, 1.5), (-1.0, -0.2), (2.0, 2.0), (-3.0, 4.0)):
-            got = binorm_cdf(a1, a2, Correlation(1.0))
+            got = binorm_cdf(a1, a2, 1.0)
             assert got == norm_cdf(min(a1, a2))
 
     def test_perfect_negative_correlation(self):
         for a1, a2 in ((0.5, 1.5), (-1.0, -0.2), (2.0, 2.0), (-0.3, 0.3)):
-            got = binorm_cdf(a1, a2, Correlation(-1.0))
+            got = binorm_cdf(a1, a2, -1.0)
             assert got == max(0.0, norm_cdf(a1) + norm_cdf(a2) - 1.0)
 
     def test_symmetry_in_arguments(self):
         for a1, a2, rho, _ in _BINORM_REFS:
-            lhs = binorm_cdf(a1, a2, Correlation(rho))
-            rhs = binorm_cdf(a2, a1, Correlation(rho))
+            lhs = binorm_cdf(a1, a2, rho)
+            rhs = binorm_cdf(a2, a1, rho)
             assert abs(lhs - rhs) <= 1e-12
 
     def test_complement_identity(self):
         """Phi(a1) - N2(a1, a2; rho) = N2(a1, -a2; -rho), the split of the
         half-plane below a1 into the two strike sides."""
         for a1, a2, rho, _ in _BINORM_REFS:
-            lhs = norm_cdf(a1) - binorm_cdf(a1, a2, Correlation(rho))
-            rhs = binorm_cdf(a1, -a2, Correlation(-rho))
+            lhs = norm_cdf(a1) - binorm_cdf(a1, a2, rho)
+            rhs = binorm_cdf(a1, -a2, -rho)
             assert abs(lhs - rhs) <= 1e-11, f"({a1},{a2},{rho}): {lhs!r} vs {rhs!r}"
 
     def test_monotone_in_each_limit(self):
-        rho = Correlation(0.4)
+        rho = 0.4
         values = [binorm_cdf(a, 0.3, rho) for a in (-2.0, -1.0, 0.0, 1.0, 2.0)]
         assert all(x < y for x, y in zip(values, values[1:]))
         values = [binorm_cdf(0.3, a, rho) for a in (-2.0, -1.0, 0.0, 1.0, 2.0)]
@@ -170,73 +168,63 @@ class TestBinormCdf:
 
     def test_within_unit_interval(self):
         for a1, a2, rho, _ in _BINORM_REFS:
-            got = binorm_cdf(a1, a2, Correlation(rho))
+            got = binorm_cdf(a1, a2, rho)
             assert 0.0 <= got <= 1.0
 
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
-            binorm_cdf(math.nan, 0.0, Correlation(0.0))
+            binorm_cdf(math.nan, 0.0, 0.0)
         with pytest.raises(DomainError):
-            binorm_cdf(0.0, math.nan, Correlation(0.0))
+            binorm_cdf(0.0, math.nan, 0.0)
 
-
-class TestCorrelation:
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            Correlation(1.5)
-        with pytest.raises(InvalidParamsError):
-            Correlation(-1.0000001)
-        with pytest.raises(InvalidParamsError):
-            Correlation(math.nan)
-
-    def test_boundary_values_allowed(self):
-        assert Correlation(1.0).rho == 1.0
-        assert Correlation(-1.0).rho == -1.0
+    def test_correlation_out_of_range_rejected(self):
+        for rho in (1.5, -1.0000001, math.nan):
+            with pytest.raises(InvalidParamsError):
+                binorm_cdf(0.3, -0.2, rho)
+            # the correlation is checked before the limits
+            with pytest.raises(InvalidParamsError):
+                binorm_cdf(math.nan, 0.0, rho)
 
 
 class TestDelta:
     def test_unit_ratio_no_drift(self):
         m = MarketParams(r=0.04, q=0.0, sigma=0.5)
-        assert delta(DeltaArgs(ratio=1.0, tau1=0.0, tau2=0.0, tau3=1.0), m) == 0.0
+        assert delta(1.0, 0.0, 0.0, 1.0, m) == 0.0
 
     def test_log_e_unit_everything(self):
         m = MarketParams(r=0.0, q=0.0, sigma=1.0)
-        got = delta(DeltaArgs(ratio=math.e, tau1=0.0, tau2=0.0, tau3=1.0), m)
+        got = delta(math.e, 0.0, 0.0, 1.0, m)
         assert got == pytest.approx(1.0, rel=1e-15)
 
     def test_hand_evaluated_point(self):
         # (ln 1.39 + (0.04 - 0.125) * 2) / (0.5 sqrt(2)), mpmath dps=30
         m = MarketParams(r=0.04, q=0.0, sigma=0.5)
-        got = delta(DeltaArgs(ratio=1.39, tau1=2.0, tau2=0.0, tau3=2.0), m)
+        got = delta(1.39, 2.0, 0.0, 2.0, m)
         assert got == pytest.approx(0.2252895197459197, rel=1e-13)
 
     def test_infinite_ratio_gives_infinity(self):
         m = MarketParams(r=0.04, q=0.0, sigma=0.5)
-        assert delta(DeltaArgs(ratio=math.inf, tau1=1.0, tau2=0.0, tau3=1.0), m) == math.inf
+        assert delta(math.inf, 1.0, 0.0, 1.0, m) == math.inf
 
     def test_variance_correction_term(self):
         # sigma^2 tau2 enters the numerator without the -1/2 adjustment
         m = MarketParams(r=0.0, q=0.0, sigma=0.5)
-        base = delta(DeltaArgs(ratio=2.0, tau1=0.0, tau2=0.0, tau3=4.0), m)
-        bumped = delta(DeltaArgs(ratio=2.0, tau1=0.0, tau2=3.0, tau3=4.0), m)
+        base = delta(2.0, 0.0, 0.0, 4.0, m)
+        bumped = delta(2.0, 0.0, 3.0, 4.0, m)
         assert bumped - base == pytest.approx(0.25 * 3.0 / (0.5 * 2.0), rel=1e-14)
 
     def test_invalid_args_rejected(self):
-        with pytest.raises(InvalidParamsError):
-            DeltaArgs(ratio=0.0, tau1=1.0, tau2=0.0, tau3=1.0)
-        with pytest.raises(InvalidParamsError):
-            DeltaArgs(ratio=-2.0, tau1=1.0, tau2=0.0, tau3=1.0)
-        with pytest.raises(InvalidParamsError):
-            DeltaArgs(ratio=1.0, tau1=1.0, tau2=0.0, tau3=0.0)
-        with pytest.raises(InvalidParamsError):
-            DeltaArgs(ratio=1.0, tau1=1.0, tau2=0.0, tau3=-1.0)
-        with pytest.raises(InvalidParamsError):
-            DeltaArgs(ratio=math.nan, tau1=1.0, tau2=0.0, tau3=1.0)
+        m = MarketParams(r=0.04, q=0.0, sigma=0.5)
+        for ratio, tau1, tau2, tau3 in ((0.0, 1.0, 0.0, 1.0), (-2.0, 1.0, 0.0, 1.0),
+                                        (1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, -1.0),
+                                        (math.nan, 1.0, 0.0, 1.0)):
+            with pytest.raises(InvalidParamsError):
+                delta(ratio, tau1, tau2, tau3, m)
 
     def test_negative_tau1_allowed(self):
         # composed clocks can subtract drift time; only tau3 is sign-constrained
         m = MarketParams(r=0.04, q=0.01, sigma=0.3)
-        got = delta(DeltaArgs(ratio=1.5, tau1=-0.5, tau2=0.0, tau3=0.25), m)
+        got = delta(1.5, -0.5, 0.0, 0.25, m)
         assert math.isfinite(got)
 
 
