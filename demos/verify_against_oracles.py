@@ -8,7 +8,6 @@ quadrature of the terminal payoff against the lognormal density.
 """
 
 import math
-import random
 
 from credit_pricer import (
     BondSpec,
@@ -19,13 +18,8 @@ from credit_pricer import (
     OptionSpec,
     bond_option_price,
     bond_price,
-    draw_verification_case,
-    early_redemption_boundary,
-    barrier_level,
     mc_barrier_price,
-    pde_solve_tbvp,
-    power_binary_price,
-    quadrature_green,
+    verification,
 )
 
 market = MarketParams(r=0.04, q=0.0, sigma=0.5)
@@ -33,40 +27,16 @@ bond = BondSpec(T=2.0, a=0.0, b=100.0, R=0.7)
 put = OptionSpec(T1=1.0, E=0.9, kind=OptionKind.PUT)
 V0 = 199.0
 
-# PDE: solve for the bond in barrier-normalized coordinates and compare
-grid = GridSpec(n_space=801, n_time=800, x_max_mult=30.0)
-surface = pde_solve_tbvp(
-    payoff=lambda x: 1.0,
-    boundary_value=lambda t: bond.R * math.exp(-market.r * (bond.T - t)),
-    c=market.r - market.q - bond.a,
-    sigma=market.sigma,
-    r_discount=market.r,
-    T=bond.T,
-    grid=grid,
-)
-closed = bond_price(V0, 0.0, bond, market)
-numeric = surface.value(V0 / bond.b, 0.0)
-print(f"PDE     bond at V={V0:.0f}: closed {closed:.8f}  grid {numeric:.8f}  "
-      f"rel {abs(numeric - closed) / closed:.1e}")
-
-# PDE: the put option, solved up to its own expiry with the exercise value
-# as terminal data and a node aligned to the redemption boundary
-K = early_redemption_boundary(bond, put, market).K
-lvl = barrier_level(bond, put.T1)
-surface_put = pde_solve_tbvp(
-    payoff=lambda x: max(put.E - bond_price(lvl * x, put.T1, bond, market), 0.0),
-    boundary_value=lambda t: 0.0,
-    c=market.r - market.q - bond.a,
-    sigma=market.sigma,
-    r_discount=market.r,
-    T=put.T1,
-    grid=grid,
-    align_at=K * math.exp(bond.a * (bond.T - put.T1)) / bond.b,
-)
-closed = bond_option_price(V0, 0.0, bond, put, market)
-numeric = surface_put.value(V0 / bond.b, 0.0)
-print(f"PDE     put  at V={V0:.0f}: closed {closed:.8f}  grid {numeric:.8f}  "
-      f"rel {abs(numeric - closed) / closed:.1e}")
+# PDE: the bond up to maturity, and the put up to its own expiry with the
+# exercise value as terminal data and a node aligned to the redemption
+# boundary, both in barrier-normalized coordinates
+surfaces = verification.pde_surfaces(bond, market, put,
+                                     GridSpec(n_space=801, n_time=800, x_max_mult=30.0))
+for name, closed in (("bond", bond_price(V0, 0.0, bond, market)),
+                     ("put", bond_option_price(V0, 0.0, bond, put, market))):
+    numeric = surfaces[name].value(V0 / bond.b, 0.0)
+    print(f"PDE     {name:<4} at V={V0:.0f}: closed {closed:.8f}  grid {numeric:.8f}  "
+          f"rel {abs(numeric - closed) / closed:.1e}")
 
 # Monte Carlo: simulate to maturity, pay the recovery on a barrier hit
 mc = McSpec(n_paths=200_000, n_steps=200, seed=7, bridge_correction=True)
@@ -80,11 +50,5 @@ print(f"MC      bond at V={V0:.0f}: closed {closed:.8f}  "
       f"sim {est:.8f} +- {se:.8f}  ({abs(est - closed) / se:.2f} se)")
 
 # Quadrature: the analytic power-binary prices against direct integration
-rng = random.Random(11)
-worst = 0.0
-for _ in range(100):
-    X, tau, params, mkt = draw_verification_case(rng)
-    cf = power_binary_price(X, 0.0, tau, params, mkt)
-    qd = quadrature_green(X, tau, params, mkt)
-    worst = max(worst, abs(cf - qd) / max(abs(cf), abs(qd), 1e-300))
-print(f"QUAD    power binaries, 100 random draws: worst rel {worst:.1e}")
+sweep = verification.quadrature_sweep(seed=11)
+print(f"QUAD    power binaries, 200 random draws: worst rel {sweep.measured:.1e}")

@@ -153,7 +153,8 @@ def tbvp_w(x: float, t: float, c: float, sigma: float, T: float) -> float:
     the plain first-passage survival probability. w(1, t) is exactly 0 (both
     arguments coincide and the image prefactor is 1); x = +inf returns 1.
     Raises InvalidParamsError unless c, sigma, T are finite and sigma, T > 0,
-    then DomainError unless x >= 1 and t < T.
+    then DomainError unless x >= 1 and t < T, and NumericalError where the
+    float arithmetic overflows or divides by zero (sigma^2 underflows).
     """
     if not (math.isfinite(c) and math.isfinite(sigma) and math.isfinite(T)):
         raise InvalidParamsError("barrier problem parameters must be finite")
@@ -173,9 +174,12 @@ def tbvp_w(x: float, t: float, c: float, sigma: float, T: float) -> float:
     s = sigma * math.sqrt(tau)
     lx = math.log(x)
     drift = (c - 0.5 * sigma * sigma) * tau
-    n_minus = norm_cdf((-lx + drift) / s)
-    image = 0.0 if n_minus == 0.0 else x ** (1.0 - 2.0 * c / (sigma * sigma)) * n_minus
-    return norm_cdf((lx + drift) / s) - image
+    try:
+        n_minus = norm_cdf((-lx + drift) / s)
+        image = 0.0 if n_minus == 0.0 else x ** (1.0 - 2.0 * c / (sigma * sigma)) * n_minus
+        return norm_cdf((lx + drift) / s) - image
+    except ArithmeticError as exc:
+        raise NumericalError(f"survival weight at x={x} leaves the float range") from exc
 
 
 def image_transform(

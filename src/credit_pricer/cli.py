@@ -39,11 +39,11 @@ __all__ = ["RunConfig", "PriceCurve", "load_config", "main"]
 
 _ENV_SEED = "CREDIT_PRICER_SEED"
 
-# Shipped default: the reference numerical experiment.
+# Shipped default, the reference numerical experiment, and the config schema.
 _DEFAULT_CONFIG = {
     "market": {"r": 0.04, "q": 0.0, "sigma": 0.5},
     "bond": {"T": 2.0, "a": 0.0, "b": 100.0, "R": 0.7},
-    "option": {"T1": 1.0, "E": 0.9, "kind": "put"},
+    "option": {"kind": "put", "T1": 1.0, "E": 0.9},
     "points": {"V": [199.0], "t": [0.0]},
     "curves": {"samples": 201, "v_max_mult": 3.0, "series_V": [139.0, 199.0, 300.0],
                "series_t": [0.0, 0.5]},
@@ -53,6 +53,7 @@ _DEFAULT_CONFIG = {
                  "scheme": "crank_nicolson"},
         "mc": {"n_paths": 100000, "n_steps": 200, "bridge_correction": True},
     },
+    "out": None,
 }
 
 
@@ -112,26 +113,63 @@ class RunConfig:
         return doc
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise InvalidParamsError(f"config section '{where}' is missing key '{key}'")
-    return section[key]
+def _is_number(value) -> bool:
+    """A JSON number that a double can hold; true and false are not numbers."""
+    return type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
 
 
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+# What a key takes, by the type of its default, and its name in an error;
+# a string key takes a value of its enum.
+_TAKES = {
+    float: (_is_number, "a number"),
+    int: (lambda v: _is_number(v) and float(v).is_integer(), "an integer"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+    list: (lambda v: _is_number(v) or type(v) is list and v != [] and all(map(_is_number, v)),
+           "a number or non-empty list of numbers"),
+    type(None): (lambda v: v is None or type(v) is str, "a string path"),
+}
+_ENUMS = {
+    "option.kind": (OptionKind, "option kind must be 'put' or 'call', got '{}'"),
+    "numerics.grid.scheme": (Scheme, "unknown scheme '{}'"),
+}
+
+
+def _typed(value, default, where: str):
+    """value checked against what its default's type takes (_TAKES) and
+    converted to that type: a tuple of floats for a list, an enum member for a string."""
+    if isinstance(default, str):
+        enum, message = _ENUMS[where]
+        if str(value) not in [member.value for member in enum]:
+            raise InvalidParamsError(message.format(value))
+        return enum(str(value))
+    takes, name = _TAKES[type(default)]
+    if not takes(value):
+        raise InvalidParamsError(f"'{where}' must be {name}")
+    if isinstance(default, list):
+        return tuple(map(float, value)) if isinstance(value, list) else (float(value),)
+    return value if default is None else type(default)(value)
+
+
+def _walk(doc, schema: dict, where: str, required=()) -> dict:
+    """A config section checked against its schema in _DEFAULT_CONFIG, typed and with
+    defaults filled. Keys in required, and all keys of a non-null option, must be given."""
+    if not isinstance(doc, dict):
+        raise InvalidParamsError(f"config section '{where}' must be a JSON object")
+    unknown = set(doc) - set(schema)
     if unknown:
         raise InvalidParamsError(f"config section '{where}' has unknown keys {sorted(unknown)}")
-
-
-def _as_list(value, where: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (float(value),)
-    if isinstance(value, list) and value and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        return tuple(float(v) for v in value)
-    raise InvalidParamsError(f"'{where}' must be a number or non-empty list of numbers")
+    out = {}
+    for key, default in schema.items():
+        if key in required and key not in doc:
+            raise InvalidParamsError(f"config section '{where}' is missing key '{key}'")
+        name = key if where == "top level" else f"{where}.{key}"
+        if key == "option":
+            out[key] = None if doc.get(key) is None else _walk(doc[key], default, name, default)
+        elif isinstance(default, dict):
+            out[key] = _walk(doc.get(key, default), default, name)
+        else:
+            out[key] = _typed(doc.get(key, default), default, name)
+    return out
 
 
 def config_from_dict(doc: dict) -> RunConfig:
@@ -139,79 +177,31 @@ def config_from_dict(doc: dict) -> RunConfig:
     re-checked by the component constructors."""
     if not isinstance(doc, dict):
         raise InvalidParamsError("config document must be a JSON object")
-    _reject_unknown(doc, {"market", "bond", "option", "points", "curves", "numerics", "out"},
-                    "top level")
-    base = _DEFAULT_CONFIG
-
-    mkt = {**base["market"], **_require(doc, "market", "top level")}
-    _reject_unknown(mkt, {"r", "q", "sigma"}, "market")
-    market = MarketParams(r=float(mkt["r"]), q=float(mkt["q"]), sigma=float(mkt["sigma"]))
-
-    bnd = {**base["bond"], **_require(doc, "bond", "top level")}
-    _reject_unknown(bnd, {"T", "a", "b", "R"}, "bond")
-    bond = BondSpec(T=float(bnd["T"]), a=float(bnd["a"]), b=float(bnd["b"]), R=float(bnd["R"]))
-
-    option = None
-    if doc.get("option") is not None:
-        opt = doc["option"]
-        _reject_unknown(opt, {"T1", "E", "kind"}, "option")
-        kind_raw = str(_require(opt, "kind", "option"))
-        try:
-            kind = OptionKind(kind_raw)
-        except ValueError:
-            raise InvalidParamsError(f"option kind must be 'put' or 'call', got '{kind_raw}'")
-        option = OptionSpec(T1=float(_require(opt, "T1", "option")),
-                            E=float(_require(opt, "E", "option")), kind=kind)
-
-    pts = {**base["points"], **doc.get("points", {})}
-    _reject_unknown(pts, {"V", "t"}, "points")
-    crv = {**base["curves"], **doc.get("curves", {})}
-    _reject_unknown(crv, {"samples", "v_max_mult", "series_V", "series_t"}, "curves")
-    samples = int(crv["samples"])
-    if samples < 2:
-        raise InvalidParamsError(f"curves.samples must be >= 2, got {samples}")
-    v_max_mult = float(crv["v_max_mult"])
-    if not (math.isfinite(v_max_mult) and v_max_mult > 1.0):
-        raise InvalidParamsError(f"curves.v_max_mult must exceed 1, got {v_max_mult}")
-
-    num = doc.get("numerics", {})
-    _reject_unknown(num, {"seed", "grid", "mc"}, "numerics")
-    seed = int(num.get("seed", base["numerics"]["seed"]))
-    grd = {**base["numerics"]["grid"], **num.get("grid", {})}
-    _reject_unknown(grd, {"n_space", "n_time", "x_max_mult", "scheme"}, "numerics.grid")
-    try:
-        scheme = Scheme(str(grd["scheme"]))
-    except ValueError:
-        raise InvalidParamsError(f"unknown scheme '{grd['scheme']}'")
-    grid = GridSpec(n_space=int(grd["n_space"]), n_time=int(grd["n_time"]),
-                    x_max_mult=float(grd["x_max_mult"]), scheme=scheme)
-    mcd = {**base["numerics"]["mc"], **num.get("mc", {})}
-    _reject_unknown(mcd, {"n_paths", "n_steps", "bridge_correction"}, "numerics.mc")
-    mc = McSpec(n_paths=int(mcd["n_paths"]), n_steps=int(mcd["n_steps"]),
-                seed=seed, bridge_correction=bool(mcd["bridge_correction"]))
-
-    out = doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise InvalidParamsError("'out' must be a string path")
-
+    cfg = _walk(doc, _DEFAULT_CONFIG, "top level", required=("market", "bond"))
+    crv, num = cfg["curves"], cfg["numerics"]
+    if crv["samples"] < 2:
+        raise InvalidParamsError(f"curves.samples must be >= 2, got {crv['samples']}")
+    if not (math.isfinite(crv["v_max_mult"]) and crv["v_max_mult"] > 1.0):
+        raise InvalidParamsError(f"curves.v_max_mult must exceed 1, got {crv['v_max_mult']}")
     return RunConfig(
-        market=market, bond=bond, option=option,
-        points_v=_as_list(pts["V"], "points.V"), points_t=_as_list(pts["t"], "points.t"),
-        samples=samples, v_max_mult=v_max_mult,
-        series_v=_as_list(crv["series_V"], "curves.series_V"),
-        series_t=_as_list(crv["series_t"], "curves.series_t"),
-        seed=seed, grid=grid, mc=mc, out=out,
+        market=MarketParams(**cfg["market"]), bond=BondSpec(**cfg["bond"]),
+        option=None if cfg["option"] is None else OptionSpec(**cfg["option"]),
+        points_v=cfg["points"]["V"], points_t=cfg["points"]["t"],
+        samples=crv["samples"], v_max_mult=crv["v_max_mult"],
+        series_v=crv["series_V"], series_t=crv["series_t"],
+        seed=num["seed"], grid=GridSpec(**num["grid"]),
+        mc=McSpec(**num["mc"], seed=num["seed"]), out=cfg["out"],
     )
 
 
 def load_config(path: str | None) -> RunConfig:
     """Load a config file, or the shipped default when path is None."""
     if path is None:
-        return config_from_dict(json.loads(json.dumps(_DEFAULT_CONFIG)))
+        return config_from_dict(_DEFAULT_CONFIG)
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or too deep
             raise InvalidParamsError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 

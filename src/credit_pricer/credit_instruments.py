@@ -115,8 +115,23 @@ class BoundaryResult:
 
 
 def barrier_level(bond: BondSpec, t: float) -> float:
-    """Default barrier b e^{-a (T - t)} at time t."""
-    return bond.b * math.exp(-bond.a * (bond.T - t))
+    """Default barrier b e^{-a (T - t)} at time t. Raises NumericalError
+    where it overflows a float or underflows to 0."""
+    try:
+        lvl = bond.b * math.exp(-bond.a * (bond.T - t))
+    except OverflowError:
+        lvl = math.inf
+    if lvl == 0.0 or lvl == math.inf:
+        raise NumericalError(f"default barrier at t={t} leaves the float range")
+    return lvl
+
+
+def _discount(r: float, tau: float) -> float:
+    """e^{-r tau}; raises NumericalError where it overflows a float."""
+    try:
+        return math.exp(-r * tau)
+    except OverflowError as exc:
+        raise NumericalError("discount factor overflows a float") from exc
 
 
 def _check_time_and_barrier(V: float, t: float, bond: BondSpec) -> float:
@@ -160,7 +175,7 @@ def bond_price(V: float, t: float, bond: BondSpec, market: MarketParams) -> floa
     if t == bond.T:
         return 1.0 if V > lvl else bond.R
     w = survival_probability(V, t, bond, market)
-    disc = math.exp(-market.r * (bond.T - t))
+    disc = _discount(market.r, bond.T - t)
     return disc * (bond.R + (1.0 - bond.R) * w)
 
 
@@ -170,7 +185,7 @@ def _validate_option(bond: BondSpec, option: OptionSpec, market: MarketParams) -
         raise InvalidOptionError(
             f"option maturity {option.T1} must precede bond maturity {bond.T}"
         )
-    disc = math.exp(-market.r * (bond.T - option.T1))
+    disc = _discount(market.r, bond.T - option.T1)
     lo = disc * bond.R
     if not (lo < option.E < disc):
         raise InvalidOptionError(

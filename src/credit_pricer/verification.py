@@ -40,8 +40,9 @@ FORMULA_VS_COMPOSITION_DRAWS = 100
 
 @dataclass(frozen=True)
 class Check:
-    """Outcome of one check. A NumericalError raised inside the check is
-    recorded in error, with NaN measured and tol, and fails the check."""
+    """Outcome of one check. A NumericalError, float overflow or division by
+    zero inside the check is recorded in error, with NaN measured and tol,
+    and fails the check."""
 
     name: str
     measured: float
@@ -56,7 +57,7 @@ class Check:
 def _run(name: str, tol: float, measure) -> Check:
     try:
         return Check(name, measure(), tol)
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         return Check(name, math.nan, math.nan, str(exc))
 
 

@@ -1,13 +1,18 @@
 """Tests for the command-line surface: exit codes, config handling, seed
 precedence, table and CSV output."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from credit_pricer import bond_price
-from credit_pricer.cli import config_from_dict, main
+from credit_pricer.cli import _DEFAULT_CONFIG, config_from_dict, main
 from helpers import OVERFLOW_CONFIG, bisect
 
 _BASE = {
@@ -66,6 +71,19 @@ class TestExitCodes:
         code = main(["price-option", "--config", _write_config(tmp_path, OVERFLOW_CONFIG)])
         assert code == 1
         assert capsys.readouterr().err.startswith("numerical failure:")
+
+    def test_non_utf8_config_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"market": "\xff"}')
+        assert main(["price-bond", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config is not valid JSON: 'utf-8'")
+
+    def test_deeply_nested_config_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100_000)
+        assert main(["price-bond", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config is not valid JSON: maximum recursion depth exceeded")
 
     def test_missing_config_file(self, capsys):
         assert main(["price-bond", "--config", "/nonexistent/config.json"]) == 3
@@ -241,3 +259,161 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "quadrature_power_binary_sweep" in out
         assert "quadrature_bond_agreement" in out
+
+
+def _with(path: str, value) -> dict:
+    """_BASE with the dotted key path set to value."""
+    doc = copy.deepcopy(_BASE)
+    *sections, key = path.split(".")
+    node = doc
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return doc
+
+
+# Configs malformed in one place, with the one error line each must give.
+# The first six invite a misreading (a true-ish string, a truncated integer,
+# true as 1.0, numeric strings); the next nine are values or sections of a
+# type that cannot be read at all; the rest pin the messages of other faults.
+_MALFORMED = {
+    "bridge_no": (_with("numerics.mc.bridge_correction", "no"),
+                  "'numerics.mc.bridge_correction' must be true or false"),
+    "samples_2.7": (_with("curves.samples", 2.7), "'curves.samples' must be an integer"),
+    "n_space_800.9": (_with("numerics.grid.n_space", 800.9),
+                      "'numerics.grid.n_space' must be an integer"),
+    "r_true": (_with("market.r", True), "'market.r' must be a number"),
+    "sigma_string": (_with("market.sigma", "0.5"), "'market.sigma' must be a number"),
+    "seed_string": (_with("numerics.seed", "12"), "'numerics.seed' must be an integer"),
+    "r_abc": (_with("market.r", "abc"), "'market.r' must be a number"),
+    "market_5": (dict(_BASE, market=5), "config section 'market' must be a JSON object"),
+    "points_x": (dict(_BASE, points="x"), "config section 'points' must be a JSON object"),
+    "samples_x": (dict(_BASE, curves={"samples": "x"}), "'curves.samples' must be an integer"),
+    "n_paths_null": (dict(_BASE, numerics={"mc": {"n_paths": None}}),
+                     "'numerics.mc.n_paths' must be an integer"),
+    "r_null": (_with("market.r", None), "'market.r' must be a number"),
+    "numerics_list": (dict(_BASE, numerics=[]),
+                      "config section 'numerics' must be a JSON object"),
+    "option_list": (dict(_BASE, option=[]), "config section 'option' must be a JSON object"),
+    "grid_3": (dict(_BASE, numerics={"grid": 3}),
+               "config section 'numerics.grid' must be a JSON object"),
+    "top_level_list": ([_BASE], "config document must be a JSON object"),
+    "no_market": ({"bond": _BASE["bond"]}, "config section 'top level' is missing key 'market'"),
+    "no_kind": (dict(_BASE, option={"T1": 1.0, "E": 0.9}),
+                "config section 'option' is missing key 'kind'"),
+    "unknown_key": (_with("market.rate", 0.04), "config section 'market' has unknown keys ['rate']"),
+    "kind_5": (_with("option.kind", 5), "option kind must be 'put' or 'call', got '5'"),
+    "scheme_null": (_with("numerics.grid.scheme", None), "unknown scheme 'None'"),
+    "r_inf": (_with("market.r", math.inf), "market parameters must be finite"),
+    "T1_nan": (_with("option.T1", math.nan), "option maturity must be positive, got nan"),
+    "samples_1": (_with("curves.samples", 1), "curves.samples must be >= 2, got 1"),
+    "v_max_mult_1": (_with("curves.v_max_mult", 1), "curves.v_max_mult must exceed 1, got 1.0"),
+    "V_empty": (dict(_BASE, points={"V": []}),
+                "'points.V' must be a number or non-empty list of numbers"),
+    "seed_negative": (_with("numerics.seed", -1), "seed must be a 64-bit unsigned integer"),
+    "out_5": (dict(_BASE, out=5), "'out' must be a string path"),
+}
+
+
+@pytest.mark.parametrize("doc, message", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_config_is_invalid(doc, message, tmp_path, capsys):
+    """A config malformed in one place exits 2 with the one error line for
+    that fault; nothing is misread and no exception escapes main."""
+    assert main(["price-option", "--config", _write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# Well-typed values so extreme that a float overflows or divides by zero in
+# the pricing layer, which main reports as a numerical failure.
+_EXTREME = {
+    "discount_overflow": (_with("market.r", -1e308), "price-option",
+                          "discount factor overflows a float"),
+    "bond_discount_overflow": (_with("market.r", -1e30), "price-bond",
+                               "discount factor overflows a float"),
+    "barrier_underflow": (_with("bond.a", 1e308), "price-bond",
+                          "default barrier at t=0.0 leaves the float range"),
+    "barrier_overflow": (_with("bond.a", -1e30), "price-bond",
+                         "default barrier at t=0.0 leaves the float range"),
+    "sigma_squared_underflow": (_with("market.sigma", 1e-300), "boundary",
+                                "survival weight at x="),
+}
+
+
+@pytest.mark.parametrize("doc, command, message", _EXTREME.values(), ids=_EXTREME.keys())
+def test_extreme_value_is_numerical_failure(doc, command, message, tmp_path, capsys):
+    assert main([command, "--config", _write_config(tmp_path, doc)]) == 1
+    assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
+
+
+def test_extreme_value_fails_its_check(tmp_path, capsys):
+    """A float overflow inside a verify check fails that check; the run
+    goes on and exits 1."""
+    doc = _with("market.q", 1e30)
+    assert main(["verify", "--suite", "quadrature",
+                 "--config", _write_config(tmp_path, doc)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  quadrature_bond_agreement          numerical failure: " in out
+    assert out.splitlines()[-1] == "2 checks, 1 failed"
+
+
+def _config_paths(doc: dict, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _config_paths(value, prefix + (key,))
+
+
+_PATHS = list(_config_paths(_DEFAULT_CONFIG))
+_SCHEMA_KEYS = sorted({path[-1] for path in _PATHS})
+_STRINGS = ["", "x", "0.5", "NaN", "put", "call", "crank_nicolson", "implicit_euler"]
+_ODD_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, 10**400, 0, -1, 0.5,
+               True, False, None, "x", "0.5", [], {}, [math.nan, 1e308], [True]]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(_STRINGS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_SCHEMA_KEYS + ["", "extra"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _mutated_default(draw):
+    """The shipped default config with up to three keys dropped, set to an
+    odd value (NaN, inf, huge, bool, ...) or swapped for a random tree."""
+    doc = copy.deepcopy(_DEFAULT_CONFIG)
+    for path in draw(st.lists(st.sampled_from(_PATHS), min_size=1, max_size=3)):
+        node = doc
+        for key in path[:-1]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        change = draw(st.sampled_from(["drop", "odd", "odd", "swap"]))
+        if change == "drop":
+            node.pop(path[-1], None)
+        else:
+            value = draw(st.sampled_from(_ODD_VALUES) if change == "odd" else _JSON)
+            node[path[-1]] = copy.deepcopy(value)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A temporary directory for the fuzzed config file."""
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(doc=_JSON | _mutated_default())
+def test_any_config_document_exits_cleanly(doc, fuzz_dir):
+    """Whatever JSON document the config holds, main returns a documented
+    exit code and reports a failure on one prefixed stderr line."""
+    path = str(fuzz_dir / "config.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    for argv in (["price-option"], ["boundary"], ["verify", "--suite", "quadrature"]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--config", path])
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue() == "" or err.getvalue().startswith(
+            ("error: ", "numerical failure: ", "i/o error: "))
