@@ -342,13 +342,14 @@ def cmd_curves(config: RunConfig, figure: int) -> int:
             curves.append(PriceCurve("t", f"{option.kind.value}_V{v:g}", tuple(pts), meta))
     elif figure == 4:
         option = _require_option(config)
-        lo = max(barrier_level(bond, t) for t in config.series_t)
-        vs = _linspace(lo, bond.b * config.v_max_mult, n)
         for t in config.series_t:
             if not 0.0 <= t < option.T1:
                 raise InvalidParamsError(
                     f"curves.series_t values must lie in [0, T1) for figure 4, got {t}"
                 )
+        lo = max(barrier_level(bond, t) for t in config.series_t)
+        vs = _linspace(lo, bond.b * config.v_max_mult, n)
+        for t in config.series_t:
             pts = []
             for v in vs:
                 if v <= barrier_level(bond, t):

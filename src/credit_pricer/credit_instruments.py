@@ -28,6 +28,7 @@ from .errors import (
     InvalidOptionError,
     InvalidParamsError,
     NumericalError,
+    PricerError,
 )
 from .special_functions import MarketParams, binorm_cdf, norm_cdf
 
@@ -387,7 +388,7 @@ def option_price_paths(
     closed form, compositional construction), before any agreement check
     or clipping. Validates the inputs like bond_option_price and returns
     (0, 0) on the knockout boundary. Domain: V >= barrier, 0 <= t < T1.
-    A float overflow on either path raises NumericalError.
+    A float overflow or underflow on either path raises NumericalError.
     """
     _validate_option(bond, option, market)
     lvl = _check_time_and_barrier(V, t, bond)
@@ -401,6 +402,10 @@ def option_price_paths(
                 _option_price_composed(V, t, bond, option, market, K))
     except OverflowError as exc:
         raise NumericalError("option price overflows a float") from exc
+    except PricerError:
+        raise
+    except ValueError as exc:  # math.log of a firm-value ratio that underflowed to 0
+        raise NumericalError(f"option price leaves the float range: {exc}") from exc
 
 
 def bond_option_price(

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import solve_banded
 
 from .bs_closed_form import IndicatorDirection, PowerBinaryParams
 from .errors import DomainError, InvalidParamsError, NumericalError
@@ -107,19 +105,26 @@ class PdeSurface:
         )
 
 
-def _march(interior, u0_old, un_old, u0_new, un_new, dt, theta, lower, diag, upper):
-    """One theta-step of the tridiagonal system; returns the new interior."""
-    n = interior.shape[0]
+def _step_matrix(n, dt, theta, lower, diag, upper):
+    """Banded form of the implicit side of a theta-step over dt."""
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -theta * dt * upper
+    ab[1, :] = 1.0 - theta * dt * diag
+    ab[2, :-1] = -theta * dt * lower
+    return ab
+
+
+def _march(interior, u0_old, un_old, u0_new, un_new, dt, theta, lower, diag, upper, ab):
+    """One theta-step of the tridiagonal system; returns the new interior.
+    ab is _step_matrix for the same dt and theta."""
+    from scipy.linalg import solve_banded  # scipy loads only when an oracle runs
+
     explicit = 1.0 - theta
     rhs = interior * (1.0 + explicit * dt * diag)
     rhs[1:] += explicit * dt * lower * interior[:-1]
     rhs[:-1] += explicit * dt * upper * interior[1:]
     rhs[0] += explicit * dt * lower * u0_old + theta * dt * lower * u0_new
     rhs[-1] += explicit * dt * upper * un_old + theta * dt * upper * un_new
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -theta * dt * upper
-    ab[1, :] = 1.0 - theta * dt * diag
-    ab[2, :-1] = -theta * dt * lower
     return solve_banded((1, 1), ab, rhs)
 
 
@@ -186,6 +191,8 @@ def pde_solve_tbvp(
     rannacher = 2 if grid.scheme is Scheme.CRANK_NICOLSON else 0
 
     interior = terminal[1:-1].copy()
+    half_ab = _step_matrix(n - 2, 0.5 * dt, 1.0, lower, diag, upper)
+    main_ab = _step_matrix(n - 2, dt, theta, lower, diag, upper)
     u0_old, un_old = terminal[0], terminal[-1]
     for m in range(grid.n_time - 1, -1, -1):
         step_index = grid.n_time - 1 - m
@@ -196,19 +203,19 @@ def pde_solve_tbvp(
             u0_half, un_half = boundary_value(t_half), far(t_half)
             interior = _march(
                 interior, u0_old, un_old, u0_half, un_half, 0.5 * dt, 1.0,
-                lower, diag, upper,
+                lower, diag, upper, half_ab,
             )
             u0_old, un_old = u0_half, un_half
             u0_new, un_new = boundary_value(t_new), far(t_new)
             interior = _march(
                 interior, u0_old, un_old, u0_new, un_new, 0.5 * dt, 1.0,
-                lower, diag, upper,
+                lower, diag, upper, half_ab,
             )
         else:
             u0_new, un_new = boundary_value(t_new), far(t_new)
             interior = _march(
                 interior, u0_old, un_old, u0_new, un_new, dt, theta,
-                lower, diag, upper,
+                lower, diag, upper, main_ab,
             )
         u0_old, un_old = u0_new, un_new
         surface[m, 0] = u0_new
@@ -223,6 +230,9 @@ def pde_solve_tbvp(
 # Path chunk width; fixed so the random stream layout, and therefore the
 # estimate, depends only on (seed, n_paths, n_steps, bridge_correction).
 _MC_CHUNK = 1 << 14
+# Paths of a chunk simulated together; sized for the cache, it changes no
+# result.
+_MC_BLOCK = 1 << 10
 
 
 def mc_barrier_price(
@@ -263,11 +273,14 @@ def mc_barrier_price(
         raise DomainError(f"V0 must start above the barrier {math.exp(log_b0)}")
 
     r, q, sig = market.r, market.q, market.sigma
-    dt = T / mc.n_steps
+    n_steps = mc.n_steps
+    dt = T / n_steps
     drift = (r - q - 0.5 * sig * sig) * dt
     vol = sig * math.sqrt(dt)
     bar_var = sig * sig * dt
     disc_T = math.exp(-r * T)
+    log_v0 = math.log(V0)
+    log_barrier = log_b0 + a * (np.arange(1, n_steps + 1) * dt)
 
     rng = np.random.Generator(np.random.Philox(mc.seed))
     total = 0.0
@@ -275,31 +288,50 @@ def mc_barrier_price(
     done = 0
     while done < mc.n_paths:
         m = min(_MC_CHUNK, mc.n_paths - done)
-        z = rng.standard_normal((m, mc.n_steps))
-        u = rng.random((m, mc.n_steps)) if mc.bridge_correction else None
-        logv = np.full(m, math.log(V0))
-        value = np.zeros(m)
-        alive = np.ones(m, dtype=bool)
-        gap = np.full(m, math.log(V0) - log_b0)  # log distance to barrier
-        for k in range(mc.n_steps):
-            t_next = (k + 1) * dt
-            logv += drift + vol * z[:, k]
-            gap_next = logv - (log_b0 + a * t_next)
-            hit = alive & (gap_next <= 0.0)
+        z = rng.standard_normal((m, n_steps))
+        first = np.empty(m, dtype=np.intp)  # step of the first hit; n_steps if none
+        logv_T = np.empty(m)
+        for lo in range(0, m, _MC_BLOCK):
+            rows = slice(lo, min(lo + _MC_BLOCK, m))
+            # the running sum adds log(V0) and then one increment per step,
+            # in the order of a step-by-step simulation, so paths are
+            # reproducible to the bit
+            logv = vol * z[rows]
+            logv += drift
+            logv[:, 0] += log_v0
+            np.cumsum(logv, axis=1, out=logv)
+            logv_T[rows] = logv[:, -1]
+            gap_next = logv  # reused in place: log distance to the barrier
+            gap_next -= log_barrier
+            event = gap_next <= 0.0
             if mc.bridge_correction:
-                clear = alive & ~hit
-                if np.any(clear):
-                    p_cross = np.exp(-2.0 * gap[clear] * gap_next[clear] / bar_var)
-                    crossed = np.zeros(m, dtype=bool)
-                    crossed[clear] = u[clear, k] < p_cross
-                    hit |= crossed
-            if np.any(hit):
-                value[hit] = math.exp(-r * t_next) * rebate_at_hit(t_next)
-                alive &= ~hit
-            gap = gap_next
-        if np.any(alive):
-            vt = np.exp(logv[alive])
-            value[alive] = disc_T * np.array([payoff(v) for v in vt])
+                # drawn block by block after z, these are the same numbers
+                # as one (m, n_steps) draw
+                u = rng.random(gap_next.shape)
+                p_cross = np.empty_like(gap_next)
+                p_cross[:, 0] = -2.0 * (log_v0 - log_b0)
+                # past a path's first hit the gaps change sign and the
+                # exponent may overflow; those steps are never read
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.multiply(gap_next[:, :-1], -2.0, out=p_cross[:, 1:])
+                    p_cross *= gap_next
+                    p_cross /= bar_var
+                    np.exp(p_cross, out=p_cross)
+                event |= u < p_cross
+            step = event.argmax(axis=1)
+            step[~event[np.arange(step.size), step]] = n_steps
+            first[rows] = step
+        hit = first < n_steps
+        value = np.empty(m)
+        steps = first[hit]
+        paid = np.empty(n_steps)
+        for k in np.unique(steps).tolist():
+            t = (k + 1) * dt
+            paid[k] = math.exp(-r * t) * rebate_at_hit(t)
+        value[hit] = paid[steps]
+        alive = ~hit
+        vt = np.exp(logv_T[alive])
+        value[alive] = disc_T * np.array([payoff(v) for v in vt])
         total += float(value.sum())
         total_sq += float(np.dot(value, value))
         done += m
@@ -357,6 +389,8 @@ def quadrature_green(
 
     if lo >= hi:
         return 0.0
+
+    from scipy.integrate import quad  # scipy loads only when an oracle runs
 
     log_l = math.log(p.L) if p.L > 0.0 else None
     sqrt_t3 = math.sqrt(p.tau3) if p.tau3 > 0.0 else None

@@ -72,6 +72,25 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("numerical failure:")
 
+    @pytest.mark.parametrize("command", ["price-option", "price-puttable"])
+    def test_underflowed_ratio_is_numerical_failure(self, tmp_path, capsys, command):
+        # K / V underflows to 0 and its log is a math domain error
+        doc = dict(_BASE, bond=dict(_BASE["bond"], b=1e-300),
+                   points={"V": [1e30], "t": [0.0]})
+        assert main([command, "--config", _write_config(tmp_path, doc)]) == 1
+        assert capsys.readouterr().err.startswith("numerical failure:")
+
+    def test_figure4_series_t_checked_before_barrier(self, tmp_path, capsys):
+        # the barrier at t = 1e4 leaves the float range; the range check wins
+        doc = dict(_BASE, bond=dict(_BASE["bond"], a=0.1),
+                   curves={"series_t": [0.0, 1e4]})
+        out = str(tmp_path / "fig4.csv")
+        code = main(["curves", "--figure", "4", "--out", out,
+                     "--config", _write_config(tmp_path, doc)])
+        assert code == 2
+        assert ("curves.series_t values must lie in [0, T1) for figure 4"
+                in capsys.readouterr().err)
+
     def test_non_utf8_config_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_bytes(b'{"market": "\xff"}')

@@ -1,7 +1,11 @@
-"""Static check of how the package's modules import each other."""
+"""Checks of how the package's modules import each other and what a
+pricing command loads."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import credit_pricer
 
@@ -39,3 +43,16 @@ def test_no_private_or_closed_form_imports_across_modules():
                 oracle_leaks.append(f"{name or 'the module'} from {module}")
     assert not private, f"private names imported across modules: {private}"
     assert not oracle_leaks, f"oracles import closed-form code: {oracle_leaks}"
+
+
+def test_pricing_command_loads_no_scipy(tmp_path):
+    """scipy serves the oracles only; a pricing command never imports it."""
+    src = str(pathlib.Path(credit_pricer.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, credit_pricer.cli\n"
+            "assert credit_pricer.cli.main(['price-bond']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"

@@ -2,12 +2,15 @@
 the barrier-monitored Monte Carlo simulator, and the adaptive quadrature of
 the lognormal transition integral."""
 
+import hashlib
 import math
 import random
+import warnings
 
 import pytest
 
 from credit_pricer import (
+    BondSpec,
     DomainError,
     GridSpec,
     InvalidParamsError,
@@ -26,6 +29,57 @@ from credit_pricer import (
     survival_probability,
     tbvp_w,
 )
+from credit_pricer.verification import pde_surfaces
+
+_REF_MARKET = MarketParams(r=0.04, q=0.0, sigma=0.5)
+_FLAT = BondSpec(T=2.0, a=0.0, b=100.0, R=0.7)
+_MOVING = BondSpec(T=2.0, a=0.05, b=100.0, R=0.7)
+
+
+def _recovery(bond):
+    return lambda t: bond.R * math.exp(-_REF_MARKET.r * (bond.T - t))
+
+
+# One Monte Carlo run per case, given its McSpec.
+_MC_PIN_RUNS = {
+    "flat_bond": lambda mc: mc_barrier_price(
+        lambda v: 1.0, _recovery(_FLAT), 2.0, 0.0, 100.0, _REF_MARKET, mc, 139.0),
+    # option horizon T1 = 1 against the bond's moving barrier, anchored at T = 2
+    "moving_composite": lambda mc: mc_barrier_price(
+        lambda v: max(bond_price(v, 1.0, _MOVING, _REF_MARKET), 0.9), _recovery(_MOVING),
+        1.0, 0.05, 100.0, _REF_MARKET, mc, 139.0, barrier_anchor=2.0),
+    # most paths die at the first step
+    "near_barrier": lambda mc: mc_barrier_price(
+        lambda v: 1.0, _recovery(_FLAT), 2.0, 0.0, 100.0, _REF_MARKET, mc, 1.0001 * 100.0),
+    # no path hits
+    "unreachable": lambda mc: mc_barrier_price(
+        lambda v: min(v, 200.0) / 100.0, lambda t: 0.0, 2.0, 0.0, 1e-9, _REF_MARKET,
+        mc, 139.0),
+}
+
+# (estimate, SE) as float.hex per (case, bridge_correction), at 20 000 paths
+# x 64 steps, seed 5. Recorded from the step-by-step simulation loop that the
+# whole-path first passage replaced.
+_MC_PINS = {
+    ("flat_bond", True): ("0x1.73f504bce8213p-1", "0x1.d1da88585553bp-11"),
+    ("flat_bond", False): ("0x1.7aaf60ce09bbap-1", "0x1.e57267c64cff3p-11"),
+    ("moving_composite", True): ("0x1.8850a4037b6e8p-1", "0x1.ac4b00a6ba099p-11"),
+    ("moving_composite", False): ("0x1.8ce1ac14a310bp-1", "0x1.a876274dbb56fp-11"),
+    ("near_barrier", True): ("0x1.4ada1be405c8ep-1", "0x1.d09ea2b45b493p-17"),
+    ("near_barrier", False): ("0x1.525a4b806d9bbp-1", "0x1.cbd349d4e6eb8p-12"),
+    ("unreachable", True): ("0x1.241ddc94f2e9bp+0", "0x1.efaf9cf14173ap-9"),
+    ("unreachable", False): ("0x1.253ee58e03b17p+0", "0x1.eec10c2ebb9b4p-9"),
+}
+
+# sha256 of each PdeSurface.values (float64, little-endian) of the reference
+# bond, put and call on the default 801 x 800 grid. Recorded from the solver
+# that rebuilt its banded matrix at every time step.
+_PDE_PINS = {
+    "bond": "7f02b2ad5c5f3b525b687c71ff944040f1e98daa2227aa3fef4c983cbf264ff7",
+    "survival": "53ce093279e60842e01779687740a721b9de9cf71d15040b797e3f63c516db7c",
+    "put": "78d7ba5717b38c6e1916003e0504f8b9ff81f61b285a86c9966005097c59c380",
+    "call": "cc33ee8a38fe91abc77e7c6289fb928a2dd45804a3a4fe418d49d4c2ebbf7b1b",
+}
 
 
 class TestGridSpecValidation:
@@ -126,6 +180,12 @@ class TestPdeSolver:
             with pytest.raises(DomainError):
                 s.value(x, t)
 
+    def test_reference_surfaces_pinned(self, bond, market, put_spec):
+        surfaces = pde_surfaces(bond, market, put_spec, GridSpec())
+        digests = {name: hashlib.sha256(s.values.astype("<f8").tobytes()).hexdigest()
+                   for name, s in surfaces.items()}
+        assert digests == _PDE_PINS
+
 
 class TestMcSimulator:
     def test_unreachable_barrier_prices_discount_bond(self):
@@ -186,6 +246,16 @@ class TestMcSimulator:
                                    bond.b, market, McSpec(bridge_correction=True, **kw),
                                    139.0)[0]
         assert bridged < naive
+
+    @pytest.mark.parametrize("case, bridge", sorted(_MC_PINS))
+    def test_pinned_bits(self, case, bridge):
+        """The estimate and SE to the bit. 20 000 paths fill one 16 384-path
+        chunk and part of a second; no floating-point warning escapes."""
+        mc = McSpec(n_paths=20_000, n_steps=64, seed=5, bridge_correction=bridge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, se = _MC_PIN_RUNS[case](mc)
+        assert (mean.hex(), se.hex()) == _MC_PINS[case, bridge]
 
 
 class TestQuadrature:
