@@ -8,95 +8,14 @@ PDE, Monte Carlo, and quadrature verifiers for every price the library
 emits.
 """
 
-from .bs_closed_form import (
-    IndicatorDirection,
-    PowerBinaryParams,
-    image_transform,
-    power_binary_price,
-    tbvp_w,
-)
-from .credit_instruments import (
-    BondSpec,
-    BoundaryResult,
-    OptionKind,
-    OptionSpec,
-    barrier_level,
-    bond_option_price,
-    bond_price,
-    callable_bond_price,
-    early_redemption_boundary,
-    exercise_value,
-    option_price_paths,
-    puttable_bond_price,
-    survival_probability,
-)
-from .errors import (
-    BelowBarrierError,
-    DomainError,
-    InvalidOptionError,
-    InvalidParamsError,
-    NumericalError,
-    PricerError,
-)
-from .oracles import (
-    GridSpec,
-    McSpec,
-    PdeSurface,
-    Scheme,
-    draw_verification_case,
-    mc_barrier_price,
-    pde_solve_tbvp,
-    quadrature_green,
-)
-from .special_functions import (
-    MarketParams,
-    binorm_cdf,
-    delta,
-    mu,
-    norm_cdf,
-    norm_pdf,
-)
+from . import bs_closed_form, credit_instruments, errors, oracles, special_functions
+from .bs_closed_form import *  # noqa: F403
+from .credit_instruments import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .oracles import *  # noqa: F403
+from .special_functions import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BelowBarrierError",
-    "BondSpec",
-    "BoundaryResult",
-    "DomainError",
-    "GridSpec",
-    "IndicatorDirection",
-    "InvalidOptionError",
-    "InvalidParamsError",
-    "MarketParams",
-    "McSpec",
-    "NumericalError",
-    "OptionKind",
-    "OptionSpec",
-    "PdeSurface",
-    "PowerBinaryParams",
-    "PricerError",
-    "Scheme",
-    "barrier_level",
-    "binorm_cdf",
-    "bond_option_price",
-    "bond_price",
-    "callable_bond_price",
-    "delta",
-    "draw_verification_case",
-    "early_redemption_boundary",
-    "exercise_value",
-    "image_transform",
-    "mc_barrier_price",
-    "mu",
-    "norm_cdf",
-    "norm_pdf",
-    "option_price_paths",
-    "pde_solve_tbvp",
-    "power_binary_price",
-    "puttable_bond_price",
-    "quadrature_green",
-    "survival_probability",
-    "tbvp_w",
-    "__version__",
-]
+__all__ = [name for module in (bs_closed_form, credit_instruments, errors, oracles,
+                               special_functions) for name in module.__all__] + ["__version__"]

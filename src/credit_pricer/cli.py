@@ -11,11 +11,13 @@ failure, 2 invalid input, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import copy
+import enum
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import verification
 from .credit_instruments import (
@@ -35,7 +37,7 @@ from .errors import InvalidParamsError, NumericalError, PricerError
 from .oracles import GridSpec, McSpec, Scheme
 from .special_functions import MarketParams
 
-__all__ = ["RunConfig", "PriceCurve", "load_config", "main"]
+__all__ = ["RunConfig", "load_config", "main"]
 
 _ENV_SEED = "CREDIT_PRICER_SEED"
 
@@ -58,59 +60,29 @@ _DEFAULT_CONFIG = {
 
 
 @dataclass(frozen=True)
-class PriceCurve:
-    """One sampled curve: named abscissa and ordinate plus the parameter
-    echo that produced it. Abscissa strictly increasing, ordinates finite."""
-
-    abscissa_name: str
-    ordinate_name: str
-    points: tuple[tuple[float, float], ...]
-    metadata: dict = field(compare=False)
-
-    def __post_init__(self):
-        xs = [p[0] for p in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise InvalidParamsError(f"curve {self.ordinate_name}: abscissa not strictly increasing")
-        if not all(math.isfinite(p[1]) for p in self.points):
-            raise InvalidParamsError(f"curve {self.ordinate_name}: non-finite ordinate")
-
-
-@dataclass(frozen=True)
 class RunConfig:
+    """The config document as _walk returns it, every default filled in and
+    typed, and the components built from it."""
+
+    doc: dict
     market: MarketParams
     bond: BondSpec
     option: OptionSpec | None
-    points_v: tuple[float, ...]
-    points_t: tuple[float, ...]
-    samples: int
-    v_max_mult: float
-    series_v: tuple[float, ...]
-    series_t: tuple[float, ...]
-    seed: int
     grid: GridSpec
     mc: McSpec
-    out: str | None
 
     def to_dict(self) -> dict:
-        mc = asdict(self.mc)
-        del mc["seed"]  # echoed once, as numerics.seed
-        doc = {
-            "market": asdict(self.market),
-            "bond": asdict(self.bond),
-            "points": {"V": list(self.points_v), "t": list(self.points_t)},
-            "curves": {"samples": self.samples, "v_max_mult": self.v_max_mult,
-                       "series_V": list(self.series_v), "series_t": list(self.series_t)},
-            "numerics": {
-                "seed": self.seed,
-                "grid": {**asdict(self.grid), "scheme": self.grid.scheme.value},
-                "mc": mc,
-            },
-        }
-        if self.option is not None:
-            doc["option"] = {**asdict(self.option), "kind": self.option.kind.value}
-        if self.out is not None:
-            doc["out"] = self.out
-        return doc
+        return _plain(self.doc)
+
+
+def _plain(value):
+    """value as JSON: tuples become lists, enum members their values, and
+    null keys (an absent option or out) are dropped."""
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items() if v is not None}
+    if isinstance(value, tuple):
+        return list(value)
+    return value.value if isinstance(value, enum.Enum) else value
 
 
 def _is_number(value) -> bool:
@@ -184,13 +156,9 @@ def config_from_dict(doc: dict) -> RunConfig:
     if not (math.isfinite(crv["v_max_mult"]) and crv["v_max_mult"] > 1.0):
         raise InvalidParamsError(f"curves.v_max_mult must exceed 1, got {crv['v_max_mult']}")
     return RunConfig(
-        market=MarketParams(**cfg["market"]), bond=BondSpec(**cfg["bond"]),
-        option=None if cfg["option"] is None else OptionSpec(**cfg["option"]),
-        points_v=cfg["points"]["V"], points_t=cfg["points"]["t"],
-        samples=crv["samples"], v_max_mult=crv["v_max_mult"],
-        series_v=crv["series_V"], series_t=crv["series_t"],
-        seed=num["seed"], grid=GridSpec(**num["grid"]),
-        mc=McSpec(**num["mc"], seed=num["seed"]), out=cfg["out"],
+        cfg, MarketParams(**cfg["market"]), BondSpec(**cfg["bond"]),
+        None if cfg["option"] is None else OptionSpec(**cfg["option"]),
+        GridSpec(**num["grid"]), McSpec(**num["mc"], seed=num["seed"]),
     )
 
 
@@ -209,23 +177,23 @@ def load_config(path: str | None) -> RunConfig:
 def _with_overrides(config: RunConfig, args) -> RunConfig:
     """Apply flag/env overrides: --seed wins over CREDIT_PRICER_SEED, which
     wins over the config value; --samples and --out replace theirs."""
-    seed = config.seed
+    doc = copy.deepcopy(config.doc)
     env = os.environ.get(_ENV_SEED)
     if env is not None:
         try:
-            seed = int(env)
+            doc["numerics"]["seed"] = int(env)
         except ValueError:
             raise InvalidParamsError(f"{_ENV_SEED} must be an integer, got '{env}'")
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    samples = config.samples if getattr(args, "samples", None) is None else args.samples
-    if samples < 2:
-        raise InvalidParamsError(f"--samples must be >= 2, got {samples}")
-    out = config.out if getattr(args, "out", None) is None else args.out
-    if seed == config.seed and samples == config.samples and out == config.out:
-        return config
-    return replace(config, seed=seed, samples=samples, out=out,
-                   mc=replace(config.mc, seed=seed))
+    if args.seed is not None:
+        doc["numerics"]["seed"] = args.seed
+    if args.samples is not None:
+        if args.samples < 2:
+            raise InvalidParamsError(f"--samples must be >= 2, got {args.samples}")
+        doc["curves"]["samples"] = args.samples
+    if args.out is not None:
+        doc["out"] = args.out
+    num = doc["numerics"]
+    return replace(config, doc=doc, mc=McSpec(**num["mc"], seed=num["seed"]))
 
 
 def _echo(config: RunConfig) -> None:
@@ -236,20 +204,26 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _write_curves_csv(path: str, curves: list[PriceCurve]) -> None:
-    """One CSV: shared abscissa column, one column per curve, full double
-    precision, preceded by a '#'-commented parameter echo."""
-    meta = curves[0].metadata
-    header = [curves[0].abscissa_name] + [c.ordinate_name for c in curves]
-    lines = ["# parameters: " + json.dumps(meta, separators=(",", ":"), sort_keys=True)]
-    lines.append(",".join(header))
-    for row in zip(*[c.points for c in curves]):
-        xs = {p[0] for p in row}
-        if len(xs) != 1:
-            raise InvalidParamsError("curves in one file must share the abscissa")
-        lines.append(",".join([_fmt(row[0][0])] + [_fmt(p[1]) for p in row]))
+def _write_curves_csv(path: str, meta: dict, x_name: str, xs: list[float],
+                      columns) -> list[str]:
+    """One CSV: the abscissa column, then one column per curve, full double
+    precision, preceded by a '#'-commented parameter echo. columns yields
+    (name, ordinates) pairs, each checked before the next is priced; the
+    names are returned."""
+    names, ordinates = [], []
+    for name, ys in columns:
+        if any(b <= a for a, b in zip(xs, xs[1:])):
+            raise InvalidParamsError(f"curve {name}: abscissa not strictly increasing")
+        if not all(map(math.isfinite, ys)):
+            raise InvalidParamsError(f"curve {name}: non-finite ordinate")
+        names.append(name)
+        ordinates.append(ys)
+    lines = ["# parameters: " + json.dumps(meta, separators=(",", ":"), sort_keys=True),
+             ",".join([x_name] + names)]
+    lines += [",".join(map(_fmt, row)) for row in zip(xs, *ordinates)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+    return names
 
 
 def _require_option(config: RunConfig) -> OptionSpec:
@@ -265,38 +239,30 @@ def _print_table(headers: list[str], rows: list[list[float]]) -> None:
         print("  ".join(format(v, ".10f").rjust(w) for v, w in zip(row, widths)))
 
 
-def cmd_price(config: RunConfig, mode: str) -> int:
-    """Price table at the configured (V, t) points. mode selects the
-    columns: bond only, or bond plus option/composite."""
+# The (header, pricer) columns each price-* command adds to V, t, survival
+# and bond; a header of None is the option's kind.
+_PRICE_COLUMNS = {
+    "price-bond": [],
+    "price-option": [(None, bond_option_price)],
+    "price-puttable": [("put", bond_option_price), ("puttable", puttable_bond_price)],
+    "price-callable": [("call", bond_option_price), ("callable", callable_bond_price)],
+}
+
+
+def cmd_price(config: RunConfig, args) -> int:
+    """Price table at the configured (V, t) points."""
     _echo(config)
-    bond, market = config.bond, config.market
-    option = _require_option(config) if mode != "bond" else config.option
-    headers = ["V", "t", "survival", "bond"]
-    if mode == "option":
-        headers.append(config.option.kind.value)
-    elif mode == "puttable":
-        headers += ["put", "puttable"]
-    elif mode == "callable":
-        headers += ["call", "callable"]
-    rows = []
-    for v in config.points_v:
-        for t in config.points_t:
-            row = [v, t, survival_probability(v, t, bond, market),
-                   bond_price(v, t, bond, market)]
-            if mode == "option":
-                row.append(bond_option_price(v, t, bond, option, market))
-            elif mode == "puttable":
-                row.append(bond_option_price(v, t, bond, option, market))
-                row.append(puttable_bond_price(v, t, bond, option, market))
-            elif mode == "callable":
-                row.append(bond_option_price(v, t, bond, option, market))
-                row.append(callable_bond_price(v, t, bond, option, market))
-            rows.append(row)
+    bond, market, points = config.bond, config.market, config.doc["points"]
+    option = _require_option(config) if args.columns else config.option
+    headers = ["V", "t", "survival", "bond"] + [h or option.kind.value for h, _ in args.columns]
+    rows = [[v, t, survival_probability(v, t, bond, market), bond_price(v, t, bond, market)]
+            + [price(v, t, bond, option, market) for _, price in args.columns]
+            for v in points["V"] for t in points["t"]]
     _print_table(headers, rows)
     return 0
 
 
-def cmd_boundary(config: RunConfig) -> int:
+def cmd_boundary(config: RunConfig, args) -> int:
     _echo(config)
     option = _require_option(config)
     result = early_redemption_boundary(config.bond, option, config.market)
@@ -310,75 +276,58 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
 
 
-def cmd_curves(config: RunConfig, figure: int) -> int:
+def cmd_curves(config: RunConfig, args) -> int:
     """Sample the requested figure's curves and write one CSV."""
-    bond, market = config.bond, config.market
-    meta = {"figure": figure, "config": config.to_dict()}
-    n = config.samples
-    curves: list[PriceCurve] = []
-
+    bond, market, figure = config.bond, config.market, args.figure
+    crv = config.doc["curves"]
+    n, v_max = crv["samples"], bond.b * crv["v_max_mult"]
+    option = _require_option(config) if figure > 1 else None
+    # a series' column is priced when the writer draws it, after the last is checked
     if figure == 1:
-        ts = _linspace(0.0, bond.T, n)
-        for v in config.series_v:
-            pts = tuple((t, bond_price(v, t, bond, market)) for t in ts)
-            curves.append(PriceCurve("t", f"bond_V{v:g}", pts, meta))
+        x_name, xs = "t", _linspace(0.0, bond.T, n)
+        columns = ((f"bond_V{v:g}", [bond_price(v, t, bond, market) for t in xs])
+                   for v in crv["series_V"])
     elif figure == 2:
-        option = _require_option(config)
-        lo = barrier_level(bond, option.T1)
-        vs = _linspace(lo, bond.b * config.v_max_mult, n)
-        pts = tuple((v, bond_price(v, option.T1, bond, market)) for v in vs)
-        curves.append(PriceCurve("V", "bond_at_T1", pts, meta))
+        x_name, xs = "V", _linspace(barrier_level(bond, option.T1), v_max, n)
+        columns = [("bond_at_T1", [bond_price(v, option.T1, bond, market) for v in xs])]
     elif figure == 3:
-        option = _require_option(config)
-        ts = _linspace(0.0, option.T1, n)
-        for v in config.series_v:
-            pts = []
-            for t in ts:
-                if t < option.T1:
-                    pts.append((t, bond_option_price(v, t, bond, option, market)))
-                else:
-                    # continuous limit at expiry: the exercise value
-                    pts.append((t, exercise_value(v, bond, option, market)))
-            curves.append(PriceCurve("t", f"{option.kind.value}_V{v:g}", tuple(pts), meta))
+        # at expiry the continuous limit: the exercise value
+        x_name, xs = "t", _linspace(0.0, option.T1, n)
+        columns = ((f"{option.kind.value}_V{v:g}",
+                    [bond_option_price(v, t, bond, option, market) if t < option.T1
+                     else exercise_value(v, bond, option, market) for t in xs])
+                   for v in crv["series_V"])
     elif figure == 4:
-        option = _require_option(config)
-        for t in config.series_t:
+        for t in crv["series_t"]:
             if not 0.0 <= t < option.T1:
                 raise InvalidParamsError(
-                    f"curves.series_t values must lie in [0, T1) for figure 4, got {t}"
-                )
-        lo = max(barrier_level(bond, t) for t in config.series_t)
-        vs = _linspace(lo, bond.b * config.v_max_mult, n)
-        for t in config.series_t:
-            pts = []
-            for v in vs:
-                if v <= barrier_level(bond, t):
-                    pts.append((v, 0.0))  # knocked out on the barrier
-                else:
-                    pts.append((v, bond_option_price(v, t, bond, option, market)))
-            curves.append(PriceCurve("V", f"{option.kind.value}_t{t:g}", tuple(pts), meta))
-    elif figure == 5:
-        option = _require_option(config)
+                    f"curves.series_t values must lie in [0, T1) for figure 4, got {t}")
+        barriers = [barrier_level(bond, t) for t in crv["series_t"]]
+        x_name, xs = "V", _linspace(max(barriers), v_max, n)
+        # knocked out on the barrier
+        columns = ((f"{option.kind.value}_t{t:g}",
+                    [0.0 if v <= barrier else bond_option_price(v, t, bond, option, market)
+                     for v in xs])
+                   for t, barrier in zip(crv["series_t"], barriers))
+    else:
         if option.kind is not OptionKind.PUT:
             raise InvalidParamsError("figure 5 requires a put option (puttable bond)")
-        ts = _linspace(0.0, bond.T, n)
-        for v in config.series_v:
-            pts = tuple((t, puttable_bond_price(v, t, bond, option, market)) for t in ts)
-            curves.append(PriceCurve("t", f"puttable_V{v:g}", pts, meta))
-    else:
-        raise InvalidParamsError(f"figure must be 1..5, got {figure}")
+        x_name, xs = "t", _linspace(0.0, bond.T, n)
+        columns = ((f"puttable_V{v:g}", [puttable_bond_price(v, t, bond, option, market)
+                                         for t in xs]) for v in crv["series_V"])
 
-    out = config.out if config.out is not None else f"figure{figure}.csv"
-    _write_curves_csv(out, curves)
+    out = config.doc["out"] if config.doc["out"] is not None else f"figure{figure}.csv"
+    names = _write_curves_csv(out, {"figure": figure, "config": config.to_dict()},
+                              x_name, xs, columns)
     _echo(config)
-    print(f"wrote {out}: {', '.join(c.ordinate_name for c in curves)} ({n} samples)")
+    print(f"wrote {out}: {', '.join(names)} ({n} samples)")
     return 0
 
 
 def _verify_checks(config: RunConfig, suite: str):
     """Yield the suite's checks in order, each run when it is reached."""
-    bond, market, option = config.bond, config.market, config.option
-    probe_v, v0, seed = config.series_v, config.points_v[0], config.seed
+    bond, market, option, doc = config.bond, config.market, config.option, config.doc
+    probe_v, v0, seed = doc["curves"]["series_V"], doc["points"]["V"][0], doc["numerics"]["seed"]
     if suite in ("pde", "all"):
         surfaces = verification.pde_surfaces(bond, market, option, config.grid)
         yield verification.pde_bond_agreement(surfaces, bond, market, option, probe_v)
@@ -405,18 +354,16 @@ def _verify_checks(config: RunConfig, suite: str):
         yield verification.formula_vs_composition(seed + 3)
 
 
-def cmd_verify(config: RunConfig, suite: str) -> int:
+def cmd_verify(config: RunConfig, args) -> int:
     _echo(config)
     checks = []
-    for check in _verify_checks(config, suite):
+    for check in _verify_checks(config, args.suite):
         checks.append(check)
         if check.error is not None:
             print(f"FAIL  {check.name:<34} numerical failure: {check.error}")
         else:
             print(f"{'PASS' if check.ok else 'FAIL'}  {check.name:<34} "
                   f"measured={check.measured:.6e}  tol={check.tol:.6e}")
-    if not checks:
-        raise InvalidParamsError(f"unknown suite '{suite}'")
     failures = sum(not check.ok for check in checks)
     print(f"{len(checks)} checks, {failures} failed")
     return 1 if failures else 0
@@ -435,37 +382,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="RNG seed (wins over "
                         f"{_ENV_SEED} and the config)")
     common.add_argument("--samples", type=int, help="curve samples per series")
-    for name in ("price-bond", "price-option", "price-puttable", "price-callable",
-                 "boundary"):
-        sub.add_parser(name, parents=[common])
+    for name, columns in _PRICE_COLUMNS.items():
+        sub.add_parser(name, parents=[common]).set_defaults(run=cmd_price, columns=columns)
+    sub.add_parser("boundary", parents=[common]).set_defaults(run=cmd_boundary)
     curves = sub.add_parser("curves", parents=[common])
     curves.add_argument("--figure", type=int, required=True, choices=range(1, 6))
+    curves.set_defaults(run=cmd_curves)
     verify = sub.add_parser("verify", parents=[common])
-    verify.add_argument("--suite", default="all",
-                        choices=("all", "pde", "mc", "quadrature"))
+    verify.add_argument("--suite", default="all", choices=("all", "pde", "mc", "quadrature"))
+    verify.set_defaults(run=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _with_overrides(load_config(args.config), args)
-        if args.command == "price-bond":
-            return cmd_price(config, "bond")
-        if args.command == "price-option":
-            return cmd_price(config, "option")
-        if args.command == "price-puttable":
-            return cmd_price(config, "puttable")
-        if args.command == "price-callable":
-            return cmd_price(config, "callable")
-        if args.command == "boundary":
-            return cmd_boundary(config)
-        if args.command == "curves":
-            return cmd_curves(config, args.figure)
-        return cmd_verify(config, args.suite)
-    except FileNotFoundError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
+        return args.run(_with_overrides(load_config(args.config), args), args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

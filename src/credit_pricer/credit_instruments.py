@@ -50,6 +50,8 @@ __all__ = [
 
 # Agreement required between the two internal option-pricing paths.
 _PATH_AGREEMENT_TOL = 1e-9
+# Price residual |B(K, T1) - E| at which the boundary iteration stops.
+_BOUNDARY_TOL = 1e-8
 
 
 class OptionKind(enum.Enum):
@@ -198,7 +200,6 @@ def early_redemption_boundary(
     bond: BondSpec,
     option: OptionSpec,
     market: MarketParams,
-    tol: float = 1e-8,
 ) -> BoundaryResult:
     """Firm value K at which the bond price at T1 equals the exercise
     amount: B(K, T1) = E.
@@ -207,10 +208,8 @@ def early_redemption_boundary(
     barrier to e^{-r(T-T1)} at infinity, so the strict bracket on E makes K
     exist and be unique. A bisection-safeguarded secant iteration runs on a
     bracket grown geometrically from the barrier; convergence is declared on
-    the price residual |B(K, T1) - E| <= tol.
+    the price residual |B(K, T1) - E| <= _BOUNDARY_TOL.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidParamsError(f"tolerance must be positive, got {tol}")
     _validate_option(bond, option, market)
     t1 = option.T1
 
@@ -240,7 +239,7 @@ def early_redemption_boundary(
         if not (lo < x2 < hi):
             x2 = 0.5 * (lo + hi)
         f2 = f(x2)
-        if abs(f2) <= tol:
+        if abs(f2) <= _BOUNDARY_TOL:
             return BoundaryResult(K=x2, residual=f2, iterations=iteration)
         if f2 < 0.0:
             lo = x2

@@ -4,6 +4,15 @@ All errors derive from ValueError so that callers who do not care about the
 distinction can catch a single builtin type.
 """
 
+__all__ = [
+    "PricerError",
+    "DomainError",
+    "InvalidParamsError",
+    "InvalidOptionError",
+    "BelowBarrierError",
+    "NumericalError",
+]
+
 
 class PricerError(ValueError):
     """Base class for every error raised by this package."""

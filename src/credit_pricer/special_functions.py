@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParamsError
 
+__all__ = ["MarketParams", "norm_pdf", "norm_cdf", "binorm_cdf", "delta", "mu"]
+
 _SQRT2 = math.sqrt(2.0)
 _TWOPI = 2.0 * math.pi
 

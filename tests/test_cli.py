@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import math
+import pathlib
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +206,43 @@ class TestConfigRoundTrip:
         assert main(["price-bond", "--config", _write_config(tmp_path, doc)]) == 0
         echoed = _echoed_config(capsys.readouterr().out)
         assert config_from_dict(echoed).to_dict() == echoed
+
+    def test_echo_pinned_for_every_key(self, tmp_path, capsys):
+        """Every key set away from its default, some as ints or scalars that
+        the echo types, plus the three overriding flags: the exact echo line.
+        A key the echo dropped would pass the re-parse test above, since the
+        re-parse fills it back in with its default."""
+        doc = {"market": {"r": 0.03, "q": 0.01, "sigma": 0.4},
+               "bond": {"T": 2.5, "a": 0.02, "b": 90, "R": 0.6},
+               "option": {"kind": "call", "T1": 1.25, "E": 0.92},
+               "points": {"V": [150.0, 220], "t": 0.125},
+               "curves": {"samples": 21, "v_max_mult": 2.5, "series_V": 120,
+                          "series_t": [0.25, 0.5]},
+               "numerics": {"seed": 7,
+                            "grid": {"n_space": 201, "n_time": 150.0, "x_max_mult": 20,
+                                     "scheme": "implicit_euler"},
+                            "mc": {"n_paths": 5000, "n_steps": 60,
+                                   "bridge_correction": False}},
+               "out": "from_config.csv"}
+        assert main(["price-bond", "--config", _write_config(tmp_path, doc),
+                     "--seed", "99", "--samples", "33", "--out", "flag.csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            'config: {"bond":{"R":0.6,"T":2.5,"a":0.02,"b":90.0},'
+            '"curves":{"samples":33,"series_V":[120.0],"series_t":[0.25,0.5],"v_max_mult":2.5},'
+            '"market":{"q":0.01,"r":0.03,"sigma":0.4},'
+            '"numerics":{"grid":{"n_space":201,"n_time":150,"scheme":"implicit_euler",'
+            '"x_max_mult":20.0},"mc":{"bridge_correction":false,"n_paths":5000,"n_steps":60},'
+            '"seed":99},"option":{"E":0.92,"T1":1.25,"kind":"call"},"out":"flag.csv",'
+            '"points":{"V":[150.0,220.0],"t":[0.125]}}')
+
+    def test_readme_config_is_the_default(self):
+        """README's config block loads and is the shipped default apart from out."""
+        readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(block)
+        config_from_dict(doc)
+        assert {k: v for k, v in doc.items() if k != "out"} == {
+            k: v for k, v in _DEFAULT_CONFIG.items() if k != "out"}
 
 
 class TestCurvesCommand:

@@ -34,7 +34,6 @@ from credit_pricer import (
     survival_probability,
     verification,
 )
-from credit_pricer.cli import config_from_dict
 from helpers import OVERFLOW_CONFIG, bisect, pricing_residual
 
 # Crank-Nicolson 801x800 oracle values at the reference parameter set
@@ -289,12 +288,15 @@ class TestBondOptionPrice:
         assert got == pytest.approx(_REFERENCE_POINT_REG[v], rel=1e-14, abs=0.0)
 
     def test_overflow_raises_numerical_error(self):
-        cfg = config_from_dict(OVERFLOW_CONFIG)
-        v, t = cfg.points_v[0], cfg.points_t[0]
+        market = MarketParams(**OVERFLOW_CONFIG["market"])
+        bond = BondSpec(**OVERFLOW_CONFIG["bond"])
+        terms = OVERFLOW_CONFIG["option"]
+        option = OptionSpec(T1=terms["T1"], E=terms["E"], kind=OptionKind(terms["kind"]))
+        (v,), (t,) = OVERFLOW_CONFIG["points"]["V"], OVERFLOW_CONFIG["points"]["t"]
         with pytest.raises(NumericalError):
-            bond_option_price(v, t, cfg.bond, cfg.option, cfg.market)
+            bond_option_price(v, t, bond, option, market)
         with pytest.raises(NumericalError):
-            puttable_bond_price(v, t, cfg.bond, cfg.option, cfg.market)
+            puttable_bond_price(v, t, bond, option, market)
 
     def test_positivity(self, bond, market, put_spec, call_spec):
         # (300, 0.99) is deep out of the money for the put just before

@@ -56,3 +56,21 @@ def test_pricing_command_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "[]"
+
+
+def test_public_names():
+    """The package exports each module's __all__ and nothing else."""
+    assert set(credit_pricer.__all__) == {
+        "BelowBarrierError", "BondSpec", "BoundaryResult", "DomainError", "GridSpec",
+        "IndicatorDirection", "InvalidOptionError", "InvalidParamsError", "MarketParams",
+        "McSpec", "NumericalError", "OptionKind", "OptionSpec", "PdeSurface",
+        "PowerBinaryParams", "PricerError", "Scheme", "barrier_level", "binorm_cdf",
+        "bond_option_price", "bond_price", "callable_bond_price", "delta",
+        "draw_verification_case", "early_redemption_boundary", "exercise_value",
+        "image_transform", "mc_barrier_price", "mu", "norm_cdf", "norm_pdf",
+        "option_price_paths", "pde_solve_tbvp", "power_binary_price",
+        "puttable_bond_price", "quadrature_green", "survival_probability", "tbvp_w",
+        "__version__",
+    }
+    assert len(credit_pricer.__all__) == 39
+    assert all(hasattr(credit_pricer, name) for name in credit_pricer.__all__)
