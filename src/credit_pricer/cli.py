@@ -273,7 +273,10 @@ def cmd_boundary(config: RunConfig, args) -> int:
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    return [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    xs = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
+    if not all(map(math.isfinite, xs)):
+        raise NumericalError(f"curve abscissa from {lo!r} to {hi!r} leaves the float range")
+    return xs
 
 
 def cmd_curves(config: RunConfig, args) -> int:

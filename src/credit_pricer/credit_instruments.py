@@ -177,7 +177,7 @@ def bond_price(V: float, t: float, bond: BondSpec, market: MarketParams) -> floa
     lvl = _check_time_and_barrier(V, t, bond)
     if t == bond.T:
         return 1.0 if V > lvl else bond.R
-    w = survival_probability(V, t, bond, market)
+    w = tbvp_w(V / lvl, t, market.r - market.q - bond.a, market.sigma, bond.T)
     disc = _discount(market.r, bond.T - t)
     return disc * (bond.R + (1.0 - bond.R) * w)
 
@@ -216,13 +216,19 @@ def early_redemption_boundary(
     def f(v: float) -> float:
         return bond_price(v, t1, bond, market) - option.E
 
+    def doubled(v: float) -> float:
+        v *= 2.0
+        if v == math.inf:
+            raise NumericalError("early redemption boundary bracket leaves the float range")
+        return v
+
     lo = barrier_level(bond, t1)
     f_lo = f(lo)  # equals R e^{-r(T-T1)} - E < 0 by the bracket check
-    hi = 2.0 * lo
+    hi = doubled(lo)
     f_hi = f(hi)
     growth = 0
     while f_hi <= 0.0:
-        hi *= 2.0
+        hi = doubled(hi)
         f_hi = f(hi)
         growth += 1
         if growth > 200:

@@ -105,27 +105,37 @@ class PdeSurface:
         )
 
 
-def _step_matrix(n, dt, theta, lower, diag, upper):
-    """Banded form of the implicit side of a theta-step over dt."""
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -theta * dt * upper
-    ab[1, :] = 1.0 - theta * dt * diag
-    ab[2, :-1] = -theta * dt * lower
-    return ab
+def _step_solver(n, dt, theta, lower, diag, upper):
+    """Solver for the implicit side of a theta-step over dt: the tridiagonal
+    matrix is LU-factored once (LAPACK dgttrf) and each call is one dgttrs
+    solve. Raises NumericalError where a coefficient is not finite or the
+    matrix is singular."""
+    from scipy.linalg.lapack import dgttrf, dgttrs  # scipy loads only when an oracle runs
+
+    sub, main, sup = -theta * dt * lower, 1.0 - theta * dt * diag, -theta * dt * upper
+    if not (math.isfinite(sub) and math.isfinite(main) and math.isfinite(sup)):
+        raise NumericalError("finite-difference coefficients leave the float range")
+    *lu, info = dgttrf(np.full(n - 1, sub), np.full(n, main), np.full(n - 1, sup))
+    if info != 0:
+        raise NumericalError("finite-difference step matrix is singular")
+
+    def solve(rhs):
+        return dgttrs(*lu, rhs, overwrite_b=True)[0]
+
+    return solve
 
 
-def _march(interior, u0_old, un_old, u0_new, un_new, dt, theta, lower, diag, upper, ab):
+def _march(interior, u0_old, un_old, u0_new, un_new, dt, theta, lower, diag, upper, solve):
     """One theta-step of the tridiagonal system; returns the new interior.
-    ab is _step_matrix for the same dt and theta."""
-    from scipy.linalg import solve_banded  # scipy loads only when an oracle runs
-
+    solve is _step_solver for the same dt and theta. A non-finite right-hand
+    side gives a non-finite interior, which the caller rejects."""
     explicit = 1.0 - theta
     rhs = interior * (1.0 + explicit * dt * diag)
     rhs[1:] += explicit * dt * lower * interior[:-1]
     rhs[:-1] += explicit * dt * upper * interior[1:]
     rhs[0] += explicit * dt * lower * u0_old + theta * dt * lower * u0_new
     rhs[-1] += explicit * dt * upper * un_old + theta * dt * upper * un_new
-    return solve_banded((1, 1), ab, rhs)
+    return solve(rhs)
 
 
 def pde_solve_tbvp(
@@ -191,8 +201,8 @@ def pde_solve_tbvp(
     rannacher = 2 if grid.scheme is Scheme.CRANK_NICOLSON else 0
 
     interior = terminal[1:-1].copy()
-    half_ab = _step_matrix(n - 2, 0.5 * dt, 1.0, lower, diag, upper)
-    main_ab = _step_matrix(n - 2, dt, theta, lower, diag, upper)
+    half_step = _step_solver(n - 2, 0.5 * dt, 1.0, lower, diag, upper)
+    main_step = _step_solver(n - 2, dt, theta, lower, diag, upper)
     u0_old, un_old = terminal[0], terminal[-1]
     for m in range(grid.n_time - 1, -1, -1):
         step_index = grid.n_time - 1 - m
@@ -203,19 +213,19 @@ def pde_solve_tbvp(
             u0_half, un_half = boundary_value(t_half), far(t_half)
             interior = _march(
                 interior, u0_old, un_old, u0_half, un_half, 0.5 * dt, 1.0,
-                lower, diag, upper, half_ab,
+                lower, diag, upper, half_step,
             )
             u0_old, un_old = u0_half, un_half
             u0_new, un_new = boundary_value(t_new), far(t_new)
             interior = _march(
                 interior, u0_old, un_old, u0_new, un_new, 0.5 * dt, 1.0,
-                lower, diag, upper, half_ab,
+                lower, diag, upper, half_step,
             )
         else:
             u0_new, un_new = boundary_value(t_new), far(t_new)
             interior = _march(
                 interior, u0_old, un_old, u0_new, un_new, dt, theta,
-                lower, diag, upper, main_ab,
+                lower, diag, upper, main_step,
             )
         u0_old, un_old = u0_new, un_new
         surface[m, 0] = u0_new
@@ -233,6 +243,25 @@ _MC_CHUNK = 1 << 14
 # Paths of a chunk simulated together; sized for the cache, it changes no
 # result.
 _MC_BLOCK = 1 << 10
+# Bridge crossing exponents at or below this lose to every nonzero uniform.
+_BRIDGE_EXP_CUT = -40.0
+
+
+def _bridge_crossed(u, exponent):
+    """u < exp(exponent) elementwise, to the bit, for uniforms u drawn by
+    Generator.random(); exponent is overwritten.
+
+    random() returns multiples of 2^-53, so a nonzero u is at least
+    2^-53 > e^-37, above exp(exponent) wherever exponent <= -40. exp,
+    slowest where it underflows (below about -745, far from the barrier),
+    is therefore taken only where exponent > -40 or u == 0; a zero u keeps
+    its real exp, underflow to 0 included. Elsewhere the exponent stays in
+    place, and at <= -40 or NaN no u >= 0 is below it: not crossed.
+    """
+    need = exponent > _BRIDGE_EXP_CUT
+    need |= u == 0.0
+    np.exp(exponent, out=exponent, where=need)
+    return u < exponent
 
 
 def mc_barrier_price(
@@ -257,7 +286,10 @@ def mc_barrier_price(
     log-barrier is added exactly (the log-barrier's Brownian bridge is
     Gaussian), removing the discrete-monitoring bias. A within-step hit
     pays at the step's right endpoint: exact whenever e^{-r t} times the
-    rebate is constant, as it is for the recovery payment.
+    rebate is constant, as it is for the recovery payment. The crossing
+    probability is exponentiated only where its exponent exceeds -40 or the
+    uniform is 0; elsewhere no uniform can fall below it (_bridge_crossed),
+    so the estimate is the one an exp at every step gives, to the bit.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise InvalidParamsError(f"horizon must be positive, got {T}")
@@ -308,16 +340,15 @@ def mc_barrier_price(
                 # drawn block by block after z, these are the same numbers
                 # as one (m, n_steps) draw
                 u = rng.random(gap_next.shape)
-                p_cross = np.empty_like(gap_next)
-                p_cross[:, 0] = -2.0 * (log_v0 - log_b0)
+                exponent = np.empty_like(gap_next)
+                exponent[:, 0] = -2.0 * (log_v0 - log_b0)
                 # past a path's first hit the gaps change sign and the
                 # exponent may overflow; those steps are never read
                 with np.errstate(over="ignore", invalid="ignore"):
-                    np.multiply(gap_next[:, :-1], -2.0, out=p_cross[:, 1:])
-                    p_cross *= gap_next
-                    p_cross /= bar_var
-                    np.exp(p_cross, out=p_cross)
-                event |= u < p_cross
+                    np.multiply(gap_next[:, :-1], -2.0, out=exponent[:, 1:])
+                    exponent *= gap_next
+                    exponent /= bar_var
+                    event |= _bridge_crossed(u, exponent)
             step = event.argmax(axis=1)
             step[~event[np.arange(step.size), step]] = n_steps
             first[rows] = step
@@ -330,7 +361,7 @@ def mc_barrier_price(
             paid[k] = math.exp(-r * t) * rebate_at_hit(t)
         value[hit] = paid[steps]
         alive = ~hit
-        vt = np.exp(logv_T[alive])
+        vt = np.exp(logv_T[alive]).tolist()
         value[alive] = disc_T * np.array([payoff(v) for v in vt])
         total += float(value.sum())
         total_sq += float(np.dot(value, value))

@@ -393,12 +393,24 @@ _EXTREME = {
                          "default barrier at t=0.0 leaves the float range"),
     "sigma_squared_underflow": (_with("market.sigma", 1e-300), "boundary",
                                 "survival weight at x="),
+    "pde_sigma_squared_overflow": (_with("market.sigma", 1e200), "verify --suite pde",
+                                   "finite-difference coefficients leave the float range"),
+    "boundary_bracket_overflow": (_with("bond.b", 1e308), "boundary",
+                                  "early redemption boundary bracket leaves the float range"),
+    "pde_boundary_bracket_overflow": (_with("bond.b", 1e308), "verify --suite pde",
+                                      "early redemption boundary bracket leaves"),
+    "figure2_abscissa_overflow": (_with("bond.b", 1e308), "curves --figure 2",
+                                  "curve abscissa from 1e+308 to inf leaves the float range"),
+    "figure4_abscissa_overflow": (_with("bond.b", 1e308), "curves --figure 4",
+                                  "curve abscissa from 1e+308 to inf leaves the float range"),
 }
 
 
 @pytest.mark.parametrize("doc, command, message", _EXTREME.values(), ids=_EXTREME.keys())
-def test_extreme_value_is_numerical_failure(doc, command, message, tmp_path, capsys):
-    assert main([command, "--config", _write_config(tmp_path, doc)]) == 1
+def test_extreme_value_is_numerical_failure(doc, command, message, tmp_path, capsys,
+                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where curves would write its CSV
+    assert main([*command.split(), "--config", _write_config(tmp_path, doc)]) == 1
     assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
 
 

@@ -7,6 +7,7 @@ import math
 import random
 import warnings
 
+import numpy as np
 import pytest
 
 from credit_pricer import (
@@ -29,9 +30,11 @@ from credit_pricer import (
     survival_probability,
     tbvp_w,
 )
+from credit_pricer.oracles import _bridge_crossed
 from credit_pricer.verification import pde_surfaces
 
 _REF_MARKET = MarketParams(r=0.04, q=0.0, sigma=0.5)
+_LOW_VOL = MarketParams(r=0.04, q=0.0, sigma=0.05)
 _FLAT = BondSpec(T=2.0, a=0.0, b=100.0, R=0.7)
 _MOVING = BondSpec(T=2.0, a=0.05, b=100.0, R=0.7)
 
@@ -55,6 +58,13 @@ _MC_PIN_RUNS = {
     "unreachable": lambda mc: mc_barrier_price(
         lambda v: min(v, 200.0) / 100.0, lambda t: 0.0, 2.0, 0.0, 1e-9, _REF_MARKET,
         mc, 139.0),
+    # bridge exponents on both sides of the -40 cut, some below exp's
+    # underflow at about -745
+    "low_vol_near": lambda mc: mc_barrier_price(
+        lambda v: 1.0, _recovery(_FLAT), 2.0, 0.0, 100.0, _LOW_VOL, mc, 1.02 * 100.0),
+    # every bridge exponent below -745
+    "low_vol_far": lambda mc: mc_barrier_price(
+        lambda v: v / 1e6, _recovery(_FLAT), 2.0, 0.0, 100.0, _LOW_VOL, mc, 1e4 * 100.0),
 }
 
 # (estimate, SE) as float.hex per (case, bridge_correction), at 20 000 paths
@@ -69,6 +79,11 @@ _MC_PINS = {
     ("near_barrier", False): ("0x1.525a4b806d9bbp-1", "0x1.cbd349d4e6eb8p-12"),
     ("unreachable", True): ("0x1.241ddc94f2e9bp+0", "0x1.efaf9cf14173ap-9"),
     ("unreachable", False): ("0x1.253ee58e03b17p+0", "0x1.eec10c2ebb9b4p-9"),
+    # recorded from the simulation that exponentiated every bridge exponent
+    ("low_vol_near", True): ("0x1.8f890f412c466p-1", "0x1.008d007833c24p-10"),
+    ("low_vol_near", False): ("0x1.9b7ed4a355efcp-1", "0x1.fc778373ab188p-11"),
+    ("low_vol_far", True): ("0x1.0020613353e68p+0", "0x1.05eba124a22d8p-11"),
+    ("low_vol_far", False): ("0x1.004c2fccd9133p+0", "0x1.064756a34fd2bp-11"),
 }
 
 # sha256 of each PdeSurface.values (float64, little-endian) of the reference
@@ -256,6 +271,36 @@ class TestMcSimulator:
             warnings.simplefilter("error")
             mean, se = _MC_PIN_RUNS[case](mc)
         assert (mean.hex(), se.hex()) == _MC_PINS[case, bridge]
+
+
+class TestBridgeCrossing:
+    """The bridge crossing decision against u < exp(exponent), which it
+    must equal to the bit for any uniform Generator.random() can return."""
+
+    def test_zero_uniform_keeps_its_exp(self):
+        exponent = np.array([-39.0, -41.0, -744.0, -746.0, -math.inf, 0.0, math.nan])
+        crossed = _bridge_crossed(np.zeros_like(exponent), exponent)
+        assert crossed.tolist() == [True, True, True, False, False, True, False]
+
+    def test_smallest_nonzero_uniform(self):
+        # 2^-53 lies between e^-37 and e^-36
+        exponent = np.array([-36.0, -37.0, -39.0, -41.0, -746.0])
+        crossed = _bridge_crossed(np.full_like(exponent, 2.0**-53), exponent)
+        assert crossed.tolist() == [True, False, False, False, False]
+
+    def test_matches_exp_everywhere(self):
+        rng = np.random.Generator(np.random.Philox(11))
+        u = rng.random((64, 257))
+        u[::7, ::5] = 0.0
+        u[1::9] = 2.0**-53
+        exponent = -np.exp(rng.uniform(-5.0, 7.0, u.shape))  # -0.007 to about -1100
+        exponent[::11] *= -1.0
+        special = exponent[2::13, ::3]
+        special[...] = rng.choice([math.inf, -math.inf, math.nan, -40.0], special.shape)
+        with np.errstate(over="ignore"):
+            expected = u < np.exp(exponent)
+            crossed = _bridge_crossed(u, exponent)
+        assert np.array_equal(crossed, expected)
 
 
 class TestQuadrature:
