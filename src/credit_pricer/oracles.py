@@ -361,8 +361,11 @@ def mc_barrier_price(
             paid[k] = math.exp(-r * t) * rebate_at_hit(t)
         value[hit] = paid[steps]
         alive = ~hit
-        vt = np.exp(logv_T[alive]).tolist()
-        value[alive] = disc_T * np.array([payoff(v) for v in vt])
+        vt = np.exp(logv_T[alive])
+        # the payoffs' scalar arithmetic is faster on Python floats than on
+        # numpy scalars; map converts one value at a time, as a list of them
+        # all (tolist) kept a freed chunk of z resident between runs
+        value[alive] = disc_T * np.array([payoff(v) for v in map(float, vt)])
         total += float(value.sum())
         total_sq += float(np.dot(value, value))
         done += m
