@@ -264,6 +264,20 @@ def _bridge_crossed(u, exponent):
     return u < exponent
 
 
+def _skip_words(bits, n):
+    """Move a Philox bit generator on by n 64-bit words, as n draws would:
+    the words left in its 4-word buffer, then whole blocks by advance (which
+    empties the buffer), then the rest."""
+    left = min(n, 4 - bits.state["buffer_pos"])
+    if left:
+        bits.random_raw(left)
+    blocks, rest = divmod(n - left, 4)
+    if blocks:
+        bits.advance(blocks)
+    if rest:
+        bits.random_raw(rest)
+
+
 def mc_barrier_price(
     payoff,
     rebate_at_hit,
@@ -314,13 +328,29 @@ def mc_barrier_price(
     log_v0 = math.log(V0)
     log_barrier = log_b0 + a * (np.arange(1, n_steps + 1) * dt)
 
-    rng = np.random.Generator(np.random.Philox(mc.seed))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < mc.n_paths:
-        m = min(_MC_CHUNK, mc.n_paths - done)
-        z = rng.standard_normal((m, n_steps))
+    from concurrent.futures import ThreadPoolExecutor  # loads only when an oracle runs
+
+    bits = np.random.Philox(mc.seed)
+    normals = np.random.Generator(bits)
+
+    def draw(out):
+        """Fill out with a chunk's normals; with bridge_correction, return
+        the stream state at the chunk's uniforms and skip them."""
+        normals.standard_normal(out=out)
+        if not mc.bridge_correction:
+            return None
+        state = bits.state
+        _skip_words(bits, out.size)
+        return state
+
+    def chunk_values(z, uniform_state):
+        """Discounted value of each path of a chunk: the rebate at its first
+        hit, else the payoff at T."""
+        m = z.shape[0]
+        if uniform_state is not None:
+            uniform_bits = np.random.Philox(mc.seed)
+            uniform_bits.state = uniform_state
+            uniforms = np.random.Generator(uniform_bits)
         first = np.empty(m, dtype=np.intp)  # step of the first hit; n_steps if none
         logv_T = np.empty(m)
         for lo in range(0, m, _MC_BLOCK):
@@ -336,10 +366,10 @@ def mc_barrier_price(
             gap_next = logv  # reused in place: log distance to the barrier
             gap_next -= log_barrier
             event = gap_next <= 0.0
-            if mc.bridge_correction:
-                # drawn block by block after z, these are the same numbers
-                # as one (m, n_steps) draw
-                u = rng.random(gap_next.shape)
+            if uniform_state is not None:
+                # drawn block by block, these are the same numbers as one
+                # (m, n_steps) draw
+                u = uniforms.random(gap_next.shape)
                 exponent = np.empty_like(gap_next)
                 exponent[:, 0] = -2.0 * (log_v0 - log_b0)
                 # past a path's first hit the gaps change sign and the
@@ -366,9 +396,23 @@ def mc_barrier_price(
         # numpy scalars; map converts one value at a time, as a list of them
         # all (tolist) kept a freed chunk of z resident between runs
         value[alive] = disc_T * np.array([payoff(v) for v in map(float, vt)])
-        total += float(value.sum())
-        total_sq += float(np.dot(value, value))
-        done += m
+        return value
+
+    chunks = [min(_MC_CHUNK, mc.n_paths - lo) for lo in range(0, mc.n_paths, _MC_CHUNK)]
+    # two buffers of normals: the thread fills one while this one reads the
+    # other, so a buffer is refilled only after its chunk is done
+    buffers = [np.empty((m, n_steps)) for m in chunks[:2]]
+    total = 0.0
+    total_sq = 0.0
+    with ThreadPoolExecutor(max_workers=1) as ahead:
+        pending = ahead.submit(draw, buffers[0])
+        for k, m in enumerate(chunks):
+            uniform_state = pending.result()
+            if k + 1 < len(chunks):
+                pending = ahead.submit(draw, buffers[(k + 1) % 2][:chunks[k + 1]])
+            value = chunk_values(buffers[k % 2][:m], uniform_state)
+            total += float(value.sum())
+            total_sq += float(np.dot(value, value))
 
     n = mc.n_paths
     mean = total / n

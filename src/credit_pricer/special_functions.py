@@ -13,6 +13,7 @@ __all__ = ["MarketParams", "norm_pdf", "norm_cdf", "binorm_cdf", "delta", "mu"]
 
 _SQRT2 = math.sqrt(2.0)
 _TWOPI = 2.0 * math.pi
+_LN2 = math.log(2.0)
 
 
 def _all_finite(*values: float) -> bool:
@@ -101,6 +102,117 @@ def _gl_rule(rho: float):
     return _GL_RULES[-1][1]
 
 
+# A Drezner-Wesolowsky result below _TAIL_RATIO times the largest term it
+# was formed from has lost its relative accuracy to cancellation and is
+# recomputed by _orthant_tail.
+_TAIL_RATIO = 1e-3
+# _orthant_tail integrates where its integrand is above e^-_TAIL_LEVEL
+# times its peak, on panels at most _TAIL_PANEL long.
+_TAIL_LEVEL = 40.0
+_TAIL_PANEL = 2.0
+
+
+def _orthant_tail(a1: float, a2: float, rho: float) -> float:
+    """P(X <= a1, Y <= a2) for -1 < rho < 1, to relative accuracy 1e-12
+    wherever it exceeds 1e-300, as a sum of two terms that are never
+    negative.
+
+    Integrating dN2/drho (Plackett) up from rho = -1, where the orthant is
+    max(0, Phi(a1) + Phi(a2) - 1), and substituting r = -cos(2 atan e^u):
+
+        N2 = max(0, Phi(a1) - Phi(-a2)) + 1/(2 pi) int_{-inf}^{atanh rho} e^{-p-m+l(u)} du,
+        l(u) = -p e^{-2u} - m e^{2u} - ln cosh u,
+
+    with p = (a1 + a2)^2 / 8 and m = (a1 - a2)^2 / 8. l is concave, so the
+    integrand has one peak; the 20-point Gauss-Legendre rule runs on each
+    side of it, over the window where l is within _TAIL_LEVEL of its peak.
+    """
+    lo, hi = (a1, a2) if a1 <= a2 else (a2, a1)
+    if lo < -40.0:
+        return 0.0  # below Phi(-40), under the smallest float
+    if hi > 40.0:
+        return norm_cdf(lo)  # short of it by less than Phi(-40)
+    base = norm_cdf(lo) - norm_cdf(-hi) if lo + hi > 0.0 else 0.0
+    p = 0.125 * (a1 + a2) ** 2
+    m = 0.125 * (a1 - a2) ** 2
+    end = math.atanh(rho)
+
+    # l and its derivatives; u stays in [-350, atanh(rho)], so no e^{2u} or
+    # p e^{-2u} leaves the float range
+    def log_f(u):
+        e = math.exp(2.0 * u)
+        return -p / e - m * e - math.log1p(e) + u + _LN2
+
+    def slope(u):
+        e = math.exp(2.0 * u)
+        return 2.0 * p / e - 2.0 * m * e - math.tanh(u)
+
+    def curvature(u):  # -l''(u) > 0
+        e = math.exp(2.0 * u)
+        return 4.0 * p / e + 4.0 * m * e + 1.0 / math.cosh(u) ** 2
+
+    # the peak: l' falls from + to -; Newton steps of at most 2, kept inside
+    # the bracket that the signs of l' give
+    if slope(end) >= 0.0:
+        peak = end
+    else:
+        u = 0.25 * math.log(p / m) if p and m else 0.5 * (math.log1p(2.0 * p) - math.log1p(2.0 * m))
+        u = max(-300.0, min(u, end))
+        left, right = -math.inf, end
+        for _ in range(200):
+            g = slope(u)
+            if g > 0.0:
+                left = u
+            else:
+                right = u
+            nxt = u + max(-2.0, min(2.0, g / curvature(u)))
+            if not left < nxt < right:
+                nxt = 0.5 * (left + right) if left > -math.inf else u - 2.0
+            if abs(nxt - u) < 1e-9 or g == 0.0:
+                break
+            u = nxt
+        peak = u
+    top = log_f(peak)
+    target = top - _TAIL_LEVEL
+
+    def reach(direction, limit):
+        """Distance from the peak, at most limit, where l falls to target."""
+        g = max(0.0, -direction * slope(peak))
+        k = curvature(peak)
+        d = min(limit, 2.0 * _TAIL_LEVEL / (g + math.sqrt(g * g + 2.0 * k * _TAIL_LEVEL)))
+        for _ in range(100):
+            u = peak + direction * d
+            v = log_f(u)
+            if v >= target:  # still inside: look further out
+                if d >= limit:
+                    break
+                d = min(limit, 2.0 * d)
+                continue
+            # outside: Newton on the concave l moves in, never past target
+            shorter = (target - v) / (direction * slope(u))
+            d += shorter
+            if -shorter < 0.02 * d:
+                break
+        return d
+
+    total = 0.0
+    for a, b in ((peak - reach(-1.0, peak + 350.0), peak),
+                 (peak, peak + reach(1.0, end - peak) if peak < end else peak)):
+        if b > a:
+            panels = math.ceil((b - a) / _TAIL_PANEL)
+            half = 0.5 * (b - a) / panels
+            side = 0.0
+            for j in range(panels):
+                mid = a + half * (2 * j + 1)
+                for wg, xg in _GL_RULES[-1][1]:
+                    for u in (mid - half * xg, mid + half * xg):
+                        # e^{l(u) - top} = e^{-p/e - m e - top} 2 e^{u} / (1 + e)
+                        e = math.exp(2.0 * u)
+                        side += wg * math.exp(-p / e - m * e - top) * math.sqrt(e) / (1.0 + e)
+            total += half * side
+    return base + math.exp(top - p - m) * total / math.pi
+
+
 def binorm_cdf(a1: float, a2: float, rho: float) -> float:
     """Lower-orthant probability P(X <= a1, Y <= a2) of a standard bivariate
     normal pair with correlation rho.
@@ -122,8 +234,24 @@ def binorm_cdf(a1: float, a2: float, rho: float) -> float:
     -----
     Gauss-Legendre quadrature of the tetrachoric (angular) integrand for
     |rho| < 0.925, an asymptotic expansion in sqrt(1 - rho^2) plus a
-    quadrature correction closer to |rho| = 1. Degenerate correlations
-    rho = +-1 and infinite limits reduce exactly before any quadrature runs.
+    quadrature correction closer to |rho| = 1 (Drezner-Wesolowsky, after
+    Genz 2004). Degenerate correlations rho = +-1 and infinite limits
+    reduce exactly before any quadrature runs.
+
+    Both schemes subtract nearly equal terms when the orthant is much
+    smaller than them: for rho < 0, against Phi(a1) Phi(a2); for
+    rho >= 0.925, against Phi(min(a1, a2)). A result below 1e-3 times that
+    term is recomputed by _orthant_tail, which adds terms that are never
+    negative. The result is then within 1e-12 relative of the orthant
+    wherever it exceeds 1e-10, against an mpmath grid (rho in [-1, 1],
+    limits down to -38). Two regimes keep only the absolute spec:
+    - rho = -1 with a1 + a2 > 0, where Phi(a1) + Phi(a2) - 1 cancels (up to
+      1.8e-12 relative at (-4, 6));
+    - orthants below 1e-10 whose Drezner-Wesolowsky sum does not cancel
+      by the test above, such as deep tails of either sign of rho.
+    Sending those to the tail form too would cost about 20 us a call (the
+    main scheme takes about 5) on about 40% of the orthants that pricing a
+    book of bond options evaluates.
     """
     if math.isnan(rho) or abs(rho) > 1.0:
         raise InvalidParamsError(f"correlation must lie in [-1, 1], got {rho}")
@@ -154,7 +282,10 @@ def binorm_cdf(a1: float, a2: float, rho: float) -> float:
             for sgn in (-1.0, 1.0):
                 sn = math.sin(0.5 * asr * (1.0 + sgn * xg))
                 bvn += wg * math.exp((sn * hk - hs) / (1.0 - sn * sn))
-        bvn = bvn * asr / (2.0 * _TWOPI) + norm_cdf(-h) * norm_cdf(-k)
+        base = norm_cdf(-h) * norm_cdf(-k)
+        bvn = bvn * asr / (2.0 * _TWOPI) + base
+        if bvn < _TAIL_RATIO * base:
+            return _orthant_tail(a1, a2, rho)
     else:
         if rho < 0.0:
             k = -k
@@ -185,9 +316,13 @@ def binorm_cdf(a1: float, a2: float, rho: float) -> float:
                     bvn += a * wg * math.exp(asr) * (ep - sp)
         bvn = -bvn / _TWOPI
         if rho > 0.0:
-            bvn += norm_cdf(-max(h, k))
+            base = norm_cdf(-max(h, k))
+            bvn += base
         else:
+            base = norm_cdf(a1) * norm_cdf(a2)
             bvn = -bvn + max(0.0, norm_cdf(-h) - norm_cdf(-k))
+        if bvn < _TAIL_RATIO * base:
+            return _orthant_tail(a1, a2, rho)
     return min(1.0, max(0.0, bvn))
 
 

@@ -27,8 +27,9 @@ from .oracles import (GridSpec, McSpec, PdeSurface, draw_verification_case,
 from .special_functions import MarketParams, norm_cdf, norm_pdf
 
 __all__ = [
-    "Check", "FORMULA_VS_COMPOSITION_DRAWS", "pde_surfaces", "pde_bond_agreement",
-    "pde_survival_agreement", "pde_option_agreement", "mc_bond", "mc_composite",
+    "Check", "FORMULA_VS_COMPOSITION_DRAWS", "pde_surfaces", "pde_surfaces_on_demand",
+    "pde_bond_agreement", "pde_survival_agreement", "pde_option_agreement", "mc_bond",
+    "mc_composite",
     "quadrature_sweep", "quadrature_bond", "survival_shape", "bond_shape",
     "image_annihilation", "parity_at_expiry", "direction_complement",
     "hedge_positivity", "formula_vs_composition",
@@ -97,6 +98,33 @@ def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None
             out[kind.value] = solve(payoff, lambda t: 0.0, market.r, option.T1,
                                     align=align)
     return out
+
+
+class _SolvedOnFirstLookup:
+    """The mapping pde_surfaces returns, solved at the first lookup."""
+
+    def __init__(self, solve):
+        self._solve = solve
+        self._outcome = None
+
+    def __getitem__(self, key: str) -> PdeSurface:
+        if self._outcome is None:
+            try:
+                self._outcome = self._solve()
+            except (NumericalError, ArithmeticError) as exc:
+                self._outcome = exc
+        if isinstance(self._outcome, Exception):
+            raise self._outcome
+        return self._outcome[key]
+
+
+def pde_surfaces_on_demand(bond: BondSpec, market: MarketParams,
+                           option: OptionSpec | None, grid: GridSpec):
+    """pde_surfaces, solved when a PDE check first looks a surface up. The
+    lookup runs inside the check, so a solve that fails fails each PDE check
+    with its reason, and the rest of a battery still runs. The problems are
+    solved once; a failure is raised again at every lookup."""
+    return _SolvedOnFirstLookup(lambda: pde_surfaces(bond, market, option, grid))
 
 
 def _probe_times(bond: BondSpec, option: OptionSpec | None) -> list[float]:

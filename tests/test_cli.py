@@ -393,12 +393,8 @@ _EXTREME = {
                          "default barrier at t=0.0 leaves the float range"),
     "sigma_squared_underflow": (_with("market.sigma", 1e-300), "boundary",
                                 "survival weight at x="),
-    "pde_sigma_squared_overflow": (_with("market.sigma", 1e200), "verify --suite pde",
-                                   "finite-difference coefficients leave the float range"),
     "boundary_bracket_overflow": (_with("bond.b", 1e308), "boundary",
                                   "early redemption boundary bracket leaves the float range"),
-    "pde_boundary_bracket_overflow": (_with("bond.b", 1e308), "verify --suite pde",
-                                      "early redemption boundary bracket leaves"),
     "figure2_abscissa_overflow": (_with("bond.b", 1e308), "curves --figure 2",
                                   "curve abscissa from 1e+308 to inf leaves the float range"),
     "figure4_abscissa_overflow": (_with("bond.b", 1e308), "curves --figure 4",
@@ -412,6 +408,43 @@ def test_extreme_value_is_numerical_failure(doc, command, message, tmp_path, cap
     monkeypatch.chdir(tmp_path)  # where curves would write its CSV
     assert main([*command.split(), "--config", _write_config(tmp_path, doc)]) == 1
     assert capsys.readouterr().err.startswith(f"numerical failure: {message}")
+
+
+# Values at which the PDE surfaces cannot be solved, and the reason.
+_PDE_FAILURES = {
+    "pde_sigma_squared_overflow": (_with("market.sigma", 1e200),
+                                   "finite-difference coefficients leave the float range"),
+    "pde_boundary_bracket_overflow": (_with("bond.b", 1e308),
+                                      "early redemption boundary bracket leaves the float range"),
+}
+
+
+@pytest.mark.parametrize("doc, message", _PDE_FAILURES.values(), ids=_PDE_FAILURES.keys())
+def test_failed_pde_solve_fails_each_pde_check(doc, message, tmp_path, capsys):
+    """A PDE solve that fails is reported by every check that needs its
+    surfaces, and the run exits 1 with its summary."""
+    assert main(["verify", "--suite", "pde", "--config", _write_config(tmp_path, doc)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = out.splitlines()[1:]
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["FAIL", "pde_bond_agreement"], ["FAIL", "pde_survival_agreement"],
+        ["FAIL", "pde_put_agreement"], ["FAIL", "pde_call_agreement"]]
+    assert all(line.split(None, 2)[2] == f"numerical failure: {message}" for line in lines[:-1])
+    assert lines[-1] == "4 checks, 4 failed"
+
+
+def test_failed_pde_solve_leaves_the_battery_running(tmp_path, capsys):
+    """With the PDE unsolvable, verify still runs the Monte Carlo,
+    quadrature and invariant checks."""
+    doc = _with("market.sigma", 1e200)
+    assert main(["verify", "--config", _write_config(tmp_path, doc)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    checks = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
+    assert len(checks) == 15
+    assert checks[0].startswith("FAIL  pde_bond_agreement                 numerical failure: ")
+    assert checks[-1].split()[1] == "option_formula_vs_composition"
+    assert lines[-1].startswith("15 checks, ")
 
 
 def test_extreme_value_fails_its_check(tmp_path, capsys):

@@ -4,7 +4,11 @@ the lognormal transition integral."""
 
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -30,7 +34,7 @@ from credit_pricer import (
     survival_probability,
     tbvp_w,
 )
-from credit_pricer.oracles import _bridge_crossed
+from credit_pricer.oracles import _bridge_crossed, _skip_words
 from credit_pricer.verification import pde_surfaces
 
 _REF_MARKET = MarketParams(r=0.04, q=0.0, sigma=0.5)
@@ -84,6 +88,17 @@ _MC_PINS = {
     ("low_vol_near", False): ("0x1.9b7ed4a355efcp-1", "0x1.fc778373ab188p-11"),
     ("low_vol_far", True): ("0x1.0020613353e68p+0", "0x1.05eba124a22d8p-11"),
     ("low_vol_far", False): ("0x1.004c2fccd9133p+0", "0x1.064756a34fd2bp-11"),
+}
+
+# (estimate, SE) as float.hex at 40 001 paths x 50 steps, seed 5: two full
+# 16 384-path chunks and a partial third, so the next chunk's normals are
+# drawn while a chunk is processed. Recorded from the single-threaded
+# simulation that drew every chunk in turn.
+_MC_CHUNKED_PINS = {
+    ("flat_bond", True): ("0x1.73fcec1e1bc5cp-1", "0x1.4979217c9b917p-11"),
+    ("flat_bond", False): ("0x1.7b853a2d0a0a7p-1", "0x1.58b2031b0eeaap-11"),
+    ("moving_composite", True): ("0x1.87f94d1aeccf8p-1", "0x1.2f537ce0f0587p-11"),
+    ("moving_composite", False): ("0x1.8cecbb6c1fa93p-1", "0x1.2c134576bd34ep-11"),
 }
 
 # sha256 of each PdeSurface.values (float64, little-endian) of the reference
@@ -271,6 +286,92 @@ class TestMcSimulator:
             warnings.simplefilter("error")
             mean, se = _MC_PIN_RUNS[case](mc)
         assert (mean.hex(), se.hex()) == _MC_PINS[case, bridge]
+
+
+    @pytest.mark.parametrize("case, bridge", sorted(_MC_CHUNKED_PINS))
+    def test_pinned_bits_over_three_chunks(self, case, bridge):
+        mc = McSpec(n_paths=40_001, n_steps=50, seed=5, bridge_correction=bridge)
+        mean, se = _MC_PIN_RUNS[case](mc)
+        assert (mean.hex(), se.hex()) == _MC_CHUNKED_PINS[case, bridge]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_pinned_bits_on_one_cpu(self):
+        """The same bits from a process that may run on one CPU only, where
+        the thread drawing normals ahead and this one take turns. The
+        estimates match the pins. The SE comes from a dot product that
+        OpenBLAS splits across one thread per CPU, so on one CPU it matches
+        an unpinned run with one OpenBLAS thread instead."""
+        def run(**kwargs):
+            script = (
+                "from credit_pricer import McSpec\n"
+                "from test_oracles import _MC_PIN_RUNS as runs\n"
+                "for case, bridge in " + repr(sorted(_MC_CHUNKED_PINS)) + ":\n"
+                "    mc = McSpec(n_paths=40_001, n_steps=50, seed=5, bridge_correction=bridge)\n"
+                "    mean, se = runs[case](mc)\n"
+                "    print(case, bridge, mean.hex(), se.hex())\n")
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                       **kwargs.pop("env", {}))
+            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, check=True, timeout=120, **kwargs).stdout
+            return {(case, bridge == "True"): (mean, se)
+                    for case, bridge, mean, se in (line.split() for line in out.splitlines())}
+
+        cpu = min(os.sched_getaffinity(0))
+        one_cpu = run(preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        one_blas_thread = run(env={"OPENBLAS_NUM_THREADS": "1"})
+        assert {k: mean for k, (mean, _) in one_cpu.items()} == \
+            {k: mean for k, (mean, _) in _MC_CHUNKED_PINS.items()}
+        assert one_cpu == one_blas_thread
+
+    def test_raising_payoff_leaves_no_thread(self):
+        """An exception from the payoff in the second chunk, while the third
+        chunk's normals are being drawn, propagates unchanged, and the
+        thread that drew them has ended."""
+        class Boom(Exception):
+            pass
+
+        calls = 0
+
+        def payoff(v):
+            nonlocal calls
+            calls += 1
+            if calls > 20_000:
+                raise Boom(calls)
+            return 1.0
+
+        before = threading.active_count()
+        mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
+        with pytest.raises(Boom):
+            mc_barrier_price(payoff, lambda t: 0.0, 2.0, 0.0, 1e-9, _REF_MARKET, mc, 139.0)
+        assert threading.active_count() == before
+
+
+class TestStreamSplit:
+    """After a chunk's normals, the Philox state yields the chunk's uniforms,
+    and skipping their words yields the next chunk's normals: the numbers of
+    one sequential Generator, from every position in Philox's 4-word
+    buffer."""
+
+    @pytest.mark.parametrize("buffer_pos", range(5))
+    def test_matches_one_sequential_stream(self, buffer_pos):
+        rng = random.Random(buffer_pos)
+        for _ in range(6):
+            seed, m, n_steps = rng.randrange(2**64), rng.randint(1, 40), rng.randint(1, 300)
+            bits = np.random.Philox(seed)
+            bits.random_raw(rng.randrange(64) * 4 + 4)  # a filled buffer
+            state = bits.state
+            state["buffer_pos"] = buffer_pos
+            sequential = np.random.Philox(seed)
+            sequential.state = state
+            sequential = np.random.Generator(sequential)
+            uniforms, normals = sequential.random((m, n_steps)), sequential.standard_normal(99)
+
+            bits.state = state
+            _skip_words(bits, m * n_steps)
+            snapshot = np.random.Philox(seed)
+            snapshot.state = state
+            assert np.array_equal(np.random.Generator(snapshot).random((m, n_steps)), uniforms)
+            assert np.array_equal(np.random.Generator(bits).standard_normal(99), normals)
 
 
 class TestBridgeCrossing:

@@ -6,10 +6,12 @@ N2(a,b;rho) = Phi(a)Phi(b) + (2pi)^-1 int_0^rho exp(-(a^2+b^2-2abs)/(2(1-s^2)))
 / sqrt(1-s^2) ds integrated adaptively.
 """
 
+import json
 import math
 
 import mpmath
 import pytest
+from binorm_reference import GRID_PATH, ORDER_AGREEMENT, orthant
 
 from credit_pricer import (
     DomainError,
@@ -21,6 +23,8 @@ from credit_pricer import (
     norm_cdf,
     norm_pdf,
 )
+from credit_pricer.special_functions import _orthant_tail
+from credit_pricer.verification import quadrature_sweep
 
 # (x, Phi(x)) frozen from mpmath.erfc at dps=30
 _NORM_REFS = (
@@ -184,6 +188,76 @@ class TestBinormCdf:
             # the correlation is checked before the limits
             with pytest.raises(InvalidParamsError):
                 binorm_cdf(math.nan, 0.0, rho)
+
+
+def _grid_rows():
+    return json.loads(GRID_PATH.read_text())["points"]
+
+
+class TestBinormTail:
+    """binorm_cdf against the mpmath grid of tests/binorm_reference.py: rho
+    in [-1, 1] and limits down to -38.
+
+    binorm_cdf is within 1e-12 relative of the reference wherever the
+    orthant exceeds 1e-10 and within the 1e-13 absolute spec everywhere.
+    Below 1e-10, only the results that the cancellation test sends to the
+    tail form are relative to 1e-12; the Drezner-Wesolowsky scheme keeps its
+    absolute accuracy elsewhere there (deep orthants, rho of either sign).
+    One corner misses 1e-12 above 1e-10: rho = -1 with a1 + a2 > 0, the
+    exact reduction Phi(a1) + Phi(a2) - 1, off by up to 1.8e-12 relative at
+    (-4, 6). The tail form itself is within 1e-12 relative wherever the
+    orthant exceeds 1e-300.
+    """
+
+    def test_grid_against_mpmath(self):
+        misses = []
+        for a1, a2, rho, ref in _grid_rows():
+            truth, got = float(ref), binorm_cdf(a1, a2, rho)
+            assert abs(got - truth) <= 1e-13, (a1, a2, rho)
+            if truth > 1e-10 and rho != -1.0 and abs(got - truth) > 1e-12 * truth:
+                misses.append((a1, a2, rho, got, truth))
+        assert misses == []
+
+    def test_tail_form_against_mpmath(self):
+        misses = []
+        for a1, a2, rho, ref in _grid_rows():
+            truth = float(ref)
+            if abs(rho) == 1.0 or truth <= 1e-300:
+                continue
+            got = _orthant_tail(a1, a2, rho)
+            if abs(got - truth) > 1e-12 * truth:
+                misses.append((a1, a2, rho, got, truth))
+        assert misses == []
+
+    @pytest.mark.parametrize("a1, a2, rho", [
+        (-0.7168, -1.152, -0.9904),  # sharply peaked conditional integrand
+        (-2.0, -2.0, -0.99),         # 5e-179, where the main scheme returns 0
+        (1.0, 2.0, -0.999999),       # the conditional integrand falls off a cliff
+        (-30.0, -30.0, 0.5),
+    ])
+    def test_reference_orders_agree(self, a1, a2, rho):
+        """The reference is the same in both orders of integration, and it
+        is the value the grid stores wherever the grid has the point."""
+        value, gap = orthant(a1, a2, rho)
+        assert gap <= ORDER_AGREEMENT
+        stored = {(r[0], r[1], r[2]): r[3] for r in _grid_rows()}
+        if (a1, a2, rho) in stored:
+            assert mpmath.mpf(stored[a1, a2, rho]) == pytest.approx(value, rel=1e-18)
+
+    @pytest.mark.parametrize("a1, a2, rho", [
+        (-2.0, 0.0, -0.9), (-5.0, 2.0, -0.9), (-4.0, -3.0, -0.5), (-0.7168, -1.152, -0.9904),
+    ])
+    def test_cancelling_orthants_come_from_the_tail_form(self, a1, a2, rho):
+        """Where the Drezner-Wesolowsky sum cancels (rho < 0, the orthant
+        far below Phi(a1) Phi(a2)), binorm_cdf returns the tail form."""
+        assert binorm_cdf(a1, a2, rho) == _orthant_tail(a1, a2, rho)
+
+    @pytest.mark.parametrize("seed", [6, 14, 17])
+    def test_sweep_passes_where_the_tail_failed_it(self, seed):
+        """The quadrature sweep failed at these MC seeds, each at a draw
+        with rho near -0.91 where the orthant cancelled."""
+        check = quadrature_sweep(seed)
+        assert check.ok, check
 
 
 class TestDelta:
