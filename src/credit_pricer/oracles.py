@@ -304,6 +304,16 @@ def mc_barrier_price(
     probability is exponentiated only where its exponent exceeds -40 or the
     uniform is 0; elsewhere no uniform can fall below it (_bridge_crossed),
     so the estimate is the one an exp at every step gives, to the bit.
+
+    One Philox stream feeds the run, chunk by chunk: a chunk's normals,
+    then, with bridge_correction, its m * n_steps uniforms, then the next
+    chunk's normals. The normals are drawn one chunk ahead on a second
+    thread while this one builds the current chunk's paths and payoffs; the
+    second thread keeps the stream state after a chunk's normals, for this
+    thread's uniforms, and skips their words (_skip_words). Every number
+    keeps its place in the stream, so the result has the same bits as a
+    single-threaded draw however the two threads are scheduled. The thread
+    has ended when the call returns or raises.
     """
     if not (math.isfinite(T) and T > 0.0):
         raise InvalidParamsError(f"horizon must be positive, got {T}")

@@ -242,16 +242,16 @@ def binorm_cdf(a1: float, a2: float, rho: float) -> float:
     smaller than them: for rho < 0, against Phi(a1) Phi(a2); for
     rho >= 0.925, against Phi(min(a1, a2)). A result below 1e-3 times that
     term is recomputed by _orthant_tail, which adds terms that are never
-    negative. The result is then within 1e-12 relative of the orthant
-    wherever it exceeds 1e-10, against an mpmath grid (rho in [-1, 1],
-    limits down to -38). Two regimes keep only the absolute spec:
-    - rho = -1 with a1 + a2 > 0, where Phi(a1) + Phi(a2) - 1 cancels (up to
-      1.8e-12 relative at (-4, 6));
-    - orthants below 1e-10 whose Drezner-Wesolowsky sum does not cancel
-      by the test above, such as deep tails of either sign of rho.
-    Sending those to the tail form too would cost about 20 us a call (the
-    main scheme takes about 5) on about 40% of the orthants that pricing a
-    book of bond options evaluates.
+    negative. On an mpmath grid (rho in [-1, 1], limits down to -38) the
+    result is then within 1e-12 relative wherever the orthant exceeds
+    1e-10, except at rho = -1 with a1 + a2 > 0, where Phi(a1) + Phi(a2) - 1
+    cancels (1.8e-12 relative at (-4, 6)). Where the main scheme does not
+    cancel, its few-point rules keep only the absolute spec on small
+    orthants: off the grid, orthants up to about 1e-4 miss 1e-12 relative
+    (4.3e-10 at 2.2e-10, rho = 0.30), and deep tails of either sign of rho
+    lose all relative accuracy. Sending those to the tail form too would
+    cost about 20 us a call (the main scheme takes about 5) on about half
+    of the orthants that pricing a book of bond options evaluates.
     """
     if math.isnan(rho) or abs(rho) > 1.0:
         raise InvalidParamsError(f"correlation must lie in [-1, 1], got {rho}")

@@ -27,12 +27,11 @@ from .oracles import (GridSpec, McSpec, PdeSurface, draw_verification_case,
 from .special_functions import MarketParams, norm_cdf, norm_pdf
 
 __all__ = [
-    "Check", "FORMULA_VS_COMPOSITION_DRAWS", "pde_surfaces", "pde_surfaces_on_demand",
-    "pde_bond_agreement", "pde_survival_agreement", "pde_option_agreement", "mc_bond",
-    "mc_composite",
+    "Check", "FORMULA_VS_COMPOSITION_DRAWS", "pde_surfaces", "pde_bond_agreement",
+    "pde_survival_agreement", "pde_option_agreement", "mc_bond", "mc_composite",
     "quadrature_sweep", "quadrature_bond", "survival_shape", "bond_shape",
     "image_annihilation", "parity_at_expiry", "direction_complement",
-    "hedge_positivity", "formula_vs_composition",
+    "hedge_positivity", "formula_vs_composition", "pde_surfaces_on_demand",
 ]
 
 # Random option positions drawn by formula_vs_composition.

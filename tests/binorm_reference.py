@@ -120,7 +120,8 @@ def main():
             raise SystemExit(f"orders disagree by {gap:.1e} at {(a1, a2, rho)}")
         rows.append([a1, a2, rho, mp.nstr(value, 20, min_fixed=1, max_fixed=0)])
     GRID_PATH.parent.mkdir(exist_ok=True)
-    GRID_PATH.write_text(json.dumps({"dps": DPS, "points": rows}, indent=0) + "\n")
+    GRID_PATH.write_text(f'{{"dps": {DPS}, "points": [\n'
+                         + ",\n".join(json.dumps(row) for row in rows) + "\n]}\n")
 
 
 if __name__ == "__main__":

@@ -198,15 +198,14 @@ class TestBinormTail:
     """binorm_cdf against the mpmath grid of tests/binorm_reference.py: rho
     in [-1, 1] and limits down to -38.
 
-    binorm_cdf is within 1e-12 relative of the reference wherever the
-    orthant exceeds 1e-10 and within the 1e-13 absolute spec everywhere.
-    Below 1e-10, only the results that the cancellation test sends to the
-    tail form are relative to 1e-12; the Drezner-Wesolowsky scheme keeps its
-    absolute accuracy elsewhere there (deep orthants, rho of either sign).
-    One corner misses 1e-12 above 1e-10: rho = -1 with a1 + a2 > 0, the
-    exact reduction Phi(a1) + Phi(a2) - 1, off by up to 1.8e-12 relative at
-    (-4, 6). The tail form itself is within 1e-12 relative wherever the
-    orthant exceeds 1e-300.
+    On the grid, binorm_cdf is within 1e-12 relative of the reference
+    wherever the orthant exceeds 1e-10, and within the 1e-13 absolute spec
+    everywhere. One corner misses 1e-12 there: rho = -1 with a1 + a2 > 0,
+    the exact reduction Phi(a1) + Phi(a2) - 1, off by 1.8e-12 relative at
+    (-4, 6). Below 1e-10 only the results that the cancellation test sends
+    to the tail form are relative to 1e-12; elsewhere the Drezner-Wesolowsky
+    scheme keeps its absolute accuracy (see binorm_cdf). The tail form
+    itself is within 1e-12 relative wherever the orthant exceeds 1e-300.
     """
 
     def test_grid_against_mpmath(self):
