@@ -97,8 +97,8 @@ def power_binary_price(
     -----
     Either orthant argument may degenerate to +inf (K = 0 drops the strike
     leg, L = 0 the probability leg), in which case the bivariate CDF is
-    replaced by the exact univariate reduction. A prefactor that overflows
-    a float raises NumericalError.
+    replaced by the exact univariate reduction. A power of X or a prefactor
+    that overflows a float raises NumericalError.
     """
     if not (math.isfinite(X) and X > 0.0):
         raise DomainError(f"underlying must be positive and finite, got {X}")
@@ -110,31 +110,31 @@ def power_binary_price(
     if clock <= 0.0:
         raise DomainError(f"composed variance clock must be positive, got {clock}")
 
-    below = p.direction is IndicatorDirection.BELOW
-    if p.K == 0.0:
-        if below:
-            return 0.0  # 1{X < 0} carries no mass
-        a2 = math.inf
-    else:
-        a2 = delta(X / p.K, tau, p.beta * tau, tau, market)
-    if p.L == 0.0:
-        a1 = math.inf
-    else:
-        a1 = delta(X**p.i / p.L, p.tau1 + p.i * tau, p.tau2 + p.i * p.beta * tau, clock, market)
-    rho = p.i * math.sqrt(tau / clock)
-    if below:
-        a2 = -a2
-        rho = -rho
-
-    if a1 == math.inf and a2 == math.inf:
-        orthant = 1.0
-    elif a1 == math.inf:
-        orthant = norm_cdf(a2)
-    elif a2 == math.inf:
-        orthant = norm_cdf(a1)
-    else:
-        orthant = binorm_cdf(a1, a2, rho)
     try:
+        below = p.direction is IndicatorDirection.BELOW
+        if p.K == 0.0:
+            if below:
+                return 0.0  # 1{X < 0} carries no mass
+            a2 = math.inf
+        else:
+            a2 = delta(X / p.K, tau, p.beta * tau, tau, market)
+        if p.L == 0.0:
+            a1 = math.inf
+        else:
+            a1 = delta(X**p.i / p.L, p.tau1 + p.i * tau, p.tau2 + p.i * p.beta * tau, clock, market)
+        rho = p.i * math.sqrt(tau / clock)
+        if below:
+            a2 = -a2
+            rho = -rho
+
+        if a1 == math.inf and a2 == math.inf:
+            orthant = 1.0
+        elif a1 == math.inf:
+            orthant = norm_cdf(a2)
+        elif a2 == math.inf:
+            orthant = norm_cdf(a1)
+        else:
+            orthant = binorm_cdf(a1, a2, rho)
         return X**p.beta * math.exp(mu(p.beta, market) * tau) * orthant
     except OverflowError as exc:
         raise NumericalError("power-binary price overflows a float") from exc
@@ -208,6 +208,9 @@ def image_transform(
     def barriered(x: float, t: float) -> float:
         if math.isnan(x) or x <= 0.0:
             raise DomainError(f"image transform evaluated at nonpositive x = {x}")
-        return u(x, t) - (x / barrier_level) ** gamma * u(barrier_level * barrier_level / x, t)
+        try:
+            return u(x, t) - (x / barrier_level) ** gamma * u(barrier_level * barrier_level / x, t)
+        except OverflowError as exc:
+            raise NumericalError(f"image term at x={x} overflows a float") from exc
 
     return barriered

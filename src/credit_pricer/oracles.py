@@ -422,7 +422,7 @@ def mc_barrier_price(
                 pending = ahead.submit(draw, buffers[(k + 1) % 2][:chunks[k + 1]])
             value = chunk_values(buffers[k % 2][:m], uniform_state)
             total += float(value.sum())
-            total_sq += float(np.dot(value, value))
+            total_sq += float(np.square(value).sum())
 
     n = mc.n_paths
     mean = total / n
@@ -443,7 +443,8 @@ def quadrature_green(
 
     substituting u = ln(z / X). The integration window is centered on the
     tilted mode m + beta sigma^2 tau and spans 13 standard deviations each
-    way; an empty window prices to zero. Absolute tolerance 1e-10.
+    way; an empty window prices to zero. Absolute tolerance 1e-10. A float
+    overflow in the integrand or the prefactor raises NumericalError.
     """
     if not (math.isfinite(X) and X > 0.0):
         raise DomainError(f"X must be positive, got {X}")
@@ -495,12 +496,15 @@ def quadrature_green(
         arg = (p.i * (math.log(X) + u) - log_l + shift) / (sig * sqrt_t3)
         return w * 0.5 * math.erfc(-arg / math.sqrt(2.0))
 
-    val, abserr = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11, limit=400)
-    if abserr > 1e-10 * max(1.0, abs(val)):
-        raise NumericalError(
-            f"quadrature did not converge: estimate {val!r}, error bound {abserr!r}"
-        )
-    return math.exp(-r * tau) * X**p.beta * val
+    try:
+        val, abserr = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-11, limit=400)
+        if abserr > 1e-10 * max(1.0, abs(val)):
+            raise NumericalError(
+                f"quadrature did not converge: estimate {val!r}, error bound {abserr!r}"
+            )
+        return math.exp(-r * tau) * X**p.beta * val
+    except OverflowError as exc:
+        raise NumericalError("quadrature price overflows a float") from exc
 
 
 def draw_verification_case(rng) -> tuple[float, float, PowerBinaryParams, MarketParams]:

@@ -65,7 +65,8 @@ def norm_cdf(x: float) -> float:
 
 
 # Gauss-Legendre half-rules (weights, abscissae) for the bivariate CDF,
-# selected by |rho|: 6-point below 0.3, 12-point below 0.75, 20-point above.
+# selected by |rho|: 6-point below 0.3, 12-point below 0.75, 20-point up to
+# 0.925. _orthant_tail runs the 20-point rule on its panels.
 _GL_RULES = (
     (0.3, (
         (0.1713244923791705, 0.9324695142031522),
@@ -99,7 +100,6 @@ def _gl_rule(rho: float):
     for bound, rule in _GL_RULES:
         if abs(rho) < bound:
             return rule
-    return _GL_RULES[-1][1]
 
 
 # A Drezner-Wesolowsky result below _TAIL_RATIO times the largest term it
@@ -233,25 +233,23 @@ def binorm_cdf(a1: float, a2: float, rho: float) -> float:
     Notes
     -----
     Gauss-Legendre quadrature of the tetrachoric (angular) integrand for
-    |rho| < 0.925, an asymptotic expansion in sqrt(1 - rho^2) plus a
-    quadrature correction closer to |rho| = 1 (Drezner-Wesolowsky, after
-    Genz 2004). Degenerate correlations rho = +-1 and infinite limits
-    reduce exactly before any quadrature runs.
+    |rho| < 0.925 (Drezner-Wesolowsky, after Genz 2004). For |rho| >= 0.925
+    the result comes from _orthant_tail, which adds terms that are never
+    negative. Infinite limits and rho = +-1 reduce exactly before any
+    quadrature runs; rho = -1 gives Phi(lo) - Phi(-hi), lo and hi the
+    smaller and larger limit, which is the tail form's limit.
 
-    Both schemes subtract nearly equal terms when the orthant is much
-    smaller than them: for rho < 0, against Phi(a1) Phi(a2); for
-    rho >= 0.925, against Phi(min(a1, a2)). A result below 1e-3 times that
-    term is recomputed by _orthant_tail, which adds terms that are never
-    negative. On an mpmath grid (rho in [-1, 1], limits down to -38) the
-    result is then within 1e-12 relative wherever the orthant exceeds
-    1e-10, except at rho = -1 with a1 + a2 > 0, where Phi(a1) + Phi(a2) - 1
-    cancels (1.8e-12 relative at (-4, 6)). Where the main scheme does not
-    cancel, its few-point rules keep only the absolute spec on small
+    The Drezner-Wesolowsky sum subtracts nearly equal terms when rho < 0 and
+    the orthant is much smaller than Phi(a1) Phi(a2). A result below 1e-3
+    times that product is recomputed by _orthant_tail too. On an mpmath grid
+    (rho in [-1, 1], limits down to -38) the result is then within 1e-12
+    relative wherever the orthant exceeds 1e-10. Where the main scheme does
+    not cancel, its few-point rules keep only the absolute spec on small
     orthants: off the grid, orthants up to about 1e-4 miss 1e-12 relative
-    (4.3e-10 at 2.2e-10, rho = 0.30), and deep tails of either sign of rho
-    lose all relative accuracy. Sending those to the tail form too would
-    cost about 20 us a call (the main scheme takes about 5) on about half
-    of the orthants that pricing a book of bond options evaluates.
+    (4.3e-10 at 2.2e-10, rho = 0.30), and deep tails lose all relative
+    accuracy. Sending those to the tail form too would cost about 20 us a
+    call (the main scheme takes about 5) on about half of the orthants that
+    pricing a book of bond options evaluates.
     """
     if math.isnan(rho) or abs(rho) > 1.0:
         raise InvalidParamsError(f"correlation must lie in [-1, 1], got {rho}")
@@ -266,63 +264,24 @@ def binorm_cdf(a1: float, a2: float, rho: float) -> float:
     if rho == 1.0:
         return norm_cdf(min(a1, a2))
     if rho == -1.0:
-        return max(0.0, norm_cdf(a1) + norm_cdf(a2) - 1.0)
-    if rho == 0.0:
-        return norm_cdf(a1) * norm_cdf(a2)
+        return max(0.0, norm_cdf(min(a1, a2)) - norm_cdf(-max(a1, a2)))
+    if abs(rho) >= 0.925:
+        return _orthant_tail(a1, a2, rho)
 
-    rule = _gl_rule(rho)
     h = -a1
     k = -a2
     hk = h * k
+    hs = 0.5 * (h * h + k * k)
+    asr = math.asin(rho)
     bvn = 0.0
-    if abs(rho) < 0.925:
-        hs = 0.5 * (h * h + k * k)
-        asr = math.asin(rho)
-        for wg, xg in rule:
-            for sgn in (-1.0, 1.0):
-                sn = math.sin(0.5 * asr * (1.0 + sgn * xg))
-                bvn += wg * math.exp((sn * hk - hs) / (1.0 - sn * sn))
-        base = norm_cdf(-h) * norm_cdf(-k)
-        bvn = bvn * asr / (2.0 * _TWOPI) + base
-        if bvn < _TAIL_RATIO * base:
-            return _orthant_tail(a1, a2, rho)
-    else:
-        if rho < 0.0:
-            k = -k
-            hk = -hk
-        a_sq = (1.0 - rho) * (1.0 + rho)
-        a = math.sqrt(a_sq)
-        bs = (h - k) ** 2
-        c = (4.0 - hk) / 8.0
-        d = (12.0 - hk) / 16.0
-        asr = -0.5 * (bs / a_sq + hk)
-        if asr > -100.0:
-            bvn = (a * math.exp(asr)
-                   * (1.0 - c * (bs - a_sq) * (1.0 - d * bs / 5.0) / 3.0
-                      + c * d * a_sq * a_sq / 5.0))
-        if hk > -160.0:
-            b = math.sqrt(bs)
-            bvn -= (math.exp(-0.5 * hk) * math.sqrt(_TWOPI) * norm_cdf(-b / a)
-                    * b * (1.0 - c * bs * (1.0 - d * bs / 5.0) / 3.0))
-        a *= 0.5
-        for wg, xg in rule:
-            for sgn in (-1.0, 1.0):
-                xs = (a * (1.0 + sgn * xg)) ** 2
-                asr = -0.5 * (bs / xs + hk)
-                if asr > -100.0:
-                    rs = math.sqrt(1.0 - xs)
-                    sp = 1.0 + c * xs * (1.0 + d * xs)
-                    ep = math.exp(-hk * (1.0 - rs) / (2.0 * (1.0 + rs))) / rs
-                    bvn += a * wg * math.exp(asr) * (ep - sp)
-        bvn = -bvn / _TWOPI
-        if rho > 0.0:
-            base = norm_cdf(-max(h, k))
-            bvn += base
-        else:
-            base = norm_cdf(a1) * norm_cdf(a2)
-            bvn = -bvn + max(0.0, norm_cdf(-h) - norm_cdf(-k))
-        if bvn < _TAIL_RATIO * base:
-            return _orthant_tail(a1, a2, rho)
+    for wg, xg in _gl_rule(rho):
+        for sgn in (-1.0, 1.0):
+            sn = math.sin(0.5 * asr * (1.0 + sgn * xg))
+            bvn += wg * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+    base = norm_cdf(-h) * norm_cdf(-k)
+    bvn = bvn * asr / (2.0 * _TWOPI) + base
+    if bvn < _TAIL_RATIO * base:
+        return _orthant_tail(a1, a2, rho)
     return min(1.0, max(0.0, bvn))
 
 

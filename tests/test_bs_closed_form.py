@@ -178,6 +178,26 @@ class TestPowerBinaryValidation:
         with pytest.raises(NumericalError):
             power_binary_price(1e10, 0.0, 1.0, params, market)
 
+    @pytest.mark.parametrize("call", [
+        # X^i in the probability leg
+        lambda: power_binary_price(
+            1e200, 0.0, 1.0,
+            PowerBinaryParams(beta=0.0, i=2.0, L=1.0, K=1.0, tau1=0.5, tau2=0.0, tau3=0.5),
+            MarketParams(r=0.04, q=0.0, sigma=0.5)),
+        # (x/b)^gamma with gamma = 80001
+        lambda: image_transform(lambda x, t: x, 1.0, -0.04, 1e-3)(1e10, 0.0),
+        # z^300 in the quadrature integrand
+        lambda: quadrature_green(
+            20.0, 1.0,
+            PowerBinaryParams(beta=300.0, i=0.0, L=0.0, K=1.0, tau1=0.0, tau2=0.0, tau3=1.0),
+            MarketParams(r=0.04, q=0.0, sigma=0.5)),
+    ], ids=["power_binary_price", "image_transform", "quadrature_green"])
+    def test_inner_overflow_raises_numerical_error(self, call):
+        """A float overflow past validation surfaces as NumericalError, never
+        as a bare OverflowError."""
+        with pytest.raises(NumericalError):
+            call()
+
     def test_expired_claim_rejected(self):
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
         with pytest.raises(DomainError):

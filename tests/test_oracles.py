@@ -72,33 +72,34 @@ _MC_PIN_RUNS = {
 }
 
 # (estimate, SE) as float.hex per (case, bridge_correction), at 20 000 paths
-# x 64 steps, seed 5. Recorded from the step-by-step simulation loop that the
-# whole-path first passage replaced.
+# x 64 steps, seed 5. The estimates were recorded from the step-by-step
+# simulation loop that the whole-path first passage replaced; the SEs from
+# the pairwise sum of squared path values, which no thread count changes.
 _MC_PINS = {
-    ("flat_bond", True): ("0x1.73f504bce8213p-1", "0x1.d1da88585553bp-11"),
-    ("flat_bond", False): ("0x1.7aaf60ce09bbap-1", "0x1.e57267c64cff3p-11"),
-    ("moving_composite", True): ("0x1.8850a4037b6e8p-1", "0x1.ac4b00a6ba099p-11"),
-    ("moving_composite", False): ("0x1.8ce1ac14a310bp-1", "0x1.a876274dbb56fp-11"),
-    ("near_barrier", True): ("0x1.4ada1be405c8ep-1", "0x1.d09ea2b45b493p-17"),
-    ("near_barrier", False): ("0x1.525a4b806d9bbp-1", "0x1.cbd349d4e6eb8p-12"),
-    ("unreachable", True): ("0x1.241ddc94f2e9bp+0", "0x1.efaf9cf14173ap-9"),
-    ("unreachable", False): ("0x1.253ee58e03b17p+0", "0x1.eec10c2ebb9b4p-9"),
+    ("flat_bond", True): ("0x1.73f504bce8213p-1", "0x1.d1da885855470p-11"),
+    ("flat_bond", False): ("0x1.7aaf60ce09bbap-1", "0x1.e57267c64cf86p-11"),
+    ("moving_composite", True): ("0x1.8850a4037b6e8p-1", "0x1.ac4b00a6ba03ap-11"),
+    ("moving_composite", False): ("0x1.8ce1ac14a310bp-1", "0x1.a876274dbb511p-11"),
+    ("near_barrier", True): ("0x1.4ada1be405c8ep-1", "0x1.d09ea2b2b864ep-17"),
+    ("near_barrier", False): ("0x1.525a4b806d9bbp-1", "0x1.cbd349d4e6890p-12"),
+    ("unreachable", True): ("0x1.241ddc94f2e9bp+0", "0x1.efaf9cf141730p-9"),
+    ("unreachable", False): ("0x1.253ee58e03b17p+0", "0x1.eec10c2ebb9a7p-9"),
     # recorded from the simulation that exponentiated every bridge exponent
-    ("low_vol_near", True): ("0x1.8f890f412c466p-1", "0x1.008d007833c24p-10"),
-    ("low_vol_near", False): ("0x1.9b7ed4a355efcp-1", "0x1.fc778373ab188p-11"),
+    ("low_vol_near", True): ("0x1.8f890f412c466p-1", "0x1.008d007833c65p-10"),
+    ("low_vol_near", False): ("0x1.9b7ed4a355efcp-1", "0x1.fc778373ab242p-11"),
     ("low_vol_far", True): ("0x1.0020613353e68p+0", "0x1.05eba124a22d8p-11"),
     ("low_vol_far", False): ("0x1.004c2fccd9133p+0", "0x1.064756a34fd2bp-11"),
 }
 
 # (estimate, SE) as float.hex at 40 001 paths x 50 steps, seed 5: two full
 # 16 384-path chunks and a partial third, so the next chunk's normals are
-# drawn while a chunk is processed. Recorded from the single-threaded
-# simulation that drew every chunk in turn.
+# drawn while a chunk is processed. The estimates were recorded from the
+# single-threaded simulation that drew every chunk in turn, the SEs as above.
 _MC_CHUNKED_PINS = {
-    ("flat_bond", True): ("0x1.73fcec1e1bc5cp-1", "0x1.4979217c9b917p-11"),
-    ("flat_bond", False): ("0x1.7b853a2d0a0a7p-1", "0x1.58b2031b0eeaap-11"),
-    ("moving_composite", True): ("0x1.87f94d1aeccf8p-1", "0x1.2f537ce0f0587p-11"),
-    ("moving_composite", False): ("0x1.8cecbb6c1fa93p-1", "0x1.2c134576bd34ep-11"),
+    ("flat_bond", True): ("0x1.73fcec1e1bc5cp-1", "0x1.4979217c9b84bp-11"),
+    ("flat_bond", False): ("0x1.7b853a2d0a0a7p-1", "0x1.58b2031b0ee49p-11"),
+    ("moving_composite", True): ("0x1.87f94d1aeccf8p-1", "0x1.2f537ce0f0545p-11"),
+    ("moving_composite", False): ("0x1.8cecbb6c1fa93p-1", "0x1.2c134576bd2f4p-11"),
 }
 
 # sha256 of each PdeSurface.values (float64, little-endian) of the reference
@@ -297,10 +298,8 @@ class TestMcSimulator:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_pinned_bits_on_one_cpu(self):
         """The same bits from a process that may run on one CPU only, where
-        the thread drawing normals ahead and this one take turns. The
-        estimates match the pins. The SE comes from a dot product that
-        OpenBLAS splits across one thread per CPU, so on one CPU it matches
-        an unpinned run with one OpenBLAS thread instead."""
+        the thread drawing normals ahead and this one take turns, and from
+        one whose OpenBLAS runs one thread."""
         def run(**kwargs):
             script = (
                 "from credit_pricer import McSpec\n"
@@ -319,9 +318,8 @@ class TestMcSimulator:
         cpu = min(os.sched_getaffinity(0))
         one_cpu = run(preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
         one_blas_thread = run(env={"OPENBLAS_NUM_THREADS": "1"})
-        assert {k: mean for k, (mean, _) in one_cpu.items()} == \
-            {k: mean for k, (mean, _) in _MC_CHUNKED_PINS.items()}
-        assert one_cpu == one_blas_thread
+        assert one_cpu == _MC_CHUNKED_PINS
+        assert one_blas_thread == _MC_CHUNKED_PINS
 
     def test_raising_payoff_leaves_no_thread(self):
         """An exception from the payoff in the second chunk, while the third

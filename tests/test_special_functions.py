@@ -147,7 +147,7 @@ class TestBinormCdf:
     def test_perfect_negative_correlation(self):
         for a1, a2 in ((0.5, 1.5), (-1.0, -0.2), (2.0, 2.0), (-0.3, 0.3)):
             got = binorm_cdf(a1, a2, -1.0)
-            assert got == max(0.0, norm_cdf(a1) + norm_cdf(a2) - 1.0)
+            assert got == max(0.0, norm_cdf(min(a1, a2)) - norm_cdf(-max(a1, a2)))
 
     def test_symmetry_in_arguments(self):
         for a1, a2, rho, _ in _BINORM_REFS:
@@ -198,14 +198,14 @@ class TestBinormTail:
     """binorm_cdf against the mpmath grid of tests/binorm_reference.py: rho
     in [-1, 1] and limits down to -38.
 
-    On the grid, binorm_cdf is within 1e-12 relative of the reference
-    wherever the orthant exceeds 1e-10, and within the 1e-13 absolute spec
-    everywhere. One corner misses 1e-12 there: rho = -1 with a1 + a2 > 0,
-    the exact reduction Phi(a1) + Phi(a2) - 1, off by 1.8e-12 relative at
-    (-4, 6). Below 1e-10 only the results that the cancellation test sends
-    to the tail form are relative to 1e-12; elsewhere the Drezner-Wesolowsky
-    scheme keeps its absolute accuracy (see binorm_cdf). The tail form
-    itself is within 1e-12 relative wherever the orthant exceeds 1e-300.
+    binorm_cdf runs the Drezner-Wesolowsky scheme for |rho| < 0.925 and
+    the tail form for |rho| >= 0.925 and where that scheme cancels. On the
+    grid it is within 1e-12 relative of the reference wherever the orthant
+    exceeds 1e-10, rho = -1 included, and within the 1e-13 absolute spec
+    everywhere. Below 1e-10 only the results of the tail form are relative
+    to 1e-12; elsewhere the Drezner-Wesolowsky scheme keeps its absolute
+    accuracy (see binorm_cdf). The tail form itself is within 1e-12
+    relative wherever the orthant exceeds 1e-300.
     """
 
     def test_grid_against_mpmath(self):
@@ -213,7 +213,7 @@ class TestBinormTail:
         for a1, a2, rho, ref in _grid_rows():
             truth, got = float(ref), binorm_cdf(a1, a2, rho)
             assert abs(got - truth) <= 1e-13, (a1, a2, rho)
-            if truth > 1e-10 and rho != -1.0 and abs(got - truth) > 1e-12 * truth:
+            if truth > 1e-10 and abs(got - truth) > 1e-12 * truth:
                 misses.append((a1, a2, rho, got, truth))
         assert misses == []
 
@@ -245,11 +245,17 @@ class TestBinormTail:
 
     @pytest.mark.parametrize("a1, a2, rho", [
         (-2.0, 0.0, -0.9), (-5.0, 2.0, -0.9), (-4.0, -3.0, -0.5), (-0.7168, -1.152, -0.9904),
+        # a book orthant of 2.3e-220
+        (-29.309, -31.659, 0.934),
+        (-1.0, 0.5, 0.95), (-6.0, -7.5, 0.99), (-3.0, 2.0, -0.97), (1.5, -4.0, -0.93),
     ])
     def test_cancelling_orthants_come_from_the_tail_form(self, a1, a2, rho):
         """Where the Drezner-Wesolowsky sum cancels (rho < 0, the orthant
-        far below Phi(a1) Phi(a2)), binorm_cdf returns the tail form."""
-        assert binorm_cdf(a1, a2, rho) == _orthant_tail(a1, a2, rho)
+        far below Phi(a1) Phi(a2)), and wherever |rho| >= 0.925, binorm_cdf
+        returns the tail form, within 1e-12 relative of the reference."""
+        got = binorm_cdf(a1, a2, rho)
+        assert got == _orthant_tail(a1, a2, rho)
+        assert got == pytest.approx(float(orthant(a1, a2, rho)[0]), rel=1e-12)
 
     @pytest.mark.parametrize("seed", [6, 14, 17])
     def test_sweep_passes_where_the_tail_failed_it(self, seed):
