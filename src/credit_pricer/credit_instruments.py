@@ -320,16 +320,15 @@ def _option_price_formula(
 
 
 def _option_price_composed(
-    V: float,
-    t: float,
     bond: BondSpec,
     option: OptionSpec,
     market: MarketParams,
     K: float,
-) -> float:
-    """Compositional price of the same option: decompose the exercise value
-    at T1 into power-binary payoffs, price each, apply the image transform
-    against the flattened barrier, then change variables back.
+):
+    """Compositional price of the same option, as a function of (V, t):
+    decompose the exercise value at T1 into power-binary payoffs, price
+    each, apply the image transform against the flattened barrier, then
+    change variables back. The legs are built here, once per boundary K.
 
     Flattening x = V e^{a(T-t)} turns the moving barrier into the constant
     b and shifts the carry to dividend q + a; the strike in flattened
@@ -379,7 +378,13 @@ def _option_price_composed(
         return sum(coef * power_binary_price(x, s, option.T1, prm, flat) for coef, prm in legs)
 
     knocked_out = image_transform(exercise_claim, bond.b, market.r - market.q - a, sig)
-    return knocked_out(V * math.exp(a * (bond.T - t)), t)
+    return lambda V, t: knocked_out(V * math.exp(a * (bond.T - t)), t)
+
+
+# The last (bond, option, market) priced, compared by identity, with its
+# boundary K and composed price function: a curve prices one triple at
+# hundreds of points, and the specs are frozen.
+_last_solved = (None, None, None, 0.0, None)
 
 
 def option_price_paths(
@@ -394,6 +399,8 @@ def option_price_paths(
     or clipping. Validates the inputs like bond_option_price and returns
     (0, 0) on the knockout boundary. Domain: V >= barrier, 0 <= t < T1.
     A float overflow or underflow on either path raises NumericalError.
+    The boundary and the composed path's legs of the last (bond, option,
+    market) objects priced are reused while the same objects come again.
     """
     _validate_option(bond, option, market)
     lvl = _check_time_and_barrier(V, t, bond)
@@ -401,10 +408,16 @@ def option_price_paths(
         raise DomainError(f"t must precede option maturity {option.T1}, got {t}")
     if V == lvl:
         return 0.0, 0.0  # knockout boundary
-    K = early_redemption_boundary(bond, option, market).K
+    global _last_solved
+    last_bond, last_option, last_market, K, composed = _last_solved
+    if not (last_bond is bond and last_option is option and last_market is market):
+        K, composed = early_redemption_boundary(bond, option, market).K, None
     try:
-        return (_option_price_formula(V, t, bond, option, market, K),
-                _option_price_composed(V, t, bond, option, market, K))
+        via_formula = _option_price_formula(V, t, bond, option, market, K)
+        if composed is None:  # after the formula, whose error comes first where both fail
+            composed = _option_price_composed(bond, option, market, K)
+            _last_solved = (bond, option, market, K, composed)
+        return via_formula, composed(V, t)
     except OverflowError as exc:
         raise NumericalError("option price overflows a float") from exc
     except PricerError:

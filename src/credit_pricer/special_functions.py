@@ -16,10 +16,6 @@ _TWOPI = 2.0 * math.pi
 _LN2 = math.log(2.0)
 
 
-def _all_finite(*values: float) -> bool:
-    return all(math.isfinite(v) for v in values)
-
-
 @dataclass(frozen=True)
 class MarketParams:
     """Flat market: short rate r, dividend yield q, lognormal volatility sigma.
@@ -33,7 +29,7 @@ class MarketParams:
     sigma: float
 
     def __post_init__(self):
-        if not _all_finite(self.r, self.q, self.sigma):
+        if not (math.isfinite(self.r) and math.isfinite(self.q) and math.isfinite(self.sigma)):
             raise InvalidParamsError("market parameters must be finite")
         if self.sigma <= 0.0:
             raise InvalidParamsError(f"sigma must be positive, got {self.sigma}")
@@ -96,10 +92,25 @@ _GL_RULES = (
 )
 
 
-def _gl_rule(rho: float):
-    for bound, rule in _GL_RULES:
-        if abs(rho) < bound:
-            return rule
+# Drezner-Wesolowsky nodes by rho, as _dw_nodes returns them. The orthants
+# of one option price share at most four rho values; the memo is emptied
+# when it holds 8.
+_DW_NODES: dict = {}
+
+
+def _dw_nodes(rho: float):
+    """(asin(rho), ((weight, sn, 1 - sn^2), ...)) over the Gauss-Legendre
+    rule that |rho| < 0.925 selects, sn the sine at each node."""
+    nodes = _DW_NODES.get(rho)
+    if nodes is None:
+        if len(_DW_NODES) >= 8:
+            _DW_NODES.clear()
+        asr = math.asin(rho)
+        rule = next(rule for bound, rule in _GL_RULES if abs(rho) < bound)
+        sines = ((wg, math.sin(0.5 * asr * (1.0 + sgn * xg)))
+                 for wg, xg in rule for sgn in (-1.0, 1.0))
+        nodes = _DW_NODES[rho] = (asr, tuple((wg, sn, 1.0 - sn * sn) for wg, sn in sines))
+    return nodes
 
 
 # A Drezner-Wesolowsky result below _TAIL_RATIO times the largest term it
@@ -272,12 +283,10 @@ def binorm_cdf(a1: float, a2: float, rho: float) -> float:
     k = -a2
     hk = h * k
     hs = 0.5 * (h * h + k * k)
-    asr = math.asin(rho)
+    asr, terms = _dw_nodes(rho)
     bvn = 0.0
-    for wg, xg in _gl_rule(rho):
-        for sgn in (-1.0, 1.0):
-            sn = math.sin(0.5 * asr * (1.0 + sgn * xg))
-            bvn += wg * math.exp((sn * hk - hs) / (1.0 - sn * sn))
+    for wg, sn, cos2 in terms:
+        bvn += wg * math.exp((sn * hk - hs) / cos2)
     base = norm_cdf(-h) * norm_cdf(-k)
     bvn = bvn * asr / (2.0 * _TWOPI) + base
     if bvn < _TAIL_RATIO * base:
@@ -296,7 +305,7 @@ def delta(ratio: float, tau1: float, tau2: float, tau3: float, market: MarketPar
     """
     if math.isnan(ratio) or ratio <= 0.0:
         raise InvalidParamsError(f"ratio must be positive, got {ratio}")
-    if not _all_finite(tau1, tau2, tau3):
+    if not (math.isfinite(tau1) and math.isfinite(tau2) and math.isfinite(tau3)):
         raise InvalidParamsError("clock parameters must be finite")
     if tau3 <= 0.0:
         raise InvalidParamsError(f"tau3 must be positive, got {tau3}")

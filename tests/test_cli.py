@@ -81,6 +81,16 @@ class TestExitCodes:
         assert main([command, "--config", _write_config(tmp_path, doc)]) == 1
         assert capsys.readouterr().err.startswith("numerical failure:")
 
+    @pytest.mark.parametrize("b, v", [(1e200, 2e200), (1e-200, 1.0)],
+                             ids=["overflow", "underflow"])
+    def test_image_point_out_of_range_is_numerical_failure(self, tmp_path, capsys, b, v):
+        # b^2 / V rounds to inf or 0 inside the composed option path
+        doc = dict(_BASE, bond=dict(_BASE["bond"], b=b), points={"V": [v], "t": [0.0]})
+        assert main(["price-option", "--config", _write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: image point of x=")
+        assert "underlying" not in err
+
     def test_figure4_series_t_checked_before_barrier(self, tmp_path, capsys):
         # the barrier at t = 1e4 leaves the float range; the range check wins
         doc = dict(_BASE, bond=dict(_BASE["bond"], a=0.1),

@@ -332,6 +332,15 @@ class TestBondOptionPrice:
         with pytest.raises(DomainError):
             bond_option_price(150.0, -0.2, bond, put_spec, market)
 
+    @pytest.mark.parametrize("b, v, x", [(1e200, 2e200, "2e+200"), (1e-200, 1.0, "1.0")],
+                             ids=["overflow", "underflow"])
+    def test_image_point_out_of_range_is_numerical_error(self, market, put_spec, b, v, x):
+        # the reflected point b^2 / V rounds to inf or 0; the user gave neither
+        bond = BondSpec(T=2.0, a=0.0, b=b, R=0.7)
+        with pytest.raises(NumericalError) as info:
+            bond_option_price(v, 0.0, bond, put_spec, market)
+        assert str(info.value) == f"image point of x={x} leaves the float range"
+
 
 class TestFormulaAgainstComposition:
     """The literal transcription of the put and call formulas against the

@@ -23,6 +23,7 @@ from credit_pricer import (
     norm_cdf,
     norm_pdf,
 )
+from credit_pricer import special_functions
 from credit_pricer.special_functions import _orthant_tail
 from credit_pricer.verification import quadrature_sweep
 
@@ -126,6 +127,20 @@ class TestBinormCdf:
 
     def test_origin_independent(self):
         assert binorm_cdf(0.0, 0.0, 0.0) == 0.25
+
+    def test_shared_nodes_change_no_result(self):
+        # more rho values than the per-rho node memo keeps, in two orders
+        args = [(0.4 - 0.3 * j, -1.1 + 0.2 * j, rho)
+                for j in range(12) for rho in (-0.9, -0.6, -0.2, -0.0, 0.0, 0.1,
+                                               0.29, 0.3, 0.5, 0.74, 0.75, 0.92)]
+        fresh = []
+        for a in args:
+            special_functions._DW_NODES.clear()
+            fresh.append(binorm_cdf(*a).hex())
+        forward = [binorm_cdf(*a).hex() for a in args]
+        backward = [binorm_cdf(*a).hex() for a in reversed(args)][::-1]
+        assert forward == backward == fresh
+        assert len(special_functions._DW_NODES) <= 8
 
     def test_origin_half_correlation(self):
         # closed form 1/4 + arcsin(rho)/(2 pi) = 1/3 at rho = 1/2
