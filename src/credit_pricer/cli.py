@@ -332,7 +332,7 @@ def _verify_checks(config: RunConfig, suite: str):
     bond, market, option, doc = config.bond, config.market, config.option, config.doc
     probe_v, v0, seed = doc["curves"]["series_V"], doc["points"]["V"][0], doc["numerics"]["seed"]
     if suite in ("pde", "all"):
-        surfaces = verification.pde_surfaces_on_demand(bond, market, option, config.grid)
+        surfaces = verification.pde_surfaces(bond, market, option, config.grid)
         yield verification.pde_bond_agreement(surfaces, bond, market, option, probe_v)
         yield verification.pde_survival_agreement(surfaces, bond, market, option, probe_v)
         if option is not None:

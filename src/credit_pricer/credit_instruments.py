@@ -462,39 +462,30 @@ def exercise_value(V: float, bond: BondSpec, option: OptionSpec, market: MarketP
     return max(b_t1 - option.E, 0.0)
 
 
-def puttable_bond_price(
-    V: float,
-    t: float,
-    bond: BondSpec,
-    option: OptionSpec,
-    market: MarketParams,
-) -> float:
+def _bond_with_option(V: float, t: float, bond: BondSpec, option: OptionSpec,
+                      market: MarketParams, kind: OptionKind, sign: float) -> float:
+    """B + sign * (the option of the given kind) up to T1, the exercise value
+    in its place at T1, the plain bond after."""
+    if option.kind is not kind:
+        holder = "puttable" if kind is OptionKind.PUT else "callable"
+        raise InvalidOptionError(f"{holder} bond requires a {kind.value} option spec")
+    if t > option.T1:
+        return bond_price(V, t, bond, market)
+    if t == option.T1:
+        _validate_option(bond, option, market)
+        return bond_price(V, t, bond, market) + sign * exercise_value(V, bond, option, market)
+    return bond_price(V, t, bond, market) + sign * bond_option_price(V, t, bond, option, market)
+
+
+def puttable_bond_price(V: float, t: float, bond: BondSpec, option: OptionSpec,
+                        market: MarketParams) -> float:
     """Bond plus the holder's right to redeem early at E: B + P up to T1,
     the plain bond after. At t = T1 the value is max(B(V, T1), E)."""
-    if option.kind is not OptionKind.PUT:
-        raise InvalidOptionError("puttable bond requires a put option spec")
-    if t > option.T1:
-        return bond_price(V, t, bond, market)
-    if t == option.T1:
-        _validate_option(bond, option, market)
-        return bond_price(V, t, bond, market) + exercise_value(V, bond, option, market)
-    return bond_price(V, t, bond, market) + bond_option_price(V, t, bond, option, market)
+    return _bond_with_option(V, t, bond, option, market, OptionKind.PUT, 1.0)
 
 
-def callable_bond_price(
-    V: float,
-    t: float,
-    bond: BondSpec,
-    option: OptionSpec,
-    market: MarketParams,
-) -> float:
+def callable_bond_price(V: float, t: float, bond: BondSpec, option: OptionSpec,
+                        market: MarketParams) -> float:
     """Bond minus the issuer's right to call at E: B - C up to T1, the
     plain bond after. At t = T1 the value is min(B(V, T1), E)."""
-    if option.kind is not OptionKind.CALL:
-        raise InvalidOptionError("callable bond requires a call option spec")
-    if t > option.T1:
-        return bond_price(V, t, bond, market)
-    if t == option.T1:
-        _validate_option(bond, option, market)
-        return bond_price(V, t, bond, market) - exercise_value(V, bond, option, market)
-    return bond_price(V, t, bond, market) - bond_option_price(V, t, bond, option, market)
+    return _bond_with_option(V, t, bond, option, market, OptionKind.CALL, -1.0)

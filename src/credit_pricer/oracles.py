@@ -86,16 +86,14 @@ class PdeSurface:
     values: np.ndarray  # shape (len(t), len(x))
 
     def value(self, x: float, t: float) -> float:
-        y = math.log(x)
+        y = math.log(x) if x > 0.0 else -math.inf
         ys = np.log(self.x)
         if not (ys[0] - 1e-12 <= y <= ys[-1] + 1e-12):
             raise DomainError(f"x={x} outside the solved domain")
         if not (self.t[0] - 1e-12 <= t <= self.t[-1] + 1e-12):
             raise DomainError(f"t={t} outside the solved domain")
-        j = min(int(np.searchsorted(ys, y, side="right")) - 1, len(ys) - 2)
-        j = max(j, 0)
-        m = min(int(np.searchsorted(self.t, t, side="right")) - 1, len(self.t) - 2)
-        m = max(m, 0)
+        j = max(min(int(np.searchsorted(ys, y, side="right")) - 1, len(ys) - 2), 0)
+        m = max(min(int(np.searchsorted(self.t, t, side="right")) - 1, len(self.t) - 2), 0)
         wy = (y - ys[j]) / (ys[j + 1] - ys[j])
         wt = (t - self.t[m]) / (self.t[m + 1] - self.t[m])
         v = self.values
@@ -105,11 +103,13 @@ class PdeSurface:
         )
 
 
-def _step_solver(n, dt, theta, lower, diag, upper):
-    """Solver for the implicit side of a theta-step over dt: the tridiagonal
-    matrix is LU-factored once (LAPACK dgttrf) and each call is one dgttrs
-    solve. Raises NumericalError where a coefficient is not finite or the
-    matrix is singular."""
+def _theta_step(n, dt, theta, lower, diag, upper):
+    """One theta-step over dt of the tridiagonal system. The matrix is
+    LU-factored once (LAPACK dgttrf); each step(interior, u0_old, un_old,
+    u0_new, un_new) is one dgttrs solve and returns the new interior.
+    Raises NumericalError where a coefficient is not finite or the matrix is
+    singular. A non-finite right-hand side gives a non-finite interior,
+    which the caller rejects."""
     from scipy.linalg.lapack import dgttrf, dgttrs  # scipy loads only when an oracle runs
 
     sub, main, sup = -theta * dt * lower, 1.0 - theta * dt * diag, -theta * dt * upper
@@ -118,24 +118,17 @@ def _step_solver(n, dt, theta, lower, diag, upper):
     *lu, info = dgttrf(np.full(n - 1, sub), np.full(n, main), np.full(n - 1, sup))
     if info != 0:
         raise NumericalError("finite-difference step matrix is singular")
+    explicit = 1.0 - theta
 
-    def solve(rhs):
+    def step(interior, u0_old, un_old, u0_new, un_new):
+        rhs = interior * (1.0 + explicit * dt * diag)
+        rhs[1:] += explicit * dt * lower * interior[:-1]
+        rhs[:-1] += explicit * dt * upper * interior[1:]
+        rhs[0] += explicit * dt * lower * u0_old + theta * dt * lower * u0_new
+        rhs[-1] += explicit * dt * upper * un_old + theta * dt * upper * un_new
         return dgttrs(*lu, rhs, overwrite_b=True)[0]
 
-    return solve
-
-
-def _march(interior, u0_old, un_old, u0_new, un_new, dt, theta, lower, diag, upper, solve):
-    """One theta-step of the tridiagonal system; returns the new interior.
-    solve is _step_solver for the same dt and theta. A non-finite right-hand
-    side gives a non-finite interior, which the caller rejects."""
-    explicit = 1.0 - theta
-    rhs = interior * (1.0 + explicit * dt * diag)
-    rhs[1:] += explicit * dt * lower * interior[:-1]
-    rhs[:-1] += explicit * dt * upper * interior[1:]
-    rhs[0] += explicit * dt * lower * u0_old + theta * dt * lower * u0_new
-    rhs[-1] += explicit * dt * upper * un_old + theta * dt * upper * un_new
-    return solve(rhs)
+    return step
 
 
 def pde_solve_tbvp(
@@ -197,37 +190,24 @@ def pde_solve_tbvp(
     def far(t):
         return terminal[-1] * math.exp(-r_discount * (T - t))
 
-    theta = 0.5 if grid.scheme is Scheme.CRANK_NICOLSON else 1.0
-    rannacher = 2 if grid.scheme is Scheme.CRANK_NICOLSON else 0
+    # Rannacher start-up: each of the first two Crank-Nicolson steps is taken
+    # as two implicit half-steps
+    crank_nicolson = grid.scheme is Scheme.CRANK_NICOLSON
+    half = _theta_step(n - 2, 0.5 * dt, 1.0, lower, diag, upper) if crank_nicolson else None
+    main = _theta_step(n - 2, dt, 0.5 if crank_nicolson else 1.0, lower, diag, upper)
 
     interior = terminal[1:-1].copy()
-    half_step = _step_solver(n - 2, 0.5 * dt, 1.0, lower, diag, upper)
-    main_step = _step_solver(n - 2, dt, theta, lower, diag, upper)
     u0_old, un_old = terminal[0], terminal[-1]
     for m in range(grid.n_time - 1, -1, -1):
-        step_index = grid.n_time - 1 - m
         t_new = times[m]
-        if step_index < rannacher:
-            # two implicit half-steps in place of one Crank-Nicolson step
-            t_half = t_new + 0.5 * dt
-            u0_half, un_half = boundary_value(t_half), far(t_half)
-            interior = _march(
-                interior, u0_old, un_old, u0_half, un_half, 0.5 * dt, 1.0,
-                lower, diag, upper, half_step,
-            )
-            u0_old, un_old = u0_half, un_half
-            u0_new, un_new = boundary_value(t_new), far(t_new)
-            interior = _march(
-                interior, u0_old, un_old, u0_new, un_new, 0.5 * dt, 1.0,
-                lower, diag, upper, half_step,
-            )
+        if half is not None and m >= grid.n_time - 2:
+            sub_steps = ((t_new + 0.5 * dt, half), (t_new, half))
         else:
-            u0_new, un_new = boundary_value(t_new), far(t_new)
-            interior = _march(
-                interior, u0_old, un_old, u0_new, un_new, dt, theta,
-                lower, diag, upper, main_step,
-            )
-        u0_old, un_old = u0_new, un_new
+            sub_steps = ((t_new, main),)
+        for t_sub, step in sub_steps:
+            u0_new, un_new = boundary_value(t_sub), far(t_sub)
+            interior = step(interior, u0_old, un_old, u0_new, un_new)
+            u0_old, un_old = u0_new, un_new
         surface[m, 0] = u0_new
         surface[m, 1:-1] = interior
         surface[m, -1] = un_new
@@ -458,18 +438,22 @@ def quadrature_green(
     lo = center - 13.0 * s
     hi = center + 13.0 * s
 
-    # indicator 1{z >< K} in u coordinates
-    if p.direction is IndicatorDirection.ABOVE:
-        if p.K > 0.0:
-            lo = max(lo, math.log(p.K / X))
-    else:
-        if p.K <= 0.0:
-            return 0.0
-        hi = min(hi, math.log(p.K / X))
+    # indicator 1{z >< K} in u coordinates; where K / X underflows, the log
+    # is taken in two parts
+    if p.K > 0.0:
+        u_k = math.log(p.K / X) if p.K / X > 0.0 else math.log(p.K) - math.log(X)
+        if p.direction is IndicatorDirection.ABOVE:
+            lo = max(lo, u_k)
+        else:
+            hi = min(hi, u_k)
+    elif p.direction is IndicatorDirection.BELOW:
+        return 0.0
 
     # tau3 = 0 collapses the Phi factor to a step; fold it into the range
+    shift = (r - q - 0.5 * sig * sig) * p.tau1 + sig * sig * p.tau2
     if p.tau3 == 0.0 and p.L > 0.0:
-        shift = (r - q - 0.5 * sig * sig) * p.tau1 + sig * sig * p.tau2
+        if p.i == 0.0:
+            raise DomainError("composed variance clock must be positive, got 0.0")
         u_step = (math.log(p.L) - shift) / p.i - math.log(X)
         if p.i > 0.0:
             lo = max(lo, u_step)
@@ -481,19 +465,17 @@ def quadrature_green(
 
     from scipy.integrate import quad  # scipy loads only when an oracle runs
 
-    log_l = math.log(p.L) if p.L > 0.0 else None
-    sqrt_t3 = math.sqrt(p.tau3) if p.tau3 > 0.0 else None
-    shift = (r - q - 0.5 * sig * sig) * p.tau1 + sig * sig * p.tau2
+    # no Phi factor where L = 0 (which forces i = 0) or its step is folded
+    log_l = math.log(p.L) if p.L > 0.0 and p.tau3 > 0.0 else None
+    phi_scale = sig * math.sqrt(p.tau3)
     inv_two_pi = 1.0 / math.sqrt(2.0 * math.pi)
 
     def integrand(u: float) -> float:
         g = math.exp(-0.5 * ((u - m_drift) / s) ** 2) * inv_two_pi / s
         w = math.exp(p.beta * u) * g
         if log_l is None:
-            return w  # L = 0 forces i = 0: the Phi factor is 1
-        if sqrt_t3 is None:
-            return w  # step already folded into the limits
-        arg = (p.i * (math.log(X) + u) - log_l + shift) / (sig * sqrt_t3)
+            return w
+        arg = (p.i * (math.log(X) + u) - log_l + shift) / phi_scale
         return w * 0.5 * math.erfc(-arg / math.sqrt(2.0))
 
     try:

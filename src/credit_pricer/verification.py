@@ -31,7 +31,7 @@ __all__ = [
     "pde_survival_agreement", "pde_option_agreement", "mc_bond", "mc_composite",
     "quadrature_sweep", "quadrature_bond", "survival_shape", "bond_shape",
     "image_annihilation", "parity_at_expiry", "direction_complement",
-    "hedge_positivity", "formula_vs_composition", "pde_surfaces_on_demand",
+    "hedge_positivity", "formula_vs_composition",
 ]
 
 # Random option positions drawn by formula_vs_composition.
@@ -69,36 +69,6 @@ def _rebate(bond: BondSpec, market: MarketParams):
     return lambda t: bond.R * math.exp(-market.r * (bond.T - t))
 
 
-def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
-                 grid: GridSpec) -> dict[str, PdeSurface]:
-    """Solve the bond and survival problems and, when an option is given,
-    the put and call problems at its T1 and E, on one grid in flattened
-    coordinates with the barrier at 1. Keys: bond, survival, put, call."""
-    c = market.r - market.q - bond.a
-
-    def solve(payoff, boundary, r_disc, horizon, align=None):
-        return pde_solve_tbvp(payoff, boundary, c, market.sigma, r_disc,
-                              horizon, grid, align_at=align)
-
-    out = {
-        "bond": solve(lambda x: 1.0, _rebate(bond, market), market.r, bond.T),
-        "survival": solve(lambda x: 1.0, lambda t: 0.0, 0.0, bond.T),
-    }
-    if option is not None:
-        lvl_t1 = barrier_level(bond, option.T1)
-        for kind in OptionKind:
-            spec = replace(option, kind=kind)
-            K = early_redemption_boundary(bond, spec, market).K
-            align = K * math.exp(bond.a * (bond.T - option.T1)) / bond.b
-
-            def payoff(x, spec=spec):
-                return exercise_value(lvl_t1 * x, bond, spec, market)
-
-            out[kind.value] = solve(payoff, lambda t: 0.0, market.r, option.T1,
-                                    align=align)
-    return out
-
-
 class _SolvedOnFirstLookup:
     """The mapping pde_surfaces returns, solved at the first lookup."""
 
@@ -117,13 +87,42 @@ class _SolvedOnFirstLookup:
         return self._outcome[key]
 
 
-def pde_surfaces_on_demand(bond: BondSpec, market: MarketParams,
-                           option: OptionSpec | None, grid: GridSpec):
-    """pde_surfaces, solved when a PDE check first looks a surface up. The
+def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
+                 grid: GridSpec) -> _SolvedOnFirstLookup:
+    """The bond and survival problems and, when an option is given, the put
+    and call problems at its T1 and E, on one grid in flattened coordinates
+    with the barrier at 1. Keys: bond, survival, put, call.
+
+    The problems are solved when a PDE check first looks a surface up. The
     lookup runs inside the check, so a solve that fails fails each PDE check
     with its reason, and the rest of a battery still runs. The problems are
     solved once; a failure is raised again at every lookup."""
-    return _SolvedOnFirstLookup(lambda: pde_surfaces(bond, market, option, grid))
+    c = market.r - market.q - bond.a
+
+    def solve(payoff, boundary, r_disc, horizon, align=None):
+        return pde_solve_tbvp(payoff, boundary, c, market.sigma, r_disc,
+                              horizon, grid, align_at=align)
+
+    def solve_all():
+        out = {
+            "bond": solve(lambda x: 1.0, _rebate(bond, market), market.r, bond.T),
+            "survival": solve(lambda x: 1.0, lambda t: 0.0, 0.0, bond.T),
+        }
+        if option is not None:
+            lvl_t1 = barrier_level(bond, option.T1)
+            for kind in OptionKind:
+                spec = replace(option, kind=kind)
+                K = early_redemption_boundary(bond, spec, market).K
+                align = K * math.exp(bond.a * (bond.T - option.T1)) / bond.b
+
+                def payoff(x, spec=spec):
+                    return exercise_value(lvl_t1 * x, bond, spec, market)
+
+                out[kind.value] = solve(payoff, lambda t: 0.0, market.r, option.T1,
+                                        align=align)
+        return out
+
+    return _SolvedOnFirstLookup(solve_all)
 
 
 def _probe_times(bond: BondSpec, option: OptionSpec | None) -> list[float]:

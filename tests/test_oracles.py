@@ -112,6 +112,34 @@ _PDE_PINS = {
     "call": "cc33ee8a38fe91abc77e7c6289fb928a2dd45804a3a4fe418d49d4c2ebbf7b1b",
 }
 
+# The same digests on two coarse grids: Crank-Nicolson 101 x 50, where the two
+# Rannacher steps are a larger share of the march, and implicit Euler
+# 201 x 150, which takes no half-steps. Recorded from the solver that wrote
+# the Rannacher half-steps out apart from the main step.
+_PDE_COARSE_PINS = {
+    (101, 50, Scheme.CRANK_NICOLSON): {
+        "bond": "087f8935202b87c3db55a8a008d82e4cedffd6e3b908c6cfedb843daea4860a5",
+        "survival": "1b8c1c25fd125dbdc307f14dfb034f4d858c9d4874e121d72f3dbcaca62f703e",
+        "put": "98ac61eb9cdfd1581c8101f3ff2a030da2f790778ff6782563b032a26b974bfc",
+        "call": "4102a56fd4543edbcbaa22302b692af94d48aafa540fd46492f7f9c7e085745c",
+    },
+    (201, 150, Scheme.IMPLICIT_EULER): {
+        "bond": "b6bef11a473b21e58694f55a5f2d34ee35a0c792ddc32a89d8960c514b1981fc",
+        "survival": "d52a583e96a424efcf1bfa308eb9f734d2855635d26d9b4483b9dd2f5a630760",
+        "put": "e9db626b94b341e7578e928d36318fc5499219b82aae66faa7e5e8b499c07276",
+        "call": "5dc15ce8c5ada689721006b6dc094b249cbda6d22e7f96bd50da2f20a5cbfac8",
+    },
+}
+
+# sha256 of the space-joined float.hex of quadrature_green over the first 200
+# draw_verification_case draws of random.Random(2021).
+_QUADRATURE_PIN = "5792a9793fd136ff27b8c5e06d150d43e15aa0f6c8b7e88108e8f229d2a55b36"
+
+
+def _surface_digests(surfaces):
+    return {name: hashlib.sha256(surfaces[name].values.astype("<f8").tobytes()).hexdigest()
+            for name in ("bond", "survival", "put", "call")}
+
 
 class TestGridSpecValidation:
     def test_floors(self):
@@ -207,15 +235,18 @@ class TestPdeSolver:
         g = GridSpec(n_space=101, n_time=100)
         s = pde_solve_tbvp(payoff=lambda x: 1.0, boundary_value=lambda t: 0.0,
                            c=0.04, sigma=0.5, r_discount=0.0, T=1.0, grid=g)
-        for x, t in ((0.5, 0.0), (1e9, 0.0), (1.5, -0.1), (1.5, 1.5)):
+        for x, t in ((0.5, 0.0), (1e9, 0.0), (1.5, -0.1), (1.5, 1.5), (0.0, 0.0), (-1.0, 0.0)):
             with pytest.raises(DomainError):
                 s.value(x, t)
 
     def test_reference_surfaces_pinned(self, bond, market, put_spec):
-        surfaces = pde_surfaces(bond, market, put_spec, GridSpec())
-        digests = {name: hashlib.sha256(s.values.astype("<f8").tobytes()).hexdigest()
-                   for name, s in surfaces.items()}
-        assert digests == _PDE_PINS
+        assert _surface_digests(pde_surfaces(bond, market, put_spec, GridSpec())) == _PDE_PINS
+
+    @pytest.mark.parametrize("n_space, n_time, scheme", list(_PDE_COARSE_PINS))
+    def test_coarse_surfaces_pinned(self, bond, market, put_spec, n_space, n_time, scheme):
+        grid = GridSpec(n_space=n_space, n_time=n_time, scheme=scheme)
+        assert (_surface_digests(pde_surfaces(bond, market, put_spec, grid))
+                == _PDE_COARSE_PINS[n_space, n_time, scheme])
 
 
 class TestMcSimulator:
@@ -415,6 +446,34 @@ class TestQuadrature:
         params = PowerBinaryParams(beta=0.0, i=0.0, L=0.0, K=1e15,
                                    tau1=0.0, tau2=0.0, tau3=1.0)
         assert quadrature_green(1.0, 1.0, params, market) == 0.0
+
+    def test_pinned_bits(self):
+        rng = random.Random(2021)
+        hexes = []
+        for _ in range(200):
+            X, tau, params, market = draw_verification_case(rng)
+            hexes.append(quadrature_green(X, tau, params, market).hex())
+        assert hashlib.sha256(" ".join(hexes).encode()).hexdigest() == _QUADRATURE_PIN
+
+    def test_zero_clock_step_rejected_like_closed_form(self):
+        # i = 0 with tau3 = 0 leaves the composed variance clock at 0
+        market = MarketParams(r=0.04, q=0.0, sigma=0.5)
+        params = PowerBinaryParams(beta=0.0, i=0.0, L=1.0, K=0.0,
+                                   tau1=0.0, tau2=0.0, tau3=0.0)
+        with pytest.raises(DomainError) as closed_form:
+            power_binary_price(1.0, 0.0, 1.0, params, market)
+        with pytest.raises(DomainError) as quadrature:
+            quadrature_green(1.0, 1.0, params, market)
+        assert str(quadrature.value) == str(closed_form.value)
+
+    def test_underflowing_strike_ratio(self):
+        # K / X underflows to 0, yet ln K - ln X is finite
+        market = MarketParams(r=0.04, q=0.0, sigma=0.5)
+        params = PowerBinaryParams(beta=0.0, i=0.0, L=0.0, K=1e-300,
+                                   tau1=0.0, tau2=0.0, tau3=1.0)
+        cf = power_binary_price(1e300, 0.0, 1.0, params, market)
+        assert cf == pytest.approx(math.exp(-0.04), rel=1e-15)
+        assert quadrature_green(1e300, 1.0, params, market) == pytest.approx(cf, abs=1e-6)
 
     def test_randomized_agreement(self):
         rng = random.Random(55)
