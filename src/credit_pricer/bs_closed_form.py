@@ -36,7 +36,7 @@ class PowerBinaryParams:
     L = 0 is the dropped-probability-factor convention and is allowed only
     with i = 0. K = 0 under ABOVE drops the indicator. tau3 may be 0 at
     construction; the composed variance clock tau3 + i^2 (T - t) is checked
-    at evaluation time, where it must be positive.
+    at evaluation time, where it must be positive unless L = 0.
     """
 
     beta: float
@@ -107,7 +107,8 @@ def power_binary_price(
         raise DomainError(f"time to expiry must be positive, got {tau}")
     p = params
     clock = p.tau3 + p.i * p.i * tau
-    if clock <= 0.0:
+    # L = 0 drops the Phi factor, and the clock with it
+    if clock <= 0.0 and p.L != 0.0:
         raise DomainError(f"composed variance clock must be positive, got {clock}")
 
     try:
@@ -122,10 +123,8 @@ def power_binary_price(
             a1 = math.inf
         else:
             a1 = delta(X**p.i / p.L, p.tau1 + p.i * tau, p.tau2 + p.i * p.beta * tau, clock, market)
-        rho = p.i * math.sqrt(tau / clock)
         if below:
             a2 = -a2
-            rho = -rho
 
         if a1 == math.inf and a2 == math.inf:
             orthant = 1.0
@@ -134,7 +133,8 @@ def power_binary_price(
         elif a2 == math.inf:
             orthant = norm_cdf(a1)
         else:
-            orthant = binorm_cdf(a1, a2, rho)
+            rho = p.i * math.sqrt(tau / clock)
+            orthant = binorm_cdf(a1, a2, -rho if below else rho)
         return X**p.beta * math.exp(mu(p.beta, market) * tau) * orthant
     except OverflowError as exc:
         raise NumericalError("power-binary price overflows a float") from exc

@@ -340,9 +340,7 @@ def _verify_checks(config: RunConfig, suite: str):
                 yield verification.pde_option_agreement(
                     surfaces, bond, market, replace(option, kind=kind), probe_v)
     if suite in ("mc", "all"):
-        yield verification.mc_bond(bond, market, v0, config.mc)
-        if option is not None:
-            yield verification.mc_composite(bond, market, option, v0, config.mc)
+        yield from verification.mc_checks(bond, market, option, v0, config.mc)
     if suite in ("quadrature", "all"):
         yield verification.quadrature_sweep(seed)
         yield verification.quadrature_bond(bond, market, probe_v)

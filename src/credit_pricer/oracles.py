@@ -26,6 +26,7 @@ __all__ = [
     "PdeSurface",
     "pde_solve_tbvp",
     "mc_barrier_price",
+    "mc_barrier_prices",
     "quadrature_green",
     "draw_verification_case",
 ]
@@ -227,9 +228,9 @@ _MC_BLOCK = 1 << 10
 _BRIDGE_EXP_CUT = -40.0
 
 
-def _bridge_crossed(u, exponent):
+def _bridge_crossed(u, exponent, out=None):
     """u < exp(exponent) elementwise, to the bit, for uniforms u drawn by
-    Generator.random(); exponent is overwritten.
+    Generator.random(), in out when given; exponent is overwritten.
 
     random() returns multiples of 2^-53, so a nonzero u is at least
     2^-53 > e^-37, above exp(exponent) wherever exponent <= -40. exp,
@@ -238,10 +239,10 @@ def _bridge_crossed(u, exponent):
     its real exp, underflow to 0 included. Elsewhere the exponent stays in
     place, and at <= -40 or NaN no u >= 0 is below it: not crossed.
     """
-    need = exponent > _BRIDGE_EXP_CUT
+    need = np.greater(exponent, _BRIDGE_EXP_CUT, out=out)
     need |= u == 0.0
     np.exp(exponent, out=exponent, where=need)
-    return u < exponent
+    return np.less(u, exponent, out=need)
 
 
 def _skip_words(bits, n):
@@ -256,6 +257,202 @@ def _skip_words(bits, n):
         bits.advance(blocks)
     if rest:
         bits.random_raw(rest)
+
+
+class _Claim:
+    """One claim of a shared Monte Carlo pass: its terms, validated as
+    mc_barrier_price documents them, the first passage and terminal log
+    value of each path of the current chunk, and the running sums of its
+    path values. error holds the exception its payoff or rebate raised."""
+
+    def __init__(self, payoff, rebate_at_hit, T, a, b, anchor, market, n_steps, V0):
+        if not (math.isfinite(T) and T > 0.0):
+            raise InvalidParamsError(f"horizon must be positive, got {T}")
+        if not (math.isfinite(b) and b > 0.0):
+            raise InvalidParamsError(f"barrier level must be positive, got {b}")
+        if not math.isfinite(a):
+            raise InvalidParamsError("barrier growth rate must be finite")
+        anchor = T if anchor is None else anchor
+        if not (math.isfinite(anchor) and anchor >= T):
+            raise InvalidParamsError(f"barrier anchor must be >= horizon, got {anchor}")
+        log_b0 = math.log(b) - a * anchor  # log barrier at t=0
+        if not (math.isfinite(V0) and V0 > 0.0) or math.log(V0) <= log_b0:
+            raise DomainError(f"V0 must start above the barrier {math.exp(log_b0)}")
+
+        r, q, sig = market.r, market.q, market.sigma
+        self.payoff, self.rebate_at_hit = payoff, rebate_at_hit
+        self.r, self.n_steps = r, n_steps
+        self.dt = dt = T / n_steps
+        self.drift = (r - q - 0.5 * sig * sig) * dt
+        self.vol = sig * math.sqrt(dt)
+        self.bar_var = sig * sig * dt
+        self.disc_T = math.exp(-r * T)
+        self.log_v0 = math.log(V0)
+        self.start_exponent = -2.0 * (self.log_v0 - log_b0)
+        self.log_barrier = log_b0 + a * (np.arange(1, n_steps + 1) * dt)
+        self.error = None
+        self.n, self.total, self.m2 = 0, 0.0, 0.0
+
+    def new_chunk(self, m):
+        self.first = np.empty(m, dtype=np.intp)  # step of the first hit; n_steps if none
+        self.logv_T = np.empty(m)
+
+    def first_passage(self, rows, z, u, logv, exponent, event, crossed):
+        """Build the log paths of a block of the chunk from its normals z
+        and record each path's first hit; u are the block's uniforms, None
+        without bridge_correction. logv, exponent, event and crossed are
+        work arrays of the block's shape, overwritten."""
+        # the running sum adds log(V0) and then one increment per step, in
+        # the order of a step-by-step simulation, so paths are reproducible
+        # to the bit
+        np.multiply(z, self.vol, out=logv)
+        logv += self.drift
+        logv[:, 0] += self.log_v0
+        np.cumsum(logv, axis=1, out=logv)
+        self.logv_T[rows] = logv[:, -1]
+        gap_next = logv  # reused in place: log distance to the barrier
+        gap_next -= self.log_barrier
+        np.less_equal(gap_next, 0.0, out=event)
+        if u is not None:
+            exponent[:, 0] = self.start_exponent
+            # past a path's first hit the gaps change sign and the exponent
+            # may overflow; those steps are never read
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.multiply(gap_next[:, :-1], -2.0, out=exponent[:, 1:])
+                exponent *= gap_next
+                exponent /= self.bar_var
+                event |= _bridge_crossed(u, exponent, crossed)
+        step = event.argmax(axis=1)
+        step[~event[np.arange(step.size), step]] = self.n_steps
+        self.first[rows] = step
+
+    def values(self):
+        """Discounted value of each path of the chunk: the rebate at its
+        first hit, else the payoff at T."""
+        first, dt = self.first, self.dt
+        hit = first < self.n_steps
+        value = np.empty(first.size)
+        steps = first[hit]
+        paid = np.empty(self.n_steps)
+        for k in np.unique(steps).tolist():
+            t = (k + 1) * dt
+            paid[k] = math.exp(-self.r * t) * self.rebate_at_hit(t)
+        value[hit] = paid[steps]
+        alive = ~hit
+        vt = np.exp(self.logv_T[alive])
+        # the payoffs' scalar arithmetic is faster on Python floats than on
+        # numpy scalars; map converts one value at a time, as a list of them
+        # all (tolist) kept a freed chunk of z resident between runs
+        value[alive] = self.disc_T * np.array([self.payoff(v) for v in map(float, vt)])
+        return value
+
+    def add(self, value):
+        """Merge a chunk's path values into the running sums. The squares
+        are taken about the chunk's own mean and the chunks merged by the
+        pairwise update of Chan, Golub & LeVeque (1983), so the variance
+        does not cancel when the SE is small against the mean."""
+        m, total = value.size, float(value.sum())
+        dev = value - total / m
+        m2 = float(np.square(dev, out=dev).sum())
+        if self.n:
+            gap = total / m - self.total / self.n
+            m2 += gap * gap * (self.n * m / (self.n + m))
+        self.n, self.total, self.m2 = self.n + m, self.total + total, self.m2 + m2
+
+    def result(self):
+        if self.error is not None:
+            return self.error
+        n = self.n
+        return self.total / n, math.sqrt(self.m2 / (n - 1) / n)
+
+
+def mc_barrier_prices(claims, market: MarketParams, mc: McSpec,
+                      V0: float) -> list[tuple[float, float] | Exception]:
+    """Price several barrier claims on one simulation of the firm value: the
+    same paths, crossing decisions and random numbers feed each claim, so
+    each gets the bits mc_barrier_price gives it alone.
+
+    A claim is (payoff, rebate_at_hit, T, a, b, anchor), the arguments of
+    mc_barrier_price, with anchor None for the horizon T. Claims may differ
+    in every term: each builds its own paths of n_steps intervals of [0, T]
+    from the same normals and tests its own barrier with the same uniforms.
+    Every claim is validated before any draw, in order. Returns one slot per
+    claim: (estimate, standard error), or the Exception its payoff or
+    rebate raised. Such a claim is simulated no further, and the others
+    run on; when none is left the pass stops.
+
+    One Philox stream feeds the pass, chunk by chunk: a chunk's normals,
+    then, with bridge_correction, its m * n_steps uniforms, then the next
+    chunk's normals. The normals are drawn one chunk ahead on a second
+    thread while this one builds the current chunk's paths and payoffs; the
+    second thread keeps the stream state after a chunk's normals, for this
+    thread's uniforms, and skips their words (_skip_words). The uniforms are
+    drawn block by block and each block serves every claim. Every number
+    keeps its place in the stream, so the result has the same bits as a
+    single-threaded draw however the two threads are scheduled. The thread
+    has ended when the call returns or raises.
+    """
+    n_steps = mc.n_steps
+    sims = [_Claim(*claim, market, n_steps, V0) for claim in claims]
+
+    from concurrent.futures import ThreadPoolExecutor  # loads only when an oracle runs
+
+    bits = np.random.Philox(mc.seed)
+    normals = np.random.Generator(bits)
+
+    def draw(out):
+        """Fill out with a chunk's normals; with bridge_correction, return
+        the stream state at the chunk's uniforms and skip them."""
+        normals.standard_normal(out=out)
+        if not mc.bridge_correction:
+            return None
+        state = bits.state
+        _skip_words(bits, out.size)
+        return state
+
+    chunks = [min(_MC_CHUNK, mc.n_paths - lo) for lo in range(0, mc.n_paths, _MC_CHUNK)]
+    # two buffers of normals: the thread fills one while this one reads the
+    # other, so a buffer is refilled only after its chunk is done
+    buffers = [np.empty((m, n_steps)) for m in chunks[:2]]
+    # a block's uniforms and the work arrays of first_passage, reused by
+    # every block and claim: fresh arrays of this size cost page faults
+    shape = (min(_MC_BLOCK, chunks[0]), n_steps)
+    u_work = np.empty(shape)
+    work = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
+            np.empty(shape, dtype=bool))
+    with ThreadPoolExecutor(max_workers=1) as ahead:
+        pending = ahead.submit(draw, buffers[0])
+        for k, m in enumerate(chunks):
+            uniform_state = pending.result()
+            if k + 1 < len(chunks):
+                pending = ahead.submit(draw, buffers[(k + 1) % 2][:chunks[k + 1]])
+            z = buffers[k % 2][:m]
+            live = [sim for sim in sims if sim.error is None]
+            for sim in live:
+                sim.new_chunk(m)
+            if uniform_state is not None:
+                uniform_bits = np.random.Philox(mc.seed)
+                uniform_bits.state = uniform_state
+                uniforms = np.random.Generator(uniform_bits)
+            for lo in range(0, m, _MC_BLOCK):
+                rows = slice(lo, min(lo + _MC_BLOCK, m))
+                width = rows.stop - lo
+                # drawn block by block, these are the same numbers as one
+                # (m, n_steps) draw
+                u = None if uniform_state is None else uniforms.random(out=u_work[:width])
+                block_work = [w[:width] for w in work]
+                for sim in live:
+                    sim.first_passage(rows, z[rows], u, *block_work)
+            for sim in live:
+                try:
+                    value = sim.values()
+                except Exception as exc:
+                    sim.error = exc
+                else:
+                    sim.add(value)
+            if all(sim.error is not None for sim in sims):
+                break
+    return [sim.result() for sim in sims]
 
 
 def mc_barrier_price(
@@ -283,131 +480,18 @@ def mc_barrier_price(
     rebate is constant, as it is for the recovery payment. The crossing
     probability is exponentiated only where its exponent exceeds -40 or the
     uniform is 0; elsewhere no uniform can fall below it (_bridge_crossed),
-    so the estimate is the one an exp at every step gives, to the bit.
+    so the estimate is the one an exp at every step gives, to the bit. The
+    SE is the sample standard deviation over sqrt(n_paths).
 
-    One Philox stream feeds the run, chunk by chunk: a chunk's normals,
-    then, with bridge_correction, its m * n_steps uniforms, then the next
-    chunk's normals. The normals are drawn one chunk ahead on a second
-    thread while this one builds the current chunk's paths and payoffs; the
-    second thread keeps the stream state after a chunk's normals, for this
-    thread's uniforms, and skips their words (_skip_words). Every number
-    keeps its place in the stream, so the result has the same bits as a
-    single-threaded draw however the two threads are scheduled. The thread
-    has ended when the call returns or raises.
+    This is the one-claim call of mc_barrier_prices, which runs one Philox
+    stream for several claims and describes its layout; an exception from
+    the payoff or the rebate propagates, and the drawing thread has ended.
     """
-    if not (math.isfinite(T) and T > 0.0):
-        raise InvalidParamsError(f"horizon must be positive, got {T}")
-    if not (math.isfinite(b) and b > 0.0):
-        raise InvalidParamsError(f"barrier level must be positive, got {b}")
-    if not math.isfinite(a):
-        raise InvalidParamsError("barrier growth rate must be finite")
-    anchor = T if barrier_anchor is None else barrier_anchor
-    if not (math.isfinite(anchor) and anchor >= T):
-        raise InvalidParamsError(f"barrier anchor must be >= horizon, got {anchor}")
-    log_b0 = math.log(b) - a * anchor  # log barrier at t=0
-    if not (math.isfinite(V0) and V0 > 0.0) or math.log(V0) <= log_b0:
-        raise DomainError(f"V0 must start above the barrier {math.exp(log_b0)}")
-
-    r, q, sig = market.r, market.q, market.sigma
-    n_steps = mc.n_steps
-    dt = T / n_steps
-    drift = (r - q - 0.5 * sig * sig) * dt
-    vol = sig * math.sqrt(dt)
-    bar_var = sig * sig * dt
-    disc_T = math.exp(-r * T)
-    log_v0 = math.log(V0)
-    log_barrier = log_b0 + a * (np.arange(1, n_steps + 1) * dt)
-
-    from concurrent.futures import ThreadPoolExecutor  # loads only when an oracle runs
-
-    bits = np.random.Philox(mc.seed)
-    normals = np.random.Generator(bits)
-
-    def draw(out):
-        """Fill out with a chunk's normals; with bridge_correction, return
-        the stream state at the chunk's uniforms and skip them."""
-        normals.standard_normal(out=out)
-        if not mc.bridge_correction:
-            return None
-        state = bits.state
-        _skip_words(bits, out.size)
-        return state
-
-    def chunk_values(z, uniform_state):
-        """Discounted value of each path of a chunk: the rebate at its first
-        hit, else the payoff at T."""
-        m = z.shape[0]
-        if uniform_state is not None:
-            uniform_bits = np.random.Philox(mc.seed)
-            uniform_bits.state = uniform_state
-            uniforms = np.random.Generator(uniform_bits)
-        first = np.empty(m, dtype=np.intp)  # step of the first hit; n_steps if none
-        logv_T = np.empty(m)
-        for lo in range(0, m, _MC_BLOCK):
-            rows = slice(lo, min(lo + _MC_BLOCK, m))
-            # the running sum adds log(V0) and then one increment per step,
-            # in the order of a step-by-step simulation, so paths are
-            # reproducible to the bit
-            logv = vol * z[rows]
-            logv += drift
-            logv[:, 0] += log_v0
-            np.cumsum(logv, axis=1, out=logv)
-            logv_T[rows] = logv[:, -1]
-            gap_next = logv  # reused in place: log distance to the barrier
-            gap_next -= log_barrier
-            event = gap_next <= 0.0
-            if uniform_state is not None:
-                # drawn block by block, these are the same numbers as one
-                # (m, n_steps) draw
-                u = uniforms.random(gap_next.shape)
-                exponent = np.empty_like(gap_next)
-                exponent[:, 0] = -2.0 * (log_v0 - log_b0)
-                # past a path's first hit the gaps change sign and the
-                # exponent may overflow; those steps are never read
-                with np.errstate(over="ignore", invalid="ignore"):
-                    np.multiply(gap_next[:, :-1], -2.0, out=exponent[:, 1:])
-                    exponent *= gap_next
-                    exponent /= bar_var
-                    event |= _bridge_crossed(u, exponent)
-            step = event.argmax(axis=1)
-            step[~event[np.arange(step.size), step]] = n_steps
-            first[rows] = step
-        hit = first < n_steps
-        value = np.empty(m)
-        steps = first[hit]
-        paid = np.empty(n_steps)
-        for k in np.unique(steps).tolist():
-            t = (k + 1) * dt
-            paid[k] = math.exp(-r * t) * rebate_at_hit(t)
-        value[hit] = paid[steps]
-        alive = ~hit
-        vt = np.exp(logv_T[alive])
-        # the payoffs' scalar arithmetic is faster on Python floats than on
-        # numpy scalars; map converts one value at a time, as a list of them
-        # all (tolist) kept a freed chunk of z resident between runs
-        value[alive] = disc_T * np.array([payoff(v) for v in map(float, vt)])
-        return value
-
-    chunks = [min(_MC_CHUNK, mc.n_paths - lo) for lo in range(0, mc.n_paths, _MC_CHUNK)]
-    # two buffers of normals: the thread fills one while this one reads the
-    # other, so a buffer is refilled only after its chunk is done
-    buffers = [np.empty((m, n_steps)) for m in chunks[:2]]
-    total = 0.0
-    total_sq = 0.0
-    with ThreadPoolExecutor(max_workers=1) as ahead:
-        pending = ahead.submit(draw, buffers[0])
-        for k, m in enumerate(chunks):
-            uniform_state = pending.result()
-            if k + 1 < len(chunks):
-                pending = ahead.submit(draw, buffers[(k + 1) % 2][:chunks[k + 1]])
-            value = chunk_values(buffers[k % 2][:m], uniform_state)
-            total += float(value.sum())
-            total_sq += float(np.square(value).sum())
-
-    n = mc.n_paths
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-    return mean, math.sqrt(var / n)
+    (outcome,) = mc_barrier_prices([(payoff, rebate_at_hit, T, a, b, barrier_anchor)],
+                                   market, mc, V0)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def quadrature_green(

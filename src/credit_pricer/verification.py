@@ -23,13 +23,13 @@ from .credit_instruments import (BondSpec, OptionKind, OptionSpec, barrier_level
                                  survival_probability)
 from .errors import NumericalError
 from .oracles import (GridSpec, McSpec, PdeSurface, draw_verification_case,
-                      mc_barrier_price, pde_solve_tbvp, quadrature_green)
+                      mc_barrier_prices, pde_solve_tbvp, quadrature_green)
 from .special_functions import MarketParams, norm_cdf, norm_pdf
 
 __all__ = [
     "Check", "FORMULA_VS_COMPOSITION_DRAWS", "pde_surfaces", "pde_bond_agreement",
-    "pde_survival_agreement", "pde_option_agreement", "mc_bond", "mc_composite",
-    "quadrature_sweep", "quadrature_bond", "survival_shape", "bond_shape",
+    "pde_survival_agreement", "pde_option_agreement", "mc_checks", "quadrature_sweep",
+    "quadrature_bond", "survival_shape", "bond_shape",
     "image_annihilation", "parity_at_expiry", "direction_complement",
     "hedge_positivity", "formula_vs_composition",
 ]
@@ -70,13 +70,15 @@ def _rebate(bond: BondSpec, market: MarketParams):
 
 
 class _SolvedOnFirstLookup:
-    """The mapping pde_surfaces returns, solved at the first lookup."""
+    """A mapping solved at its first lookup: the PDE surfaces, or the slots
+    of a shared Monte Carlo pass. A lookup raises the solve's NumericalError
+    or ArithmeticError, every time, and an entry that is an exception."""
 
     def __init__(self, solve):
         self._solve = solve
         self._outcome = None
 
-    def __getitem__(self, key: str) -> PdeSurface:
+    def __getitem__(self, key):
         if self._outcome is None:
             try:
                 self._outcome = self._solve()
@@ -84,7 +86,10 @@ class _SolvedOnFirstLookup:
                 self._outcome = exc
         if isinstance(self._outcome, Exception):
             raise self._outcome
-        return self._outcome[key]
+        entry = self._outcome[key]
+        if isinstance(entry, Exception):
+            raise entry
+        return entry
 
 
 def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
@@ -167,36 +172,41 @@ def pde_option_agreement(surfaces, bond: BondSpec, market: MarketParams,
         surfaces[option.kind.value], bond, probe_v, _probe_times(bond, option)[:2]))
 
 
-def mc_bond(bond: BondSpec, market: MarketParams, v0: float, mc: McSpec) -> Check:
-    """Bond price at (v0, 0) against a barrier-monitored simulation;
-    measured is the gap in standard errors, tolerance 3."""
-    def measure():
-        est, se = mc_barrier_price(lambda v: 1.0, _rebate(bond, market),
-                                   bond.T, bond.a, bond.b, market, mc, v0)
-        cf = bond_price(v0, 0.0, bond, market)
-        return abs(est - cf) / se
+def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
+              v0: float, mc: McSpec) -> list[Check]:
+    """The bond price at (v0, 0) and, when an option is given, the puttable
+    (put) or callable (call) bond against one barrier-monitored simulation;
+    the composite's claim runs to T1 and pays max or min of B(V, T1) and E.
+    measured is each gap in standard errors, tolerance 3.
 
-    return _run("mc_bond_within_3se", 3.0, measure)
-
-
-def mc_composite(bond: BondSpec, market: MarketParams, option: OptionSpec,
-                 v0: float, mc: McSpec) -> Check:
-    """Puttable (put) or callable (call) bond at (v0, 0) against a
-    simulation to T1 that pays max or min of B(V, T1) and E."""
-    if option.kind is OptionKind.PUT:
-        name, composite, exercise = "mc_puttable_within_3se", puttable_bond_price, max
-    else:
-        name, composite, exercise = "mc_callable_within_3se", callable_bond_price, min
-
-    def measure():
-        cf = composite(v0, 0.0, bond, option, market)
-        est, se = mc_barrier_price(
+    Both claims share one pass over the random stream (mc_barrier_prices),
+    which runs inside the bond check. A claim whose payoff raises fails only
+    its own check, or propagates from it as any check's exception does."""
+    rebate = _rebate(bond, market)
+    claims = [(lambda v: 1.0, rebate, bond.T, bond.a, bond.b, bond.T)]
+    if option is not None:
+        if option.kind is OptionKind.PUT:
+            name, composite, exercise = "mc_puttable_within_3se", puttable_bond_price, max
+        else:
+            name, composite, exercise = "mc_callable_within_3se", callable_bond_price, min
+        claims.append((
             lambda v: exercise(bond_price(v, option.T1, bond, market), option.E),
-            _rebate(bond, market), option.T1, bond.a, bond.b, market, mc, v0,
-            barrier_anchor=bond.T)
+            rebate, option.T1, bond.a, bond.b, bond.T))
+    outcomes = _SolvedOnFirstLookup(lambda: mc_barrier_prices(claims, market, mc, v0))
+
+    def bond_gap():
+        est, se = outcomes[0]
+        return abs(est - bond_price(v0, 0.0, bond, market)) / se
+
+    def composite_gap():
+        cf = composite(v0, 0.0, bond, option, market)
+        est, se = outcomes[1]
         return abs(est - cf) / se
 
-    return _run(name, 3.0, measure)
+    checks = [_run("mc_bond_within_3se", 3.0, bond_gap)]
+    if option is not None:
+        checks.append(_run(name, 3.0, composite_gap))
+    return checks
 
 
 def quadrature_sweep(seed: int) -> Check:

@@ -91,8 +91,7 @@ def test_criterion_4_monte_carlo_cross_check(bond, put_spec, market):
     start = time.monotonic()
     mc = McSpec(n_paths=100000, n_steps=200, seed=1729,
                 bridge_correction=True)
-    bond_check = verification.mc_bond(bond, market, 199.0, mc)
-    puttable_check = verification.mc_composite(bond, market, put_spec, 199.0, mc)
+    bond_check, puttable_check = verification.mc_checks(bond, market, put_spec, 199.0, mc)
     elapsed = time.monotonic() - start
 
     assert bond_check.tol == puttable_check.tol == 3.0

@@ -67,10 +67,10 @@ def test_public_names():
         "PowerBinaryParams", "PricerError", "Scheme", "barrier_level", "binorm_cdf",
         "bond_option_price", "bond_price", "callable_bond_price", "delta",
         "draw_verification_case", "early_redemption_boundary", "exercise_value",
-        "image_transform", "mc_barrier_price", "mu", "norm_cdf", "norm_pdf",
-        "option_price_paths", "pde_solve_tbvp", "power_binary_price",
+        "image_transform", "mc_barrier_price", "mc_barrier_prices", "mu", "norm_cdf",
+        "norm_pdf", "option_price_paths", "pde_solve_tbvp", "power_binary_price",
         "puttable_bond_price", "quadrature_green", "survival_probability", "tbvp_w",
         "__version__",
     }
-    assert len(credit_pricer.__all__) == 39
+    assert len(credit_pricer.__all__) == 40
     assert all(hasattr(credit_pricer, name) for name in credit_pricer.__all__)

@@ -22,12 +22,15 @@ from credit_pricer import (
     MarketParams,
     McSpec,
     NumericalError,
+    OptionKind,
+    OptionSpec,
     PowerBinaryParams,
     Scheme,
     barrier_level,
     bond_price,
     draw_verification_case,
     mc_barrier_price,
+    mc_barrier_prices,
     pde_solve_tbvp,
     power_binary_price,
     quadrature_green,
@@ -35,7 +38,7 @@ from credit_pricer import (
     tbvp_w,
 )
 from credit_pricer.oracles import _bridge_crossed, _skip_words
-from credit_pricer.verification import pde_surfaces
+from credit_pricer.verification import mc_checks, pde_surfaces
 
 _REF_MARKET = MarketParams(r=0.04, q=0.0, sigma=0.5)
 _LOW_VOL = MarketParams(r=0.04, q=0.0, sigma=0.05)
@@ -74,33 +77,86 @@ _MC_PIN_RUNS = {
 # (estimate, SE) as float.hex per (case, bridge_correction), at 20 000 paths
 # x 64 steps, seed 5. The estimates were recorded from the step-by-step
 # simulation loop that the whole-path first passage replaced; the SEs from
-# the pairwise sum of squared path values, which no thread count changes.
+# each chunk's squared deviations about its own mean, merged by Chan, Golub
+# & LeVeque's update, which agree with the SE of the same path values in
+# exact rational arithmetic to 5e-16 relative.
 _MC_PINS = {
-    ("flat_bond", True): ("0x1.73f504bce8213p-1", "0x1.d1da885855470p-11"),
-    ("flat_bond", False): ("0x1.7aaf60ce09bbap-1", "0x1.e57267c64cf86p-11"),
-    ("moving_composite", True): ("0x1.8850a4037b6e8p-1", "0x1.ac4b00a6ba03ap-11"),
-    ("moving_composite", False): ("0x1.8ce1ac14a310bp-1", "0x1.a876274dbb511p-11"),
-    ("near_barrier", True): ("0x1.4ada1be405c8ep-1", "0x1.d09ea2b2b864ep-17"),
-    ("near_barrier", False): ("0x1.525a4b806d9bbp-1", "0x1.cbd349d4e6890p-12"),
-    ("unreachable", True): ("0x1.241ddc94f2e9bp+0", "0x1.efaf9cf141730p-9"),
-    ("unreachable", False): ("0x1.253ee58e03b17p+0", "0x1.eec10c2ebb9a7p-9"),
+    ("flat_bond", True): ("0x1.73f504bce8213p-1", "0x1.d1da8858554b8p-11"),
+    ("flat_bond", False): ("0x1.7aaf60ce09bbap-1", "0x1.e57267c64cf8bp-11"),
+    ("moving_composite", True): ("0x1.8850a4037b6e8p-1", "0x1.ac4b00a6ba07bp-11"),
+    ("moving_composite", False): ("0x1.8ce1ac14a310bp-1", "0x1.a876274dbb535p-11"),
+    ("near_barrier", True): ("0x1.4ada1be405c8ep-1", "0x1.d09ea2b3031aep-17"),
+    ("near_barrier", False): ("0x1.525a4b806d9bbp-1", "0x1.cbd349d4e690dp-12"),
+    ("unreachable", True): ("0x1.241ddc94f2e9bp+0", "0x1.efaf9cf14172fp-9"),
+    ("unreachable", False): ("0x1.253ee58e03b17p+0", "0x1.eec10c2ebb9a9p-9"),
     # recorded from the simulation that exponentiated every bridge exponent
-    ("low_vol_near", True): ("0x1.8f890f412c466p-1", "0x1.008d007833c65p-10"),
-    ("low_vol_near", False): ("0x1.9b7ed4a355efcp-1", "0x1.fc778373ab242p-11"),
-    ("low_vol_far", True): ("0x1.0020613353e68p+0", "0x1.05eba124a22d8p-11"),
-    ("low_vol_far", False): ("0x1.004c2fccd9133p+0", "0x1.064756a34fd2bp-11"),
+    ("low_vol_near", True): ("0x1.8f890f412c466p-1", "0x1.008d007833c7fp-10"),
+    ("low_vol_near", False): ("0x1.9b7ed4a355efcp-1", "0x1.fc778373ab250p-11"),
+    ("low_vol_far", True): ("0x1.0020613353e68p+0", "0x1.05eba124a2337p-11"),
+    ("low_vol_far", False): ("0x1.004c2fccd9133p+0", "0x1.064756a34fdaep-11"),
 }
 
 # (estimate, SE) as float.hex at 40 001 paths x 50 steps, seed 5: two full
 # 16 384-path chunks and a partial third, so the next chunk's normals are
 # drawn while a chunk is processed. The estimates were recorded from the
-# single-threaded simulation that drew every chunk in turn, the SEs as above.
+# single-threaded simulation that drew every chunk in turn, the SEs as above
+# (re-recorded with them).
 _MC_CHUNKED_PINS = {
-    ("flat_bond", True): ("0x1.73fcec1e1bc5cp-1", "0x1.4979217c9b84bp-11"),
-    ("flat_bond", False): ("0x1.7b853a2d0a0a7p-1", "0x1.58b2031b0ee49p-11"),
-    ("moving_composite", True): ("0x1.87f94d1aeccf8p-1", "0x1.2f537ce0f0545p-11"),
-    ("moving_composite", False): ("0x1.8cecbb6c1fa93p-1", "0x1.2c134576bd2f4p-11"),
+    ("flat_bond", True): ("0x1.73fcec1e1bc5cp-1", "0x1.4979217c9b875p-11"),
+    ("flat_bond", False): ("0x1.7b853a2d0a0a7p-1", "0x1.58b2031b0ee58p-11"),
+    ("moving_composite", True): ("0x1.87f94d1aeccf8p-1", "0x1.2f537ce0f0556p-11"),
+    ("moving_composite", False): ("0x1.8cecbb6c1fa93p-1", "0x1.2c134576bd2fbp-11"),
 }
+
+# The two claims of verify's MC checks on one shared pass, for the default
+# config (a put) and perfbench's moving-call config: (market, bond, option,
+# exercise), V0 = 199.
+_SHARED_CONFIGS = {
+    "reference": (_REF_MARKET, _FLAT, OptionSpec(T1=1.0, E=0.9, kind=OptionKind.PUT), max),
+    "moving_call": (MarketParams(r=0.03, q=0.02, sigma=0.35),
+                    BondSpec(T=3.0, a=0.05, b=100.0, R=0.4),
+                    OptionSpec(T1=1.5, E=0.8, kind=OptionKind.CALL), min),
+}
+
+
+def _shared_claims(config, composite_payoff=None):
+    """The bond claim and the composite claim of a config; composite_payoff
+    wraps the composite's payoff when given."""
+    market, bond, option, exercise = _SHARED_CONFIGS[config]
+
+    def payoff(v):
+        return exercise(bond_price(v, option.T1, bond, market), option.E)
+
+    rebate = lambda t: bond.R * math.exp(-market.r * (bond.T - t))
+    return [(lambda v: 1.0, rebate, bond.T, bond.a, bond.b, bond.T),
+            (composite_payoff(payoff) if composite_payoff else payoff, rebate, option.T1,
+             bond.a, bond.b, bond.T)]
+
+
+def _shared_pass(config, mc, composite_payoff=None):
+    return mc_barrier_prices(_shared_claims(config, composite_payoff),
+                             _SHARED_CONFIGS[config][0], mc, 199.0)
+
+
+# ((estimate, SE) of the bond claim, the same of the composite claim) as
+# float.hex per (config, bridge_correction), at 40 001 paths x 50 steps,
+# seed 5: three chunks, the last one partial. Each estimate is the one two
+# separate mc_barrier_price runs gave before the claims shared a pass.
+_MC_SHARED_PINS = {
+    ("reference", True): (("0x1.9e518ad03944cp-1", "0x1.6539b51692387p-11"),
+                          ("0x1.ab70fd2a17709p-1", "0x1.040881592bd36p-11")),
+    ("reference", False): (("0x1.a4bfa251b48d8p-1", "0x1.5db19de68fc0ep-11"),
+                           ("0x1.aec1afccd0d4ep-1", "0x1.eb5d87bb81d16p-12")),
+    ("moving_call", True): (("0x1.7df3c7ff36c6dp-1", "0x1.4b4acc77053cdp-10"),
+                            ("0x1.5ee4ec894a0eap-1", "0x1.5a1d926c2e48ep-11")),
+    ("moving_call", False): (("0x1.877843d46f7a8p-1", "0x1.3ff5dce04445bp-10"),
+                             ("0x1.60276d6d63eb2p-1", "0x1.515cc3eae4f75p-11")),
+}
+
+
+def _hexes(outcomes):
+    return tuple((mean.hex(), se.hex()) for mean, se in outcomes)
+
 
 # sha256 of each PdeSurface.values (float64, little-endian) of the reference
 # bond, put and call on the default 801 x 800 grid. Recorded from the solver
@@ -326,6 +382,20 @@ class TestMcSimulator:
         mean, se = _MC_PIN_RUNS[case](mc)
         assert (mean.hex(), se.hex()) == _MC_CHUNKED_PINS[case, bridge]
 
+    @pytest.mark.parametrize("config, bridge", sorted(_MC_SHARED_PINS))
+    def test_shared_pass_pinned_bits(self, config, bridge):
+        mc = McSpec(n_paths=40_001, n_steps=50, seed=5, bridge_correction=bridge)
+        assert _hexes(_shared_pass(config, mc)) == _MC_SHARED_PINS[config, bridge]
+
+    @pytest.mark.parametrize("config, bridge", sorted(_MC_SHARED_PINS))
+    def test_shared_pass_equals_separate_runs(self, config, bridge):
+        mc = McSpec(n_paths=40_001, n_steps=50, seed=5, bridge_correction=bridge)
+        market = _SHARED_CONFIGS[config][0]
+        alone = [mc_barrier_price(payoff, rebate, T, a, b, market, mc, 199.0,
+                                  barrier_anchor=anchor)
+                 for payoff, rebate, T, a, b, anchor in _shared_claims(config)]
+        assert _hexes(_shared_pass(config, mc)) == _hexes(alone)
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_pinned_bits_on_one_cpu(self):
         """The same bits from a process that may run on one CPU only, where
@@ -334,23 +404,27 @@ class TestMcSimulator:
         def run(**kwargs):
             script = (
                 "from credit_pricer import McSpec\n"
-                "from test_oracles import _MC_PIN_RUNS as runs\n"
+                "from test_oracles import _MC_PIN_RUNS as runs, _hexes, _shared_pass\n"
+                "def mc(bridge):\n"
+                "    return McSpec(n_paths=40_001, n_steps=50, seed=5, bridge_correction=bridge)\n"
                 "for case, bridge in " + repr(sorted(_MC_CHUNKED_PINS)) + ":\n"
-                "    mc = McSpec(n_paths=40_001, n_steps=50, seed=5, bridge_correction=bridge)\n"
-                "    mean, se = runs[case](mc)\n"
-                "    print(case, bridge, mean.hex(), se.hex())\n")
+                "    print(case, bridge, *_hexes([runs[case](mc(bridge))])[0])\n"
+                "for config, bridge in " + repr(sorted(_MC_SHARED_PINS)) + ":\n"
+                "    print(config, bridge, *sum(_hexes(_shared_pass(config, mc(bridge))), ()))\n")
             env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
                        **kwargs.pop("env", {}))
             out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                  text=True, check=True, timeout=120, **kwargs).stdout
-            return {(case, bridge == "True"): (mean, se)
-                    for case, bridge, mean, se in (line.split() for line in out.splitlines())}
+            return {(case, bridge == "True"): tuple(hexes)
+                    for case, bridge, *hexes in (line.split() for line in out.splitlines())}
 
+        expected = dict(_MC_CHUNKED_PINS)
+        expected.update((key, sum(pins, ())) for key, pins in _MC_SHARED_PINS.items())
         cpu = min(os.sched_getaffinity(0))
         one_cpu = run(preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
         one_blas_thread = run(env={"OPENBLAS_NUM_THREADS": "1"})
-        assert one_cpu == _MC_CHUNKED_PINS
-        assert one_blas_thread == _MC_CHUNKED_PINS
+        assert one_cpu == expected
+        assert one_blas_thread == expected
 
     def test_raising_payoff_leaves_no_thread(self):
         """An exception from the payoff in the second chunk, while the third
@@ -373,6 +447,72 @@ class TestMcSimulator:
         with pytest.raises(Boom):
             mc_barrier_price(payoff, lambda t: 0.0, 2.0, 0.0, 1e-9, _REF_MARKET, mc, 139.0)
         assert threading.active_count() == before
+
+
+    def test_raising_composite_leaves_bond_claim_and_no_thread(self):
+        """A composite payoff that raises in the second chunk fills its own
+        slot with the exception; the bond claim runs on to its pinned bits,
+        and the thread that drew the normals has ended."""
+        class Boom(Exception):
+            pass
+
+        calls = 0
+
+        def raising(payoff):
+            def wrapped(v):
+                nonlocal calls
+                calls += 1
+                # the first chunk pays 12 965 payoffs here, the first two
+                # 25 923
+                if calls > 20_000:
+                    raise Boom(calls)
+                return payoff(v)
+            return wrapped
+
+        before = threading.active_count()
+        mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
+        bond_claim, composite = _shared_pass("reference", mc, raising)
+        assert isinstance(composite, Boom) and composite.args == (20_001,)
+        assert _hexes([bond_claim]) == _MC_SHARED_PINS["reference", True][:1]
+        assert threading.active_count() == before
+
+
+class TestMcChecks:
+    """verify's MC checks: the bond and the composite on one shared pass."""
+
+    _MC = McSpec(n_paths=2000, n_steps=50, seed=5)
+
+    def test_bond_check_alone_without_option(self, bond, market):
+        checks = mc_checks(bond, market, None, 199.0, self._MC)
+        assert [check.name for check in checks] == ["mc_bond_within_3se"]
+
+    def test_failing_composite_payoff_fails_only_its_check(self, bond, market, put_spec,
+                                                           monkeypatch):
+        (bond_alone,) = mc_checks(bond, market, None, 199.0, self._MC)
+        failing_at_t1 = _bond_price_raising_at(put_spec.T1, NumericalError("no price at T1"))
+        monkeypatch.setattr("credit_pricer.verification.bond_price", failing_at_t1)
+        bond_check, puttable_check = mc_checks(bond, market, put_spec, 199.0, self._MC)
+        assert bond_check == bond_alone
+        assert puttable_check.name == "mc_puttable_within_3se"
+        assert puttable_check.error == "no price at T1" and not puttable_check.ok
+
+    def test_other_payoff_exception_propagates(self, bond, market, put_spec, monkeypatch):
+        failing_at_t1 = _bond_price_raising_at(put_spec.T1, RuntimeError("not numerical"))
+        monkeypatch.setattr("credit_pricer.verification.bond_price", failing_at_t1)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="not numerical"):
+            mc_checks(bond, market, put_spec, 199.0, self._MC)
+        assert threading.active_count() == before
+
+
+def _bond_price_raising_at(t_fail, exc):
+    """bond_price, except that it raises exc at time t_fail."""
+    def price(v, t, *args):
+        if t == t_fail:
+            raise exc
+        return bond_price(v, t, *args)
+
+    return price
 
 
 class TestStreamSplit:
@@ -465,6 +605,16 @@ class TestQuadrature:
         with pytest.raises(DomainError) as quadrature:
             quadrature_green(1.0, 1.0, params, market)
         assert str(quadrature.value) == str(closed_form.value)
+
+    def test_plain_binary_at_zero_clock_priced_like_quadrature(self):
+        # L = 0 drops the Phi factor, so the zero clock of i = 0, tau3 = 0
+        # plays no part: a plain cash binary
+        market = MarketParams(r=0.04, q=0.0, sigma=0.5)
+        params = PowerBinaryParams(beta=0.0, i=0.0, L=0.0, K=1.0,
+                                   tau1=0.0, tau2=0.0, tau3=0.0)
+        qd = quadrature_green(1.0, 1.0, params, market)
+        assert qd == pytest.approx(0.4155463020264771, rel=1e-12)
+        assert power_binary_price(1.0, 0.0, 1.0, params, market) == pytest.approx(qd, rel=1e-10)
 
     def test_underflowing_strike_ratio(self):
         # K / X underflows to 0, yet ln K - ln X is finite
