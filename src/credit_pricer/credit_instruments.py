@@ -12,6 +12,7 @@ rather than returning a silently wrong number.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -381,10 +382,13 @@ def _option_price_composed(
     return lambda V, t: knocked_out(V * math.exp(a * (bond.T - t)), t)
 
 
-# The last (bond, option, market) priced, compared by identity, with its
-# boundary K and composed price function: a curve prices one triple at
-# hundreds of points, and the specs are frozen.
-_last_solved = (None, None, None, 0.0, None)
+@functools.lru_cache(maxsize=2)
+def _solved(bond: BondSpec, option: OptionSpec, market: MarketParams):
+    """The boundary K of a (bond, option, market) triple and its composed
+    price function. A curve prices one triple at hundreds of points; the
+    second slot keeps a put and its call from evicting each other."""
+    K = early_redemption_boundary(bond, option, market).K
+    return K, _option_price_composed(bond, option, market, K)
 
 
 def option_price_paths(
@@ -399,8 +403,9 @@ def option_price_paths(
     or clipping. Validates the inputs like bond_option_price and returns
     (0, 0) on the knockout boundary. Domain: V >= barrier, 0 <= t < T1.
     A float overflow or underflow on either path raises NumericalError.
-    The boundary and the composed path's legs of the last (bond, option,
-    market) objects priced are reused while the same objects come again.
+    The boundary and the composed path's legs of the last two (bond,
+    option, market) triples priced are kept, keyed by value, so equal
+    specs share them.
     """
     _validate_option(bond, option, market)
     lvl = _check_time_and_barrier(V, t, bond)
@@ -408,16 +413,9 @@ def option_price_paths(
         raise DomainError(f"t must precede option maturity {option.T1}, got {t}")
     if V == lvl:
         return 0.0, 0.0  # knockout boundary
-    global _last_solved
-    last_bond, last_option, last_market, K, composed = _last_solved
-    if not (last_bond is bond and last_option is option and last_market is market):
-        K, composed = early_redemption_boundary(bond, option, market).K, None
     try:
-        via_formula = _option_price_formula(V, t, bond, option, market, K)
-        if composed is None:  # after the formula, whose error comes first where both fail
-            composed = _option_price_composed(bond, option, market, K)
-            _last_solved = (bond, option, market, K, composed)
-        return via_formula, composed(V, t)
+        K, composed = _solved(bond, option, market)
+        return _option_price_formula(V, t, bond, option, market, K), composed(V, t)
     except OverflowError as exc:
         raise NumericalError("option price overflows a float") from exc
     except PricerError:

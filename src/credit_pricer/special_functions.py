@@ -4,6 +4,7 @@ term, and the growth exponent of power payoffs."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -92,25 +93,16 @@ _GL_RULES = (
 )
 
 
-# Drezner-Wesolowsky nodes by rho, as _dw_nodes returns them. The orthants
-# of one option price share at most four rho values; the memo is emptied
-# when it holds 8.
-_DW_NODES: dict = {}
-
-
+# The orthants of one option price share at most four rho values.
+@functools.lru_cache(maxsize=8)
 def _dw_nodes(rho: float):
     """(asin(rho), ((weight, sn, 1 - sn^2), ...)) over the Gauss-Legendre
     rule that |rho| < 0.925 selects, sn the sine at each node."""
-    nodes = _DW_NODES.get(rho)
-    if nodes is None:
-        if len(_DW_NODES) >= 8:
-            _DW_NODES.clear()
-        asr = math.asin(rho)
-        rule = next(rule for bound, rule in _GL_RULES if abs(rho) < bound)
-        sines = ((wg, math.sin(0.5 * asr * (1.0 + sgn * xg)))
-                 for wg, xg in rule for sgn in (-1.0, 1.0))
-        nodes = _DW_NODES[rho] = (asr, tuple((wg, sn, 1.0 - sn * sn) for wg, sn in sines))
-    return nodes
+    asr = math.asin(rho)
+    rule = next(rule for bound, rule in _GL_RULES if abs(rho) < bound)
+    sines = ((wg, math.sin(0.5 * asr * (1.0 + sgn * xg)))
+             for wg, xg in rule for sgn in (-1.0, 1.0))
+    return asr, tuple((wg, sn, 1.0 - sn * sn) for wg, sn in sines)
 
 
 # A Drezner-Wesolowsky result below _TAIL_RATIO times the largest term it

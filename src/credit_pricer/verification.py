@@ -189,6 +189,10 @@ def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
             name, composite, exercise = "mc_puttable_within_3se", puttable_bond_price, max
         else:
             name, composite, exercise = "mc_callable_within_3se", callable_bond_price, min
+        try:  # an option that does not fit the bond raises here, before any draw
+            early_redemption_boundary(bond, option, market)
+        except (NumericalError, ArithmeticError):
+            pass  # and a boundary that cannot be solved fails the composite check
         claims.append((
             lambda v: exercise(bond_price(v, option.T1, bond, market), option.E),
             rebate, option.T1, bond.a, bond.b, bond.T))

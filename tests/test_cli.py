@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from credit_pricer import bond_price
+from credit_pricer import bond_price, verification
 from credit_pricer.cli import _DEFAULT_CONFIG, config_from_dict, main
 from helpers import OVERFLOW_CONFIG, bisect
 
@@ -55,6 +55,17 @@ class TestExitCodes:
         code = main(["boundary", "--config", _write_config(tmp_path, doc)])
         assert code == 2
         assert "exercise amount must satisfy" in capsys.readouterr().err
+
+    def test_mc_suite_rejects_option_after_bond_before_drawing(self, tmp_path, capsys,
+                                                               monkeypatch):
+        """The option is checked against the bond, as the composite prices
+        check it, before the simulator draws a number."""
+        monkeypatch.setattr(verification, "mc_barrier_prices",
+                            lambda *args: pytest.fail("the simulator ran"))
+        doc = _with("option.T1", 3.0)
+        assert main(["verify", "--suite", "mc", "--config", _write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: option maturity 3.0 must precede bond maturity 2.0\n"
 
     def test_undersized_grid_is_invalid_config(self, tmp_path, capsys):
         doc = dict(_BASE, numerics={"grid": {"n_space": 10}})

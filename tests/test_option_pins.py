@@ -1,12 +1,14 @@
 """Bit pins of both option-pricing paths, and checks that the work shared
-between prices (the early redemption boundary and the composed path's legs
-of the last (bond, option, market) priced) changes no result.
+between prices changes no result: the early redemption boundary and the
+composed path's legs of the last two (bond, option, market) triples priced,
+kept by value, so equal specs built anew share them.
 
 The float.hex pins were recorded before that sharing was introduced, over
 puts and calls at the reference parameters, the corners of the figure 3-5
 grids, near and on the barrier, R = 0, q > r, a != 0 and sigma 0.05-1.5."""
 
 import dataclasses
+import itertools
 import sys
 import threading
 
@@ -20,6 +22,7 @@ from credit_pricer import (
     bond_option_price,
     option_price_paths,
 )
+from credit_pricer import credit_instruments, special_functions
 
 # (id, (r, q, sigma), (T, a, b, R), (T1, E, kind), t, V, formula, composition)
 _PINS = [
@@ -138,7 +141,10 @@ def _outcome(V, t, bond, option, market):
 
 
 def _fresh(bond, option, market):
-    """Equal specs that are new objects, so nothing priced before is reused."""
+    """Equal specs that are new objects, with the shared work emptied, so
+    nothing priced before is reused."""
+    credit_instruments._solved.cache_clear()
+    special_functions._dw_nodes.cache_clear()
     return dataclasses.replace(bond), dataclasses.replace(option), dataclasses.replace(market)
 
 
@@ -156,23 +162,65 @@ def test_overflow_pinned(case):
         assert _outcome(V, t, *specs) == ("NumericalError", "option price overflows a float")
 
 
+def _pin(name):
+    return next(p for p in _PINS if p[0] == name)
+
+
 class TestSharedWork:
-    """The boundary and the composed legs of the last triple are reused
-    only while the same objects come again, and never change a price."""
+    """The boundary and the composed legs of the last two triples are kept,
+    keyed by value, and never change a price."""
 
     def test_alternating_triples_match_fresh_calls(self):
         put = _specs(*_PINS[0][1:4])
-        call = _specs(*[p for p in _PINS if p[0] == "q_above_r_call"][0][1:4])
+        call = _specs(*_pin("q_above_r_call")[1:4])
+        third = _specs(*_pin("growing_barrier_put")[1:4])
         points = [(0.0, 139.0), (0.3, 199.0), (0.9, 300.0), (0.5, 101.0)]
+        order = (put, call, call, put, third, call)  # the third evicts one of two
         got = []
         for t, V in points:  # each call switches triple, then repeats it
-            for specs in (put, call, call, put):
+            for specs in order:
                 got.append(_hex_paths(V, t, *specs))
         want = []
         for t, V in points:
-            for specs in (put, call, call, put):
+            for specs in order:
                 want.append(_hex_paths(V, t, *_fresh(*specs)))
         assert got == want
+
+    def test_equal_specs_built_anew_share_one_solve(self, monkeypatch):
+        solve = credit_instruments.early_redemption_boundary
+        solves = []
+        monkeypatch.setattr(credit_instruments, "early_redemption_boundary",
+                            lambda *args: solves.append(args) or solve(*args))
+        _, market, bond, option, t, V, formula, composition = _PINS[0]
+        specs = _fresh(*_specs(market, bond, option))
+        rebuilt = _specs(market, bond, option)
+        replaced = tuple(dataclasses.replace(s) for s in specs)
+        for built in (specs, rebuilt, replaced):
+            assert _hex_paths(V, t, *built) == (formula, composition)
+        assert bond_option_price(V, t, *rebuilt) == float.fromhex(formula)
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("base", [
+        _pin("reference_put"),
+        _pin("zero_recovery_call"),
+        # r = 0 too, so that every one of r, q, a and R is a zero
+        ("zero_rate_put", (0.0, 0.0, 0.5), (2.0, 0.0, 100.0, 0.0), (1.0, 0.5, "put"), 0.3, 160.0,
+         None, None),
+    ], ids=lambda pin: pin[0])
+    def test_signed_zeros_share_the_bits_in_either_order(self, base):
+        _, (r, q, sigma), (T, a, b, R), option, t, V, formula, composition = base
+        zeros = [name for name, x in (("r", r), ("q", q), ("a", a), ("R", R)) if x == 0.0]
+
+        def variant(negative):
+            x = {"r": r, "q": q, "a": a, "R": R} | dict.fromkeys(negative, -0.0)
+            return _specs((x["r"], x["q"], sigma), (T, x["a"], b, x["R"]), option)
+
+        variants = [variant(neg) for n in range(len(zeros) + 1)
+                    for neg in itertools.combinations(zeros, n)]
+        want = (formula, composition) if formula else _hex_paths(V, t, *_fresh(*variants[0]))
+        assert all(_hex_paths(V, t, *_fresh(*specs)) == want for specs in variants)
+        for first, second in itertools.permutations(variants, 2):
+            assert (_hex_paths(V, t, *_fresh(*first)), _hex_paths(V, t, *second)) == (want, want)
 
     def test_equal_distinct_specs_give_the_same_bits(self):
         for pin in _PINS:

@@ -135,12 +135,12 @@ class TestBinormCdf:
                                                0.29, 0.3, 0.5, 0.74, 0.75, 0.92)]
         fresh = []
         for a in args:
-            special_functions._DW_NODES.clear()
+            special_functions._dw_nodes.cache_clear()
             fresh.append(binorm_cdf(*a).hex())
         forward = [binorm_cdf(*a).hex() for a in args]
         backward = [binorm_cdf(*a).hex() for a in reversed(args)][::-1]
         assert forward == backward == fresh
-        assert len(special_functions._DW_NODES) <= 8
+        assert special_functions._dw_nodes.cache_info().currsize <= 8
 
     def test_origin_half_correlation(self):
         # closed form 1/4 + arcsin(rho)/(2 pi) = 1/3 at rho = 1/2
