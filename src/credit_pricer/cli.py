@@ -11,7 +11,6 @@ failure, 2 invalid input, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import copy
 import enum
 import json
 import math
@@ -175,9 +174,9 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _with_overrides(config: RunConfig, args) -> RunConfig:
-    """Apply flag/env overrides: --seed wins over CREDIT_PRICER_SEED, which
-    wins over the config value; --samples and --out replace theirs."""
-    doc = copy.deepcopy(config.doc)
+    """The config with flag/env overrides, checked again as a config file is: --seed
+    wins over CREDIT_PRICER_SEED, which wins over the config; --samples, --out replace theirs."""
+    doc = config.to_dict()
     env = os.environ.get(_ENV_SEED)
     if env is not None:
         try:
@@ -187,13 +186,10 @@ def _with_overrides(config: RunConfig, args) -> RunConfig:
     if args.seed is not None:
         doc["numerics"]["seed"] = args.seed
     if args.samples is not None:
-        if args.samples < 2:
-            raise InvalidParamsError(f"--samples must be >= 2, got {args.samples}")
         doc["curves"]["samples"] = args.samples
     if args.out is not None:
         doc["out"] = args.out
-    num = doc["numerics"]
-    return replace(config, doc=doc, mc=McSpec(**num["mc"], seed=num["seed"]))
+    return config_from_dict(doc)
 
 
 def _echo(config: RunConfig) -> None:
@@ -212,8 +208,6 @@ def _write_curves_csv(path: str, meta: dict, x_name: str, xs: list[float],
     names are returned."""
     names, ordinates = [], []
     for name, ys in columns:
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise InvalidParamsError(f"curve {name}: abscissa not strictly increasing")
         if not all(map(math.isfinite, ys)):
             raise InvalidParamsError(f"curve {name}: non-finite ordinate")
         names.append(name)
@@ -273,9 +267,13 @@ def cmd_boundary(config: RunConfig, args) -> int:
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n evenly spaced abscissae from lo to hi, checked before any curve is priced."""
     xs = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
     if not all(map(math.isfinite, xs)):
         raise NumericalError(f"curve abscissa from {lo!r} to {hi!r} leaves the float range")
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise InvalidParamsError(
+            f"curve abscissa from {lo!r} to {hi!r} is not strictly increasing")
     return xs
 
 
@@ -305,13 +303,12 @@ def cmd_curves(config: RunConfig, args) -> int:
             if not 0.0 <= t < option.T1:
                 raise InvalidParamsError(
                     f"curves.series_t values must lie in [0, T1) for figure 4, got {t}")
-        barriers = [barrier_level(bond, t) for t in crv["series_t"]]
-        x_name, xs = "V", _linspace(max(barriers), v_max, n)
-        # knocked out on the barrier
+        lo = max(barrier_level(bond, t) for t in crv["series_t"])
+        # a series whose barrier is lo is knocked out there: its price is 0
+        x_name, xs = "V", _linspace(lo, v_max, n)
         columns = ((f"{option.kind.value}_t{t:g}",
-                    [0.0 if v <= barrier else bond_option_price(v, t, bond, option, market)
-                     for v in xs])
-                   for t, barrier in zip(crv["series_t"], barriers))
+                    [bond_option_price(v, t, bond, option, market) for v in xs])
+                   for t in crv["series_t"])
     else:
         if option.kind is not OptionKind.PUT:
             raise InvalidParamsError("figure 5 requires a put option (puttable bond)")

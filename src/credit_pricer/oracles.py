@@ -245,20 +245,6 @@ def _bridge_crossed(u, exponent, out=None):
     return np.less(u, exponent, out=need)
 
 
-def _skip_words(bits, n):
-    """Move a Philox bit generator on by n 64-bit words, as n draws would:
-    the words left in its 4-word buffer, then whole blocks by advance (which
-    empties the buffer), then the rest."""
-    left = min(n, 4 - bits.state["buffer_pos"])
-    if left:
-        bits.random_raw(left)
-    blocks, rest = divmod(n - left, 4)
-    if blocks:
-        bits.advance(blocks)
-    if rest:
-        bits.random_raw(rest)
-
-
 class _Claim:
     """One claim of a shared Monte Carlo pass: its terms, validated as
     mc_barrier_price documents them, the first passage and terminal log
@@ -386,11 +372,11 @@ def mc_barrier_prices(claims, market: MarketParams, mc: McSpec,
     chunk's normals. The normals are drawn one chunk ahead on a second
     thread while this one builds the current chunk's paths and payoffs; the
     second thread keeps the stream state after a chunk's normals, for this
-    thread's uniforms, and skips their words (_skip_words). The uniforms are
-    drawn block by block and each block serves every claim. Every number
-    keeps its place in the stream, so the result has the same bits as a
-    single-threaded draw however the two threads are scheduled. The thread
-    has ended when the call returns or raises.
+    thread's uniforms, and skips their words (random_raw with output=False).
+    The uniforms are drawn block by block and each block serves every claim.
+    Every number keeps its place in the stream, so the result has the same
+    bits as a single-threaded draw however the two threads are scheduled.
+    The thread has ended when the call returns or raises.
     """
     n_steps = mc.n_steps
     sims = [_Claim(*claim, market, n_steps, V0) for claim in claims]
@@ -407,7 +393,7 @@ def mc_barrier_prices(claims, market: MarketParams, mc: McSpec,
         if not mc.bridge_correction:
             return None
         state = bits.state
-        _skip_words(bits, out.size)
+        bits.random_raw(out.size, output=False)
         return state
 
     chunks = [min(_MC_CHUNK, mc.n_paths - lo) for lo in range(0, mc.n_paths, _MC_CHUNK)]

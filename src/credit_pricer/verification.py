@@ -115,10 +115,9 @@ def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None
         }
         if option is not None:
             lvl_t1 = barrier_level(bond, option.T1)
+            align = _flatten(early_redemption_boundary(bond, option, market).K, option.T1, bond)
             for kind in OptionKind:
                 spec = replace(option, kind=kind)
-                K = early_redemption_boundary(bond, spec, market).K
-                align = K * math.exp(bond.a * (bond.T - option.T1)) / bond.b
 
                 def payoff(x, spec=spec):
                     return exercise_value(lvl_t1 * x, bond, spec, market)

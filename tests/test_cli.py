@@ -113,6 +113,27 @@ class TestExitCodes:
         assert ("curves.series_t values must lie in [0, T1) for figure 4"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("figure, lo", [(2, "271.8281828459045"), (4, "738.905609893065")])
+    def test_barrier_above_v_max_is_checked_before_pricing(self, tmp_path, capsys, figure, lo):
+        """A barrier above v_max leaves a falling abscissa, rejected before
+        any point is priced (a priced point would lie below the barrier)."""
+        doc = dict(_BASE, bond=dict(_BASE["bond"], a=-1.0), curves={"v_max_mult": 2.0})
+        out = tmp_path / "fig.csv"
+        assert main(["curves", "--figure", str(figure), "--out", str(out),
+                     "--config", _write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: curve abscissa from {lo} to 200.0 is not strictly increasing\n")
+        assert not out.exists()
+
+    def test_figure5_rejects_a_call(self, tmp_path, capsys):
+        doc = dict(_BASE, option=dict(_BASE["option"], kind="call"))
+        out = tmp_path / "fig5.csv"
+        assert main(["curves", "--figure", "5", "--out", str(out),
+                     "--config", _write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "error: figure 5 requires a put option (puttable bond)\n")
+        assert not out.exists()
+
     def test_non_utf8_config_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_bytes(b'{"market": "\xff"}')
@@ -309,7 +330,9 @@ class TestCurvesCommand:
         assert format(float(cell), ".17g") == cell
 
     def test_samples_flag_validated(self, capsys):
+        """A flag is checked as the config key it overrides."""
         assert main(["curves", "--figure", "1", "--samples", "1"]) == 2
+        assert capsys.readouterr().err == "error: curves.samples must be >= 2, got 1\n"
 
 
 class TestVerifyCommand:

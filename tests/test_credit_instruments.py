@@ -32,6 +32,7 @@ from credit_pricer import (
     power_binary_price,
     puttable_bond_price,
     survival_probability,
+    credit_instruments,
     verification,
 )
 from helpers import OVERFLOW_CONFIG, bisect, pricing_residual
@@ -356,6 +357,27 @@ class TestFormulaAgainstComposition:
         # disagreement; a plain call doubles as the smoke check
         value = bond_option_price(139.0, 0.0, bond, put_spec, market)
         assert value == pytest.approx(0.020001389803698907, rel=1e-10)
+
+    @staticmethod
+    def _shift_composed_path(monkeypatch, shift):
+        solved = credit_instruments._solved
+
+        def shifted(*specs):
+            K, composed = solved(*specs)
+            return K, lambda V, t: composed(V, t) + shift
+
+        monkeypatch.setattr(credit_instruments, "_solved", shifted)
+
+    def test_disagreeing_paths_raise(self, bond, market, put_spec, monkeypatch):
+        self._shift_composed_path(monkeypatch, 1e-6)
+        with pytest.raises(NumericalError, match="^option pricing paths disagree: formula "):
+            bond_option_price(139.0, 0.0, bond, put_spec, market)
+
+    def test_paths_within_tolerance_return_the_formula(self, bond, market, put_spec,
+                                                       monkeypatch):
+        value = bond_option_price(139.0, 0.0, bond, put_spec, market)
+        self._shift_composed_path(monkeypatch, 1e-12)
+        assert bond_option_price(139.0, 0.0, bond, put_spec, market) == value
 
 
 class TestIndicatorSplit:

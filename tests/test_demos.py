@@ -1,6 +1,7 @@
 """The light demos run end to end against the public API. The two
 oracle-heavy demos (reproduce_figures, verify_against_oracles) stay out:
-their Monte Carlo takes seconds."""
+their Monte Carlo takes seconds. The CI workflow runs them in a temporary
+directory."""
 
 import os
 import runpy

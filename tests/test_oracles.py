@@ -18,6 +18,7 @@ from credit_pricer import (
     BondSpec,
     DomainError,
     GridSpec,
+    IndicatorDirection,
     InvalidParamsError,
     MarketParams,
     McSpec,
@@ -28,6 +29,7 @@ from credit_pricer import (
     Scheme,
     barrier_level,
     bond_price,
+    callable_bond_price,
     draw_verification_case,
     mc_barrier_price,
     mc_barrier_prices,
@@ -37,7 +39,7 @@ from credit_pricer import (
     survival_probability,
     tbvp_w,
 )
-from credit_pricer.oracles import _bridge_crossed, _skip_words
+from credit_pricer.oracles import _bridge_crossed
 from credit_pricer.verification import mc_checks, pde_surfaces
 
 _REF_MARKET = MarketParams(r=0.04, q=0.0, sigma=0.5)
@@ -486,6 +488,19 @@ class TestMcChecks:
         checks = mc_checks(bond, market, None, 199.0, self._MC)
         assert [check.name for check in checks] == ["mc_bond_within_3se"]
 
+    def test_call_runs_the_callable_check(self):
+        """A call's composite is the callable bond, paid min(B, E) at T1: each
+        check measures its pinned estimate's gap in SEs, to the bit."""
+        market, bond, option, _ = _SHARED_CONFIGS["moving_call"]
+        mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
+        checks = mc_checks(bond, market, option, 199.0, mc)
+        assert [check.name for check in checks] == ["mc_bond_within_3se",
+                                                    "mc_callable_within_3se"]
+        closed = [bond_price(199.0, 0.0, bond, market),
+                  callable_bond_price(199.0, 0.0, bond, option, market)]
+        for check, cf, (mean, se) in zip(checks, closed, _MC_SHARED_PINS["moving_call", True]):
+            assert check.measured == abs(float.fromhex(mean) - cf) / float.fromhex(se)
+
     def test_failing_composite_payoff_fails_only_its_check(self, bond, market, put_spec,
                                                            monkeypatch):
         (bond_alone,) = mc_checks(bond, market, None, 199.0, self._MC)
@@ -536,7 +551,7 @@ class TestStreamSplit:
             uniforms, normals = sequential.random((m, n_steps)), sequential.standard_normal(99)
 
             bits.state = state
-            _skip_words(bits, m * n_steps)
+            bits.random_raw(m * n_steps, output=False)
             snapshot = np.random.Philox(seed)
             snapshot.state = state
             assert np.array_equal(np.random.Generator(snapshot).random((m, n_steps)), uniforms)
@@ -615,6 +630,24 @@ class TestQuadrature:
         qd = quadrature_green(1.0, 1.0, params, market)
         assert qd == pytest.approx(0.4155463020264771, rel=1e-12)
         assert power_binary_price(1.0, 0.0, 1.0, params, market) == pytest.approx(qd, rel=1e-10)
+
+    @pytest.mark.parametrize("direction", list(IndicatorDirection))
+    @pytest.mark.parametrize("i", [1.0, -1.0, 2.0, 0.5])
+    def test_folded_step_priced_like_closed_form(self, i, direction):
+        # tau3 = 0 makes the Phi factor a step in z, folded into the range:
+        # a lower bound for i > 0, an upper one for i < 0
+        market = MarketParams(r=0.04, q=0.01, sigma=0.3)
+        params = PowerBinaryParams(beta=0.5, i=i, L=1.1, K=0.9, tau1=0.3, tau2=0.1,
+                                   tau3=0.0, direction=direction)
+        cf = power_binary_price(1.0, 0.0, 1.0, params, market)
+        assert quadrature_green(1.0, 1.0, params, market) == pytest.approx(cf, abs=1e-12)
+
+    def test_zero_strike_below_is_worthless(self):
+        market = MarketParams(r=0.04, q=0.01, sigma=0.3)
+        params = PowerBinaryParams(beta=0.5, i=1.0, L=1.1, K=0.0, tau1=0.3, tau2=0.1,
+                                   tau3=0.0, direction=IndicatorDirection.BELOW)
+        assert quadrature_green(1.0, 1.0, params, market) == 0.0
+        assert power_binary_price(1.0, 0.0, 1.0, params, market) == 0.0
 
     def test_underflowing_strike_ratio(self):
         # K / X underflows to 0, yet ln K - ln X is finite

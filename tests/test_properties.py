@@ -144,6 +144,19 @@ def test_nan_composed_path_is_rejected(position):
     assert _paths_agree(*position)
 
 
+@pytest.mark.xfail(strict=True, reason="exercise_value does not knock out on the barrier, "
+                   "so the puttable bond jumps there at T1")
+def test_puttable_bond_is_continuous_at_expiry_on_the_barrier():
+    # the reference put at V = 100, on the barrier: just before T1 the put is
+    # knocked out and the puttable bond is B = 0.6725526073797241; at T1 it
+    # is max(B, E) = 0.9
+    bond = BondSpec(T=2.0, a=0.0, b=100.0, R=0.7)
+    put = OptionSpec(T1=1.0, E=0.9, kind=OptionKind.PUT)
+    market = MarketParams(r=0.04, q=0.0, sigma=0.5)
+    before = puttable_bond_price(100.0, put.T1 - 1e-9, bond, put, market)
+    assert puttable_bond_price(100.0, put.T1, bond, put, market) == pytest.approx(before, abs=1e-6)
+
+
 @pytest.mark.xfail(strict=True, raises=NumericalError,
                    reason="image_transform forms b*b, which overflows above b = 1.34e154")
 def test_image_point_of_a_huge_barrier_stays_finite():
