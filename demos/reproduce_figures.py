@@ -33,7 +33,9 @@ print(f"figure4: P at barrier = {data[0][1]:.2e}, "
       f"peak = {max(r[1] for r in data):.4f}, "
       f"at V=300: {data[-1][1]:.4f}")
 
-# figure 5: the puttable bond is continuous across the exercise date
+# figure 5: the puttable bond is continuous from the left at the exercise
+# date and reads max(B, E) there; after it the curve follows the plain bond,
+# so it drops at T1 wherever B(V, T1) < E, as at V = 139
 header, data = read_csv("figure5.csv")
 mid = len(data) // 2
 print(f"figure5: puttable(V=139) around T1: "

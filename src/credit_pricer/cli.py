@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import verification
 from .credit_instruments import (
@@ -329,13 +329,7 @@ def _verify_checks(config: RunConfig, suite: str):
     bond, market, option, doc = config.bond, config.market, config.option, config.doc
     probe_v, v0, seed = doc["curves"]["series_V"], doc["points"]["V"][0], doc["numerics"]["seed"]
     if suite in ("pde", "all"):
-        surfaces = verification.pde_surfaces(bond, market, option, config.grid)
-        yield verification.pde_bond_agreement(surfaces, bond, market, option, probe_v)
-        yield verification.pde_survival_agreement(surfaces, bond, market, option, probe_v)
-        if option is not None:
-            for kind in OptionKind:
-                yield verification.pde_option_agreement(
-                    surfaces, bond, market, replace(option, kind=kind), probe_v)
+        yield from verification.pde_checks(bond, market, option, config.grid, probe_v)
     if suite in ("mc", "all"):
         yield from verification.mc_checks(bond, market, option, v0, config.mc)
     if suite in ("quadrature", "all"):

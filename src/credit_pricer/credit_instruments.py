@@ -175,12 +175,8 @@ def bond_price(V: float, t: float, bond: BondSpec, market: MarketParams) -> floa
     barrier, exactly) and the default-free discount bond e^{-r(T-t)}.
     t = T returns the terminal data: face 1 above the barrier, R on it.
     """
-    lvl = _check_time_and_barrier(V, t, bond)
-    if t == bond.T:
-        return 1.0 if V > lvl else bond.R
-    w = tbvp_w(V / lvl, t, market.r - market.q - bond.a, market.sigma, bond.T)
-    disc = _discount(market.r, bond.T - t)
-    return disc * (bond.R + (1.0 - bond.R) * w)
+    w = survival_probability(V, t, bond, market)
+    return _discount(market.r, bond.T - t) * (bond.R + (1.0 - bond.R) * w)
 
 
 def _validate_option(bond: BondSpec, option: OptionSpec, market: MarketParams) -> None:
@@ -344,15 +340,8 @@ def _option_price_composed(
     gamma = 1.0 - 2.0 * (r - flat.q) / (sig * sig)
 
     def leg(beta, i, L, strike, direction):
-        # threshold legs (L > 0) carry the residual clock T - T1; the plain
-        # cash binary has no threshold and needs only a positive tau3
-        has_level = L > 0.0
-        return PowerBinaryParams(
-            beta=beta, i=i, L=L, K=strike,
-            tau1=tau_t1 if has_level else 0.0, tau2=0.0,
-            tau3=tau_t1 if has_level else 1.0,
-            direction=direction,
-        )
+        # the residual clock T - T1; the cash binary (L = 0) ignores it
+        return PowerBinaryParams(beta, i, L, strike, tau_t1, 0.0, tau_t1, direction)
 
     above, below = IndicatorDirection.ABOVE, IndicatorDirection.BELOW
     recovery_gap = option.E - bond.R * disc_t
@@ -453,7 +442,12 @@ def bond_option_price(
 
 def exercise_value(V: float, bond: BondSpec, option: OptionSpec, market: MarketParams) -> float:
     """Option payoff at expiry T1 for firm value V: (E - B(V, T1))^+ for a
-    put, (B(V, T1) - E)^+ for a call."""
+    put, (B(V, T1) - E)^+ for a call, and 0 on the knockout barrier.
+    Validates like bond_option_price. Domain: V >= barrier at T1."""
+    _validate_option(bond, option, market)
+    lvl = _check_time_and_barrier(V, option.T1, bond)
+    if V == lvl:
+        return 0.0  # knockout boundary
     b_t1 = bond_price(V, option.T1, bond, market)
     if option.kind is OptionKind.PUT:
         return max(option.E - b_t1, 0.0)
@@ -469,16 +463,16 @@ def _bond_with_option(V: float, t: float, bond: BondSpec, option: OptionSpec,
         raise InvalidOptionError(f"{holder} bond requires a {kind.value} option spec")
     if t > option.T1:
         return bond_price(V, t, bond, market)
-    if t == option.T1:
-        _validate_option(bond, option, market)
-        return bond_price(V, t, bond, market) + sign * exercise_value(V, bond, option, market)
+    if t == option.T1:  # exercise_value first: it validates the option
+        return sign * exercise_value(V, bond, option, market) + bond_price(V, t, bond, market)
     return bond_price(V, t, bond, market) + sign * bond_option_price(V, t, bond, option, market)
 
 
 def puttable_bond_price(V: float, t: float, bond: BondSpec, option: OptionSpec,
                         market: MarketParams) -> float:
     """Bond plus the holder's right to redeem early at E: B + P up to T1,
-    the plain bond after. At t = T1 the value is max(B(V, T1), E)."""
+    the plain bond after. At t = T1 the value is max(B(V, T1), E), and B on
+    the barrier, where the put is knocked out, as it is just before T1."""
     return _bond_with_option(V, t, bond, option, market, OptionKind.PUT, 1.0)
 
 

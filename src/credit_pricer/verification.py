@@ -3,9 +3,11 @@ terminal boundary value problems: agreement with the Crank-Nicolson,
 Monte Carlo and quadrature oracles, and the structural invariants.
 
 Each check takes its inputs explicitly and returns a Check record; it
-passes when the measured quantity does not exceed the tolerance. The
-`verify` command and the acceptance suite run these same functions, so
-both use one set of probes, draw counts and tolerances.
+passes when the measured quantity does not exceed the tolerance. The PDE
+and Monte Carlo checks come in groups (pde_checks, mc_checks) that share
+one solve or one simulation. The `verify` command and the acceptance suite
+run these same functions, so both use one set of probes, draw counts and
+tolerances.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from .credit_instruments import (BondSpec, OptionKind, OptionSpec, barrier_level
                                  option_price_paths, puttable_bond_price,
                                  survival_probability)
 from .errors import NumericalError
-from .oracles import (GridSpec, McSpec, PdeSurface, draw_verification_case,
+from .oracles import (GridSpec, McSpec, draw_verification_case,
                       mc_barrier_prices, pde_solve_tbvp, quadrature_green)
 from .special_functions import MarketParams, norm_cdf, norm_pdf
 
 __all__ = [
-    "Check", "FORMULA_VS_COMPOSITION_DRAWS", "pde_surfaces", "pde_bond_agreement",
-    "pde_survival_agreement", "pde_option_agreement", "mc_checks", "quadrature_sweep",
-    "quadrature_bond", "survival_shape", "bond_shape",
+    "Check", "FORMULA_VS_COMPOSITION_DRAWS", "pde_surfaces", "pde_checks", "mc_checks",
+    "quadrature_sweep", "quadrature_bond", "survival_shape", "bond_shape",
     "image_annihilation", "parity_at_expiry", "direction_complement",
     "hedge_positivity", "formula_vs_composition",
 ]
@@ -129,46 +130,34 @@ def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None
     return _SolvedOnFirstLookup(solve_all)
 
 
-def _probe_times(bond: BondSpec, option: OptionSpec | None) -> list[float]:
-    """0, T1/2 and T1, with T1 = T/2 when there is no option."""
+def pde_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
+               grid: GridSpec, probe_v) -> list[Check]:
+    """Bond and survival and, when an option is given, the put and the call
+    at its T1 and E against their pde_surfaces at the probe firm values and
+    t in {0, T1/2, T1} (T1 = T/2 without an option; the options stop at
+    T1/2); worst relative gap, tolerance 1e-3."""
+    surfaces = pde_surfaces(bond, market, option, grid)
     t1 = option.T1 if option is not None else bond.T / 2.0
-    return [0.0, t1 / 2.0, t1]
+    probe_t = [0.0, t1 / 2.0, t1]
 
+    def check(key, times, price, *specs):
+        def worst_gap():
+            surface, worst = surfaces[key], 0.0
+            for v in probe_v:
+                for t in times:
+                    cf = price(v, t, *specs)
+                    pde = surface.value(_flatten(v, t, bond), t)
+                    worst = max(worst, abs(pde - cf) / max(abs(cf), 1e-12))
+            return worst
+        return _run(f"pde_{key}_agreement", 1e-3, worst_gap)
 
-def _pde_gap(closed, surface: PdeSurface, bond: BondSpec, probe_v, probe_t) -> float:
-    """Worst relative gap between a closed form and a PDE surface."""
-    worst = 0.0
-    for v in probe_v:
-        for t in probe_t:
-            cf = closed(v, t)
-            pde = surface.value(_flatten(v, t, bond), t)
-            worst = max(worst, abs(pde - cf) / max(abs(cf), 1e-12))
-    return worst
-
-
-def pde_bond_agreement(surfaces, bond: BondSpec, market: MarketParams,
-                       option: OptionSpec | None, probe_v) -> Check:
-    """Bond price against the PDE at the probe firm values and t in
-    {0, T1/2, T1}; relative tolerance 1e-3."""
-    return _run("pde_bond_agreement", 1e-3, lambda: _pde_gap(
-        lambda v, t: bond_price(v, t, bond, market), surfaces["bond"], bond,
-        probe_v, _probe_times(bond, option)))
-
-
-def pde_survival_agreement(surfaces, bond: BondSpec, market: MarketParams,
-                           option: OptionSpec | None, probe_v) -> Check:
-    """Survival probability against the PDE, probed like the bond."""
-    return _run("pde_survival_agreement", 1e-3, lambda: _pde_gap(
-        lambda v, t: survival_probability(v, t, bond, market), surfaces["survival"],
-        bond, probe_v, _probe_times(bond, option)))
-
-
-def pde_option_agreement(surfaces, bond: BondSpec, market: MarketParams,
-                         option: OptionSpec, probe_v) -> Check:
-    """The option of the given kind against the PDE at t in {0, T1/2}."""
-    return _run(f"pde_{option.kind.value}_agreement", 1e-3, lambda: _pde_gap(
-        lambda v, t: bond_option_price(v, t, bond, option, market),
-        surfaces[option.kind.value], bond, probe_v, _probe_times(bond, option)[:2]))
+    checks = [check("bond", probe_t, bond_price, bond, market),
+              check("survival", probe_t, survival_probability, bond, market)]
+    if option is not None:
+        for kind in OptionKind:
+            checks.append(check(kind.value, probe_t[:2], bond_option_price, bond,
+                                replace(option, kind=kind), market))
+    return checks
 
 
 def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,

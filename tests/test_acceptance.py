@@ -61,13 +61,8 @@ def test_criterion_3_pde_cross_check(bond, put_spec, call_spec, market):
     solver holds exactly at the nodes. Interior option probes stop at 0.5.
     """
     start = time.monotonic()
-    surfaces = verification.pde_surfaces(bond, market, put_spec,
-                                         GridSpec(n_space=801, n_time=800))
-    checks = [
-        verification.pde_bond_agreement(surfaces, bond, market, put_spec, _PROBE_V),
-        verification.pde_survival_agreement(surfaces, bond, market, put_spec, _PROBE_V),
-    ] + [verification.pde_option_agreement(surfaces, bond, market, spec, _PROBE_V)
-         for spec in (put_spec, call_spec)]
+    checks = verification.pde_checks(bond, market, put_spec,
+                                     GridSpec(n_space=801, n_time=800), _PROBE_V)
     assert all(check.tol == 1e-3 for check in checks)
     worst = {check.name: check.measured for check in checks}
     for spec in (put_spec, call_spec):

@@ -28,6 +28,7 @@ from credit_pricer import (
     bond_price,
     callable_bond_price,
     early_redemption_boundary,
+    exercise_value,
     mc_barrier_price,
     power_binary_price,
     puttable_bond_price,
@@ -341,6 +342,40 @@ class TestBondOptionPrice:
         with pytest.raises(NumericalError) as info:
             bond_option_price(v, 0.0, bond, put_spec, market)
         assert str(info.value) == f"image point of x={x} leaves the float range"
+
+
+class TestExerciseValue:
+    # an exercise date at or after maturity, and E above or below its
+    # bracket (R e^{-r(T-T1)}, e^{-r(T-T1)}) = (0.6726, 0.9608) at T1 = 1
+    @pytest.mark.parametrize("kind", OptionKind)
+    @pytest.mark.parametrize("T1, E", [(2.0, 0.9), (3.0, 0.9), (1.0, 0.99), (1.0, 0.5)],
+                             ids=["T1_at_T", "T1_after_T", "E_above", "E_below"])
+    def test_option_that_does_not_fit_the_bond_is_rejected(self, bond, market, T1, E, kind):
+        option = OptionSpec(T1=T1, E=E, kind=kind)
+        with pytest.raises(InvalidOptionError) as priced:
+            bond_option_price(150.0, 0.0, bond, option, market)
+        with pytest.raises(InvalidOptionError) as exercised:
+            exercise_value(150.0, bond, option, market)
+        assert (type(exercised.value), str(exercised.value)) == (
+            type(priced.value), str(priced.value))
+
+
+@pytest.mark.parametrize("V", [0.0, -1.0, math.nan, math.inf])
+def test_firm_value_must_be_positive_and_finite(V, bond, market, put_spec, call_spec):
+    prices = {
+        "survival": lambda t: survival_probability(V, t, bond, market),
+        "bond": lambda t: bond_price(V, t, bond, market),
+        "option": lambda t: bond_option_price(V, t, bond, put_spec, market),
+        "exercise": lambda t: exercise_value(V, bond, put_spec, market),
+        "puttable": lambda t: puttable_bond_price(V, t, bond, put_spec, market),
+        "callable": lambda t: callable_bond_price(V, t, bond, call_spec, market),
+    }
+    for name, price in prices.items():
+        for t in (0.0, put_spec.T1):
+            with pytest.raises(DomainError) as info:
+                price(t)
+            assert (type(info.value), str(info.value)) == (
+                DomainError, f"firm value must be positive and finite, got {V}"), name
 
 
 class TestFormulaAgainstComposition:

@@ -162,11 +162,12 @@ def _hexes(outcomes):
 
 # sha256 of each PdeSurface.values (float64, little-endian) of the reference
 # bond, put and call on the default 801 x 800 grid. Recorded from the solver
-# that rebuilt its banded matrix at every time step.
+# that rebuilt its banded matrix at every time step; the put's, with the put
+# knocked out (0) at the barrier node of its terminal row.
 _PDE_PINS = {
     "bond": "7f02b2ad5c5f3b525b687c71ff944040f1e98daa2227aa3fef4c983cbf264ff7",
     "survival": "53ce093279e60842e01779687740a721b9de9cf71d15040b797e3f63c516db7c",
-    "put": "78d7ba5717b38c6e1916003e0504f8b9ff81f61b285a86c9966005097c59c380",
+    "put": "9d0ae75eb8189f388a3df545bb8de0a718845712c6d4cf85a1745beaea89ca5e",
     "call": "cc33ee8a38fe91abc77e7c6289fb928a2dd45804a3a4fe418d49d4c2ebbf7b1b",
 }
 
@@ -178,13 +179,13 @@ _PDE_COARSE_PINS = {
     (101, 50, Scheme.CRANK_NICOLSON): {
         "bond": "087f8935202b87c3db55a8a008d82e4cedffd6e3b908c6cfedb843daea4860a5",
         "survival": "1b8c1c25fd125dbdc307f14dfb034f4d858c9d4874e121d72f3dbcaca62f703e",
-        "put": "98ac61eb9cdfd1581c8101f3ff2a030da2f790778ff6782563b032a26b974bfc",
+        "put": "3d36f669b490db58ed9a5030f223ea96ac4c4e04dd518464d7d23f4798665935",
         "call": "4102a56fd4543edbcbaa22302b692af94d48aafa540fd46492f7f9c7e085745c",
     },
     (201, 150, Scheme.IMPLICIT_EULER): {
         "bond": "b6bef11a473b21e58694f55a5f2d34ee35a0c792ddc32a89d8960c514b1981fc",
         "survival": "d52a583e96a424efcf1bfa308eb9f734d2855635d26d9b4483b9dd2f5a630760",
-        "put": "e9db626b94b341e7578e928d36318fc5499219b82aae66faa7e5e8b499c07276",
+        "put": "5d1332f841bb194233790e97eb7a0f89a48eae5a3d21ea4edfef53b8c214473c",
         "call": "5dc15ce8c5ada689721006b6dc094b249cbda6d22e7f96bd50da2f20a5cbfac8",
     },
 }

@@ -1,6 +1,8 @@
 """Properties drawn over the whole admissible domain, and the known defects
 pinned to their inputs as strict xfails: a fix turns one into an XPASS,
-which fails, and the fixing change removes its marker.
+which fails, and the fixing change removes its marker. Mended so far: the
+puttable bond's jump at T1 on the barrier, where exercise_value did not
+knock out (test_puttable_bond_is_continuous_at_expiry_on_the_barrier).
 
 The domain is the benchmark book's (r, q, a in [-0.1, 0.2], R = 0 or up to
 0.95, E strictly inside its bracket, t in [0, T1), V from the barrier to
@@ -22,9 +24,11 @@ from credit_pricer import (
     OptionKind,
     OptionSpec,
     PricerError,
+    barrier_level,
     bond_option_price,
     bond_price,
     callable_bond_price,
+    exercise_value,
     image_transform,
     option_price_paths,
     puttable_bond_price,
@@ -121,6 +125,37 @@ def test_warm_price_has_the_cold_bits(position):
     assert _outcome(option_price_paths, V, t, *rebuilt) == cold
 
 
+@_SETTINGS
+@given(positions())
+def test_knocked_out_on_the_barrier_before_expiry(position):
+    _, t, bond, option, market = position
+    lvl = barrier_level(bond, t)
+    assert survival_probability(lvl, t, bond, market) == 0.0
+    assert bond_price(lvl, t, bond, market) == bond.R * math.exp(-market.r * (bond.T - t))
+    assert option_price_paths(lvl, t, bond, option, market) == (0.0, 0.0)
+
+
+@_SETTINGS
+@given(positions())
+def test_knocked_out_on_the_barrier_at_expiry(position):
+    _, _, bond, option, market = position
+    lvl = barrier_level(bond, option.T1)
+    composite = puttable_bond_price if option.kind is OptionKind.PUT else callable_bond_price
+    assert exercise_value(lvl, bond, option, market) == 0.0
+    assert (composite(lvl, option.T1, bond, option, market)
+            == bond_price(lvl, option.T1, bond, market))
+
+
+@_SETTINGS
+@given(positions())
+def test_terminal_data_at_maturity(position):
+    V, t, bond, _, market = position
+    V = bond.b * (V / barrier_level(bond, t))  # as far above the barrier at T
+    alive = V > bond.b
+    assert survival_probability(V, bond.T, bond, market) == (1.0 if alive else 0.0)
+    assert bond_price(V, bond.T, bond, market) == (1.0 if alive else bond.R)
+
+
 # Book pool positions (perfbench/workloads.py) at which the composed path is
 # NaN: loss * scale times a reflected leg overflows to inf on both sides of
 # the image term, and inf - inf is NaN, which the 1e-9 check lets through.
@@ -144,12 +179,10 @@ def test_nan_composed_path_is_rejected(position):
     assert _paths_agree(*position)
 
 
-@pytest.mark.xfail(strict=True, reason="exercise_value does not knock out on the barrier, "
-                   "so the puttable bond jumps there at T1")
 def test_puttable_bond_is_continuous_at_expiry_on_the_barrier():
     # the reference put at V = 100, on the barrier: just before T1 the put is
-    # knocked out and the puttable bond is B = 0.6725526073797241; at T1 it
-    # is max(B, E) = 0.9
+    # knocked out and the puttable bond is B = 0.6725526073797241; at T1 the
+    # exercise value is knocked out too, not max(B, E) = 0.9
     bond = BondSpec(T=2.0, a=0.0, b=100.0, R=0.7)
     put = OptionSpec(T1=1.0, E=0.9, kind=OptionKind.PUT)
     market = MarketParams(r=0.04, q=0.0, sigma=0.5)

@@ -53,6 +53,9 @@ _BINORM_REFS = (
     (-3.0, 2.5, 0.31, 0.001349745597329751750868),
     (4.0, -4.0, -0.5, 3.118418707083607889581e-5),
     (0.1, 0.2, 0.05, 0.3204687503998442093053),
+    # the tail form's early returns: an argument below -40, one above 40
+    (-41.0, 0.5, 0.95, 0.0),
+    (41.0, -0.3, -0.95, 0.3820885778110473669277),
 )
 
 
@@ -311,7 +314,7 @@ class TestDelta:
         m = MarketParams(r=0.04, q=0.0, sigma=0.5)
         for ratio, tau1, tau2, tau3 in ((0.0, 1.0, 0.0, 1.0), (-2.0, 1.0, 0.0, 1.0),
                                         (1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, -1.0),
-                                        (math.nan, 1.0, 0.0, 1.0)):
+                                        (math.nan, 1.0, 0.0, 1.0), (1.0, math.nan, 0.0, 1.0)):
             with pytest.raises(InvalidParamsError):
                 delta(ratio, tau1, tau2, tau3, m)
 
