@@ -461,7 +461,8 @@ def _bond_with_option(V: float, t: float, bond: BondSpec, option: OptionSpec,
     if option.kind is not kind:
         holder = "puttable" if kind is OptionKind.PUT else "callable"
         raise InvalidOptionError(f"{holder} bond requires a {kind.value} option spec")
-    if t > option.T1:
+    if t > option.T1:  # the option has expired, but must still fit the bond
+        _validate_option(bond, option, market)
         return bond_price(V, t, bond, market)
     if t == option.T1:  # exercise_value first: it validates the option
         return sign * exercise_value(V, bond, option, market) + bond_price(V, t, bond, market)

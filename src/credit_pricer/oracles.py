@@ -385,6 +385,7 @@ def mc_barrier_prices(claims, market: MarketParams, mc: McSpec,
 
     bits = np.random.Philox(mc.seed)
     normals = np.random.Generator(bits)
+    uniforms = np.random.Generator(np.random.Philox(mc.seed))
 
     def draw(out):
         """Fill out with a chunk's normals; with bridge_correction, return
@@ -417,9 +418,7 @@ def mc_barrier_prices(claims, market: MarketParams, mc: McSpec,
             for sim in live:
                 sim.new_chunk(m)
             if uniform_state is not None:
-                uniform_bits = np.random.Philox(mc.seed)
-                uniform_bits.state = uniform_state
-                uniforms = np.random.Generator(uniform_bits)
+                uniforms.bit_generator.state = uniform_state
             for lo in range(0, m, _MC_BLOCK):
                 rows = slice(lo, min(lo + _MC_BLOCK, m))
                 width = rows.stop - lo

@@ -4,10 +4,10 @@ Monte Carlo and quadrature oracles, and the structural invariants.
 
 Each check takes its inputs explicitly and returns a Check record; it
 passes when the measured quantity does not exceed the tolerance. The PDE
-and Monte Carlo checks come in groups (pde_checks, mc_checks) that share
-one solve or one simulation. The `verify` command and the acceptance suite
-run these same functions, so both use one set of probes, draw counts and
-tolerances.
+and Monte Carlo checks come in groups (pde_checks, mc_checks), each solved
+or simulated once, before its checks; a failed solve fails only the checks
+that need it. The `verify` command and the acceptance suite run these same
+functions, so both use one set of probes, draw counts and tolerances.
 """
 
 from __future__ import annotations
@@ -70,64 +70,48 @@ def _rebate(bond: BondSpec, market: MarketParams):
     return lambda t: bond.R * math.exp(-market.r * (bond.T - t))
 
 
-class _SolvedOnFirstLookup:
-    """A mapping solved at its first lookup: the PDE surfaces, or the slots
-    of a shared Monte Carlo pass. A lookup raises the solve's NumericalError
-    or ArithmeticError, every time, and an entry that is an exception."""
+def _held(solve):
+    """solve(), or the NumericalError or ArithmeticError it raised."""
+    try:
+        return solve()
+    except (NumericalError, ArithmeticError) as exc:
+        return exc
 
-    def __init__(self, solve):
-        self._solve = solve
-        self._outcome = None
 
-    def __getitem__(self, key):
-        if self._outcome is None:
-            try:
-                self._outcome = self._solve()
-            except (NumericalError, ArithmeticError) as exc:
-                self._outcome = exc
-        if isinstance(self._outcome, Exception):
-            raise self._outcome
-        entry = self._outcome[key]
-        if isinstance(entry, Exception):
-            raise entry
-        return entry
+def _value(outcome):
+    """outcome, raised again where it is an exception: inside a check's _run."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
-                 grid: GridSpec) -> _SolvedOnFirstLookup:
+                 grid: GridSpec) -> dict:
     """The bond and survival problems and, when an option is given, the put
-    and call problems at its T1 and E, on one grid in flattened coordinates
-    with the barrier at 1. Keys: bond, survival, put, call.
-
-    The problems are solved when a PDE check first looks a surface up. The
-    lookup runs inside the check, so a solve that fails fails each PDE check
-    with its reason, and the rest of a battery still runs. The problems are
-    solved once; a failure is raised again at every lookup."""
+    and call problems at its T1 and E, solved on one grid in flattened
+    coordinates with the barrier at 1. Keys: bond, survival, put, call."""
     c = market.r - market.q - bond.a
 
     def solve(payoff, boundary, r_disc, horizon, align=None):
         return pde_solve_tbvp(payoff, boundary, c, market.sigma, r_disc,
                               horizon, grid, align_at=align)
 
-    def solve_all():
-        out = {
-            "bond": solve(lambda x: 1.0, _rebate(bond, market), market.r, bond.T),
-            "survival": solve(lambda x: 1.0, lambda t: 0.0, 0.0, bond.T),
-        }
-        if option is not None:
-            lvl_t1 = barrier_level(bond, option.T1)
-            align = _flatten(early_redemption_boundary(bond, option, market).K, option.T1, bond)
-            for kind in OptionKind:
-                spec = replace(option, kind=kind)
+    surfaces = {
+        "bond": solve(lambda x: 1.0, _rebate(bond, market), market.r, bond.T),
+        "survival": solve(lambda x: 1.0, lambda t: 0.0, 0.0, bond.T),
+    }
+    if option is not None:
+        lvl_t1 = barrier_level(bond, option.T1)
+        align = _flatten(early_redemption_boundary(bond, option, market).K, option.T1, bond)
+        for kind in OptionKind:
+            spec = replace(option, kind=kind)
 
-                def payoff(x, spec=spec):
-                    return exercise_value(lvl_t1 * x, bond, spec, market)
+            def payoff(x, spec=spec):
+                return exercise_value(lvl_t1 * x, bond, spec, market)
 
-                out[kind.value] = solve(payoff, lambda t: 0.0, market.r, option.T1,
-                                        align=align)
-        return out
-
-    return _SolvedOnFirstLookup(solve_all)
+            surfaces[kind.value] = solve(payoff, lambda t: 0.0, market.r, option.T1,
+                                         align=align)
+    return surfaces
 
 
 def pde_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
@@ -136,13 +120,13 @@ def pde_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
     at its T1 and E against their pde_surfaces at the probe firm values and
     t in {0, T1/2, T1} (T1 = T/2 without an option; the options stop at
     T1/2); worst relative gap, tolerance 1e-3."""
-    surfaces = pde_surfaces(bond, market, option, grid)
+    surfaces = _held(lambda: pde_surfaces(bond, market, option, grid))
     t1 = option.T1 if option is not None else bond.T / 2.0
     probe_t = [0.0, t1 / 2.0, t1]
 
     def check(key, times, price, *specs):
         def worst_gap():
-            surface, worst = surfaces[key], 0.0
+            surface, worst = _value(surfaces)[key], 0.0
             for v in probe_v:
                 for t in times:
                     cf = price(v, t, *specs)
@@ -167,38 +151,31 @@ def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
     the composite's claim runs to T1 and pays max or min of B(V, T1) and E.
     measured is each gap in standard errors, tolerance 3.
 
-    Both claims share one pass over the random stream (mc_barrier_prices),
-    which runs inside the bond check. A claim whose payoff raises fails only
-    its own check, or propagates from it as any check's exception does."""
+    The closed forms are priced first, so a firm value below the barrier or
+    an ill-fitting option raises before any draw; then both claims share one
+    pass over the random stream (mc_barrier_prices). A closed form or claim
+    that fails numerically fails only its own check; other errors propagate."""
     rebate = _rebate(bond, market)
-    claims = [(lambda v: 1.0, rebate, bond.T, bond.a, bond.b, bond.T)]
+    entries = [("mc_bond_within_3se", lambda: bond_price(v0, 0.0, bond, market),
+             (lambda v: 1.0, rebate, bond.T, bond.a, bond.b, bond.T))]
     if option is not None:
         if option.kind is OptionKind.PUT:
             name, composite, exercise = "mc_puttable_within_3se", puttable_bond_price, max
         else:
             name, composite, exercise = "mc_callable_within_3se", callable_bond_price, min
-        try:  # an option that does not fit the bond raises here, before any draw
-            early_redemption_boundary(bond, option, market)
-        except (NumericalError, ArithmeticError):
-            pass  # and a boundary that cannot be solved fails the composite check
-        claims.append((
+        entries.append((name, lambda: composite(v0, 0.0, bond, option, market), (
             lambda v: exercise(bond_price(v, option.T1, bond, market), option.E),
-            rebate, option.T1, bond.a, bond.b, bond.T))
-    outcomes = _SolvedOnFirstLookup(lambda: mc_barrier_prices(claims, market, mc, v0))
+            rebate, option.T1, bond.a, bond.b, bond.T)))
+    closed = [_held(price) for _, price, _ in entries]
+    simulated = _held(lambda: mc_barrier_prices([claim for *_, claim in entries], market, mc, v0))
 
-    def bond_gap():
-        est, se = outcomes[0]
-        return abs(est - bond_price(v0, 0.0, bond, market)) / se
+    def gap(k):
+        if k:  # the composite reports a failed closed form first, the bond a failed pass
+            _value(closed[k])
+        est, se = _value(_value(simulated)[k])
+        return abs(est - _value(closed[k])) / se
 
-    def composite_gap():
-        cf = composite(v0, 0.0, bond, option, market)
-        est, se = outcomes[1]
-        return abs(est - cf) / se
-
-    checks = [_run("mc_bond_within_3se", 3.0, bond_gap)]
-    if option is not None:
-        checks.append(_run(name, 3.0, composite_gap))
-    return checks
+    return [_run(name, 3.0, lambda k=k: gap(k)) for k, (name, _, _) in enumerate(entries)]
 
 
 def quadrature_sweep(seed: int) -> Check:

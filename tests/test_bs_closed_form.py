@@ -232,6 +232,12 @@ class TestPowerBinaryValidation:
             with pytest.raises(InvalidParamsError):
                 PowerBinaryParams(**kw)
 
+    def test_direction_must_be_an_indicator_direction(self):
+        with pytest.raises(InvalidParamsError) as info:
+            PowerBinaryParams(beta=0.0, i=0.0, L=0.0, K=1.0, tau1=0.0, tau2=0.0, tau3=1.0,
+                              direction="above")
+        assert str(info.value) == "direction must be an IndicatorDirection"
+
     def test_nonfinite_parameters_rejected(self):
         with pytest.raises(InvalidParamsError):
             PowerBinaryParams(beta=math.nan, i=0.0, L=0.0, K=1.0,

@@ -67,6 +67,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: option maturity 3.0 must precede bond maturity 2.0\n"
 
+    @pytest.mark.parametrize("with_option", [True, False], ids=["option", "no_option"])
+    def test_mc_suite_rejects_firm_value_below_barrier_before_drawing(
+            self, tmp_path, capsys, monkeypatch, with_option):
+        """The bond's closed form rejects the firm value with the pricer's
+        own message before the simulator draws a number."""
+        monkeypatch.setattr(verification, "mc_barrier_prices",
+                            lambda *args: pytest.fail("the simulator ran"))
+        doc = _with("points.V", [50])
+        if not with_option:
+            del doc["option"]
+        assert main(["verify", "--suite", "mc", "--config", _write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: firm value 50.0 below default barrier 100.0 at t=0.0\n"
+
     def test_undersized_grid_is_invalid_config(self, tmp_path, capsys):
         doc = dict(_BASE, numerics={"grid": {"n_space": 10}})
         code = main(["verify", "--suite", "pde",

@@ -468,6 +468,21 @@ class TestComposites:
                 assert puttable_bond_price(v, t, bond, put_spec, market) >= b
                 assert callable_bond_price(v, t, bond, call_spec, market) <= b
 
+    @pytest.mark.parametrize("kind", OptionKind)
+    def test_option_that_does_not_fit_the_bond_is_rejected_after_expiry(self, bond, market,
+                                                                        kind):
+        """After T1 the composite is the plain bond, but its option must still
+        fit the bond: E = 1.5 lies above the bracket at T1 = 0.5."""
+        option = OptionSpec(T1=0.5, E=1.5, kind=kind)
+        price = puttable_bond_price if kind is OptionKind.PUT else callable_bond_price
+        with pytest.raises(InvalidOptionError) as before:
+            price(150.0, 0.0, bond, option, market)
+        for t in (1.5, 2.0):
+            with pytest.raises(InvalidOptionError) as after:
+                price(150.0, t, bond, option, market)
+            assert (type(after.value), str(after.value)) == (
+                type(before.value), str(before.value))
+
     def test_kind_mismatch_rejected(self, bond, market, put_spec, call_spec):
         with pytest.raises(InvalidOptionError):
             puttable_bond_price(150.0, 0.0, bond, call_spec, market)

@@ -30,7 +30,9 @@ from credit_pricer import (
     barrier_level,
     bond_price,
     callable_bond_price,
+    credit_instruments,
     draw_verification_case,
+    early_redemption_boundary,
     mc_barrier_price,
     mc_barrier_prices,
     pde_solve_tbvp,
@@ -38,6 +40,7 @@ from credit_pricer import (
     quadrature_green,
     survival_probability,
     tbvp_w,
+    verification,
 )
 from credit_pricer.oracles import _bridge_crossed
 from credit_pricer.verification import mc_checks, pde_surfaces
@@ -209,6 +212,11 @@ class TestGridSpecValidation:
         with pytest.raises(InvalidParamsError):
             GridSpec(n_space=100, n_time=100, x_max_mult=9.0)
 
+    def test_scheme_must_be_a_scheme(self):
+        with pytest.raises(InvalidParamsError) as info:
+            GridSpec(scheme="crank_nicolson")
+        assert str(info.value) == "scheme must be a Scheme"
+
     def test_defaults(self):
         g = GridSpec()
         assert g.n_space == 801 and g.n_time == 800
@@ -283,6 +291,24 @@ class TestPdeSolver:
                            boundary_value=lambda t: 0.0,
                            c=0.04, sigma=0.5, r_discount=0.0, T=1.0, grid=g)
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(sigma=0.0), "sigma must be positive, got 0.0"),
+        (dict(sigma=math.inf), "sigma must be positive, got inf"),
+        (dict(T=-1.0), "T must be positive, got -1.0"),
+        (dict(T=math.nan), "T must be positive, got nan"),
+        (dict(c=math.nan), "c and r_discount must be finite"),
+        (dict(r_discount=-math.inf), "c and r_discount must be finite"),
+        (dict(align_at=1.0), "align_at must lie inside (1, 30.0), got 1.0"),
+        (dict(align_at=30.0), "align_at must lie inside (1, 30.0), got 30.0"),
+    ], ids=["sigma_zero", "sigma_inf", "T_negative", "T_nan", "c_nan", "r_discount_inf",
+            "align_at_barrier", "align_at_far_field"])
+    def test_invalid_problem_rejected(self, change, message):
+        problem = dict(payoff=lambda x: 1.0, boundary_value=lambda t: 0.0, c=0.04,
+                       sigma=0.5, r_discount=0.0, T=1.0, grid=GridSpec(n_space=101, n_time=100))
+        with pytest.raises(InvalidParamsError) as info:
+            pde_solve_tbvp(**{**problem, **change})
+        assert str(info.value) == message
+
     def test_blowup_guard(self):
         # boundary data far beyond the payoff scale trips the stability guard
         g = GridSpec(n_space=101, n_time=100)
@@ -300,6 +326,17 @@ class TestPdeSolver:
 
     def test_reference_surfaces_pinned(self, bond, market, put_spec):
         assert _surface_digests(pde_surfaces(bond, market, put_spec, GridSpec())) == _PDE_PINS
+
+    def test_surfaces_are_solved_when_called(self, bond, market, put_spec):
+        """pde_surfaces returns a plain dict, and a solve that fails raises
+        from the call itself."""
+        grid = GridSpec(n_space=101, n_time=100)
+        surfaces = pde_surfaces(bond, market, put_spec, grid)
+        assert type(surfaces) is dict and list(surfaces) == ["bond", "survival", "put", "call"]
+        wild = MarketParams(r=0.04, q=0.0, sigma=1e200)
+        with pytest.raises(NumericalError) as info:
+            pde_surfaces(bond, wild, put_spec, grid)
+        assert str(info.value) == "finite-difference coefficients leave the float range"
 
     @pytest.mark.parametrize("n_space, n_time, scheme", list(_PDE_COARSE_PINS))
     def test_coarse_surfaces_pinned(self, bond, market, put_spec, n_space, n_time, scheme):
@@ -355,6 +392,27 @@ class TestMcSimulator:
             with pytest.raises(DomainError):
                 mc_barrier_price(lambda v: 1.0, lambda t: 0.0, 2.0, 0.0, 100.0,
                                  market, mc, v0)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(T=0.0), "horizon must be positive, got 0.0"),
+        (dict(T=math.inf), "horizon must be positive, got inf"),
+        (dict(b=-1.0), "barrier level must be positive, got -1.0"),
+        (dict(b=math.nan), "barrier level must be positive, got nan"),
+        (dict(a=math.inf), "barrier growth rate must be finite"),
+        (dict(barrier_anchor=1.0), "barrier anchor must be >= horizon, got 1.0"),
+        (dict(barrier_anchor=math.nan), "barrier anchor must be >= horizon, got nan"),
+    ], ids=["T_zero", "T_inf", "b_negative", "b_nan", "a_inf", "anchor_before_T",
+            "anchor_nan"])
+    def test_invalid_claim_rejected(self, change, message):
+        """A claim is checked before any draw: no thread is left running."""
+        claim = dict(payoff=lambda v: 1.0, rebate_at_hit=lambda t: 0.0, T=2.0, a=0.0,
+                     b=100.0, market=_REF_MARKET, mc=McSpec(n_paths=1000, n_steps=50),
+                     V0=139.0)
+        before = threading.active_count()
+        with pytest.raises(InvalidParamsError) as info:
+            mc_barrier_price(**{**claim, **change})
+        assert str(info.value) == message
+        assert threading.active_count() == before
 
     def test_bridge_correction_lowers_survival(self, bond, market):
         """Discrete monitoring misses intra-step crossings; the bridge
@@ -502,6 +560,29 @@ class TestMcChecks:
         for check, cf, (mean, se) in zip(checks, closed, _MC_SHARED_PINS["moving_call", True]):
             assert check.measured == abs(float.fromhex(mean) - cf) / float.fromhex(se)
 
+    def test_one_boundary_solve(self, bond, market, put_spec, monkeypatch):
+        """With the boundary cache cold, the puttable bond's closed form solves
+        the early redemption boundary once, and nothing else solves it."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return early_redemption_boundary(*args)
+
+        for module in (credit_instruments, verification):
+            monkeypatch.setattr(module, "early_redemption_boundary", counted)
+        credit_instruments._solved.cache_clear()
+        mc_checks(bond, market, put_spec, 199.0, self._MC)
+        assert calls == [(bond, put_spec, market)]
+
+    def test_each_check_reports_its_first_failure(self, bond, put_spec):
+        """At r = -1000 both closed forms and the pass overflow: the bond check
+        reports the failed pass, the puttable check its closed form."""
+        market = MarketParams(r=-1000.0, q=0.0, sigma=0.5)
+        bond_check, puttable_check = mc_checks(bond, market, put_spec, 199.0, self._MC)
+        assert bond_check.error == "math range error"
+        assert puttable_check.error == "discount factor overflows a float"
+
     def test_failing_composite_payoff_fails_only_its_check(self, bond, market, put_spec,
                                                            monkeypatch):
         (bond_alone,) = mc_checks(bond, market, None, 199.0, self._MC)
@@ -602,6 +683,19 @@ class TestQuadrature:
         params = PowerBinaryParams(beta=0.0, i=0.0, L=0.0, K=1e15,
                                    tau1=0.0, tau2=0.0, tau3=1.0)
         assert quadrature_green(1.0, 1.0, params, market) == 0.0
+
+    @pytest.mark.parametrize("X, tau, message", [
+        (0.0, 1.0, "X must be positive, got 0.0"),
+        (math.inf, 1.0, "X must be positive, got inf"),
+        (1.0, 0.0, "tau must be positive, got 0.0"),
+        (1.0, math.nan, "tau must be positive, got nan"),
+    ], ids=["X_zero", "X_inf", "tau_zero", "tau_nan"])
+    def test_invalid_point_rejected(self, X, tau, message):
+        params = PowerBinaryParams(beta=0.0, i=0.0, L=0.0, K=1.0,
+                                   tau1=0.0, tau2=0.0, tau3=1.0)
+        with pytest.raises(DomainError) as info:
+            quadrature_green(X, tau, params, _REF_MARKET)
+        assert str(info.value) == message
 
     def test_pinned_bits(self):
         rng = random.Random(2021)
