@@ -161,7 +161,11 @@ def survival_probability(V: float, t: float, bond: BondSpec, market: MarketParam
     change of scale. t = T returns the terminal data (1 above the barrier,
     0 on it). Raises below the barrier.
     """
-    lvl = _check_time_and_barrier(V, t, bond)
+    return _survival(V, t, _check_time_and_barrier(V, t, bond), bond, market)
+
+
+def _survival(V: float, t: float, lvl: float, bond: BondSpec, market: MarketParams) -> float:
+    """survival_probability at a barrier level lvl already checked at t."""
     if t == bond.T:
         return 1.0 if V > lvl else 0.0
     return tbvp_w(V / lvl, t, market.r - market.q - bond.a, market.sigma, bond.T)
@@ -175,7 +179,12 @@ def bond_price(V: float, t: float, bond: BondSpec, market: MarketParams) -> floa
     barrier, exactly) and the default-free discount bond e^{-r(T-t)}.
     t = T returns the terminal data: face 1 above the barrier, R on it.
     """
-    w = survival_probability(V, t, bond, market)
+    return _bond(V, t, _check_time_and_barrier(V, t, bond), bond, market)
+
+
+def _bond(V: float, t: float, lvl: float, bond: BondSpec, market: MarketParams) -> float:
+    """bond_price at a barrier level lvl already checked at t."""
+    w = _survival(V, t, lvl, bond, market)
     return _discount(market.r, bond.T - t) * (bond.R + (1.0 - bond.R) * w)
 
 
@@ -209,9 +218,10 @@ def early_redemption_boundary(
     """
     _validate_option(bond, option, market)
     t1 = option.T1
+    lvl = lo = barrier_level(bond, t1)  # no iterate falls below it
 
     def f(v: float) -> float:
-        return bond_price(v, t1, bond, market) - option.E
+        return _bond(v, t1, lvl, bond, market) - option.E
 
     def doubled(v: float) -> float:
         v *= 2.0
@@ -219,7 +229,6 @@ def early_redemption_boundary(
             raise NumericalError("early redemption boundary bracket leaves the float range")
         return v
 
-    lo = barrier_level(bond, t1)
     f_lo = f(lo)  # equals R e^{-r(T-T1)} - E < 0 by the bracket check
     hi = doubled(lo)
     f_hi = f(hi)
@@ -256,18 +265,19 @@ def early_redemption_boundary(
 def _option_price_formula(
     V: float,
     t: float,
+    lvl_t: float,
     bond: BondSpec,
     option: OptionSpec,
     market: MarketParams,
     K: float,
 ) -> float:
     """Literal closed form for the knockout bond option, in firm-value
-    coordinates. K is the early redemption boundary."""
+    coordinates. lvl_t is the barrier level checked at t, K the early
+    redemption boundary."""
     r, q, sig = market.r, market.q, market.sigma
     a = bond.a
     tau = bond.T - t
     tau1 = option.T1 - t
-    lvl_t = barrier_level(bond, t)
     lvl_t1 = barrier_level(bond, option.T1)
     s1 = sig * math.sqrt(tau1)
     s = sig * math.sqrt(tau)
@@ -404,7 +414,7 @@ def option_price_paths(
         return 0.0, 0.0  # knockout boundary
     try:
         K, composed = _solved(bond, option, market)
-        return _option_price_formula(V, t, bond, option, market, K), composed(V, t)
+        return _option_price_formula(V, t, lvl, bond, option, market, K), composed(V, t)
     except OverflowError as exc:
         raise NumericalError("option price overflows a float") from exc
     except PricerError:
@@ -448,7 +458,7 @@ def exercise_value(V: float, bond: BondSpec, option: OptionSpec, market: MarketP
     lvl = _check_time_and_barrier(V, option.T1, bond)
     if V == lvl:
         return 0.0  # knockout boundary
-    b_t1 = bond_price(V, option.T1, bond, market)
+    b_t1 = _bond(V, option.T1, lvl, bond, market)
     if option.kind is OptionKind.PUT:
         return max(option.E - b_t1, 0.0)
     return max(b_t1 - option.E, 0.0)

@@ -249,7 +249,8 @@ class _Claim:
     """One claim of a shared Monte Carlo pass: its terms, validated as
     mc_barrier_price documents them, the first passage and terminal log
     value of each path of the current chunk, and the running sums of its
-    path values. error holds the exception its payoff or rebate raised."""
+    path values. error holds the exception its payoff or rebate raised, or
+    the NumericalError of a path value or sum that overflows a float."""
 
     def __init__(self, payoff, rebate_at_hit, T, a, b, anchor, market, n_steps, V0):
         if not (math.isfinite(T) and T > 0.0):
@@ -364,8 +365,9 @@ def mc_barrier_prices(claims, market: MarketParams, mc: McSpec,
     from the same normals and tests its own barrier with the same uniforms.
     Every claim is validated before any draw, in order. Returns one slot per
     claim: (estimate, standard error), or the Exception its payoff or
-    rebate raised. Such a claim is simulated no further, and the others
-    run on; when none is left the pass stops.
+    rebate raised, or a NumericalError where one of its path values or
+    their sums overflows a float. Such a claim is simulated no further, and
+    the others run on; when none is left the pass stops.
 
     One Philox stream feeds the pass, chunk by chunk: a chunk's normals,
     then, with bridge_correction, its m * n_steps uniforms, then the next
@@ -430,11 +432,12 @@ def mc_barrier_prices(claims, market: MarketParams, mc: McSpec,
                     sim.first_passage(rows, z[rows], u, *block_work)
             for sim in live:
                 try:
-                    value = sim.values()
+                    with np.errstate(over="raise"):
+                        sim.add(sim.values())
+                except FloatingPointError as exc:
+                    sim.error = NumericalError(f"path values overflow a float: {exc}")
                 except Exception as exc:
                     sim.error = exc
-                else:
-                    sim.add(value)
             if all(sim.error is not None for sim in sims):
                 break
     return [sim.result() for sim in sims]

@@ -7,9 +7,10 @@ import io
 import json
 import math
 import pathlib
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from credit_pricer import bond_price, verification
@@ -516,6 +517,47 @@ def test_extreme_value_fails_its_check(tmp_path, capsys):
     assert out.splitlines()[-1] == "2 checks, 1 failed"
 
 
+# The smallest grid and simulation the config accepts.
+_SMALL_NUMERICS = {"grid": {"n_space": 50, "n_time": 50}, "mc": {"n_paths": 1000, "n_steps": 50}}
+_NO_OPTION = {key: value for key, value in _BASE.items() if key != "option"}
+# Markets in which a simulated path's terminal firm value (r = 800, q = -1000)
+# or the sum of the squared path values (r = -306, where the survivors pay
+# e^{612}) overflows a float, and the Monte Carlo check lines each run must
+# print. Before the mend, numpy's warning escaped main, or went to stderr
+# while the bond check passed on an infinite standard error.
+_MC_OVERFLOW = {
+    "r_800_no_option": (
+        dict(_NO_OPTION, market={"r": 800.0, "q": 0.0, "sigma": 0.5}, numerics=_SMALL_NUMERICS),
+        ["FAIL  mc_bond_within_3se                 numerical failure: "
+         "path values overflow a float: overflow encountered in exp",
+         "1 checks, 1 failed"]),
+    "q_minus_1000_put": (
+        dict(_BASE, market={"r": 0.04, "q": -1000.0, "sigma": 0.5}, numerics=_SMALL_NUMERICS),
+        ["FAIL  mc_bond_within_3se                 numerical failure: "
+         "path values overflow a float: overflow encountered in exp",
+         "FAIL  mc_puttable_within_3se             numerical failure: "
+         "option price overflows a float",
+         "2 checks, 2 failed"]),
+    "r_minus_306_no_option": (
+        dict(_NO_OPTION, market={"r": -306.0, "q": 0.0, "sigma": 1.0}, numerics=_SMALL_NUMERICS),
+        ["FAIL  mc_bond_within_3se                 numerical failure: "
+         "path values overflow a float: overflow encountered in square",
+         "1 checks, 1 failed"]),
+}
+
+
+@pytest.mark.parametrize("doc, lines", _MC_OVERFLOW.values(), ids=_MC_OVERFLOW.keys())
+def test_overflowing_path_fails_its_mc_check(doc, lines, tmp_path, capsys):
+    """A path value or sum that overflows fails the claim's check with a
+    numerical failure, not a numpy warning, and the run exits 1."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--suite", "mc", "--config", _write_config(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == lines
+
+
 def _config_paths(doc: dict, prefix=()):
     for key, value in doc.items():
         yield prefix + (key,)
@@ -567,13 +609,50 @@ def fuzz_dir(tmp_path_factory):
 def test_any_config_document_exits_cleanly(doc, fuzz_dir):
     """Whatever JSON document the config holds, main returns a documented
     exit code and reports a failure on one prefixed stderr line."""
-    path = str(fuzz_dir / "config.json")
+    for argv in (["price-option"], ["boundary"], ["verify", "--suite", "quadrature"]):
+        code, err = _quiet_main(argv, doc, fuzz_dir)
+        assert code in (0, 1, 2, 3)
+        assert err == "" or err.startswith(("error: ", "numerical failure: ", "i/o error: "))
+
+
+def _quiet_main(argv, doc, directory):
+    """main's exit code and stderr for argv on the config doc, written to
+    directory; stdout is dropped and any warning raises."""
+    path = str(directory / "config.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-    for argv in (["price-option"], ["boundary"], ["verify", "--suite", "quadrature"]):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv + ["--config", path])
-        assert code in (0, 1, 2, 3)
-        assert err.getvalue() == "" or err.getvalue().startswith(
-            ("error: ", "numerical failure: ", "i/o error: "))
+    err = io.StringIO()
+    with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error")
+        code = main(argv + ["--config", path])
+    return code, err.getvalue()
+
+
+@st.composite
+def _extreme_market(draw):
+    """The reference bond on the smallest specs, with r in +-1000, sigma
+    from 1e-3 to 1e2, q and a in +-1000, with or without the reference put."""
+    def wide():
+        return draw(st.floats(-1000.0, 1000.0))
+
+    market = {"r": wide(), "q": wide(),
+              "sigma": math.exp(draw(st.floats(math.log(1e-3), math.log(1e2))))}
+    doc = dict(_BASE if draw(st.booleans()) else _NO_OPTION, market=market,
+               numerics=_SMALL_NUMERICS)
+    doc["bond"] = dict(doc["bond"], a=wide())
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(doc=_extreme_market())
+@example(doc=_MC_OVERFLOW["r_800_no_option"][0])
+@example(doc=_MC_OVERFLOW["q_minus_1000_put"][0])
+@example(doc=_MC_OVERFLOW["r_minus_306_no_option"][0])
+def test_oracles_on_any_market_exit_cleanly(doc, fuzz_dir):
+    """verify --suite pde and --suite mc exit 0, 1 or 2 on any market, with
+    no traceback and no warning."""
+    for suite in ("pde", "mc"):
+        code, err = _quiet_main(["verify", "--suite", suite], doc, fuzz_dir)
+        assert code in (0, 1, 2)
+        assert err == "" or err.startswith(("error: ", "numerical failure: "))
