@@ -96,9 +96,11 @@ def power_binary_price(
     Notes
     -----
     Either orthant argument may degenerate to +inf (K = 0 drops the strike
-    leg, L = 0 the probability leg), in which case the bivariate CDF is
-    replaced by the exact univariate reduction. A power of X or a prefactor
-    that overflows a float raises NumericalError.
+    leg, L = 0 the probability leg); binorm_cdf then reduces exactly to the
+    univariate CDF. rho, which rounds above 1 on some valid legs (i = 7,
+    tau3 = 0), is clamped to [-1, 1]. A price that is not a finite float,
+    from a power of X, the prefactor or their product, raises
+    NumericalError.
     """
     if not (math.isfinite(X) and X > 0.0):
         raise DomainError(f"underlying must be positive and finite, got {X}")
@@ -111,33 +113,25 @@ def power_binary_price(
     if clock <= 0.0 and p.L != 0.0:
         raise DomainError(f"composed variance clock must be positive, got {clock}")
 
+    below = p.direction is IndicatorDirection.BELOW
+    if below and p.K == 0.0:
+        return 0.0  # 1{X < 0} carries no mass
     try:
-        below = p.direction is IndicatorDirection.BELOW
-        if p.K == 0.0:
-            if below:
-                return 0.0  # 1{X < 0} carries no mass
-            a2 = math.inf
-        else:
-            a2 = delta(X / p.K, tau, p.beta * tau, tau, market)
-        if p.L == 0.0:
-            a1 = math.inf
-        else:
-            a1 = delta(X**p.i / p.L, p.tau1 + p.i * tau, p.tau2 + p.i * p.beta * tau, clock, market)
-        if below:
-            a2 = -a2
-
-        if a1 == math.inf and a2 == math.inf:
-            orthant = 1.0
-        elif a1 == math.inf:
-            orthant = norm_cdf(a2)
-        elif a2 == math.inf:
-            orthant = norm_cdf(a1)
-        else:
-            rho = p.i * math.sqrt(tau / clock)
-            orthant = binorm_cdf(a1, a2, -rho if below else rho)
-        return X**p.beta * math.exp(mu(p.beta, market) * tau) * orthant
+        a2 = math.inf if p.K == 0.0 else delta(X / p.K, tau, p.beta * tau, tau, market)
+        a1 = (math.inf if p.L == 0.0 else
+              delta(X**p.i / p.L, p.tau1 + p.i * tau, p.tau2 + p.i * p.beta * tau, clock, market))
+        # binorm_cdf checks rho before it reduces an infinite limit: a dropped leg
+        # and i = 0 (where tau/clock may overflow) pass 0, and |rho| > 1 is rounding
+        rho = 0.0 if p.K == 0.0 or p.L == 0.0 or p.i == 0.0 else p.i * math.sqrt(tau / clock)
+        if not -1.0 <= rho <= 1.0:
+            rho = math.copysign(1.0, rho)
+        orthant = binorm_cdf(a1, -a2, -rho) if below else binorm_cdf(a1, a2, rho)
+        price = X**p.beta * math.exp(mu(p.beta, market) * tau) * orthant
     except OverflowError as exc:
         raise NumericalError("power-binary price overflows a float") from exc
+    if not math.isfinite(price):  # a float * overflows without raising
+        raise NumericalError("power-binary price overflows a float")
+    return price
 
 
 def tbvp_w(x: float, t: float, c: float, sigma: float, T: float) -> float:
@@ -150,8 +144,9 @@ def tbvp_w(x: float, t: float, c: float, sigma: float, T: float) -> float:
         w(x, t) = N(d+) - x^{1 - 2c/sigma^2} N(d-),
         d+- = (+-ln x + (c - sigma^2/2)(T - t)) / (sigma sqrt(T - t)),
 
-    the plain first-passage survival probability. w(1, t) is exactly 0 (both
-    arguments coincide and the image prefactor is 1); x = +inf returns 1.
+    the plain first-passage survival probability, floored at 0. w(1, t) is
+    exactly 0 (both arguments coincide and the image prefactor is 1);
+    x = +inf returns 1.
     Raises InvalidParamsError unless c, sigma, T are finite and sigma, T > 0,
     then DomainError unless x >= 1 and t < T, and NumericalError where the
     float arithmetic overflows or divides by zero (sigma^2 underflows).
@@ -177,7 +172,8 @@ def tbvp_w(x: float, t: float, c: float, sigma: float, T: float) -> float:
     try:
         n_minus = norm_cdf((-lx + drift) / s)
         image = 0.0 if n_minus == 0.0 else x ** (1.0 - 2.0 * c / (sigma * sigma)) * n_minus
-        return norm_cdf((lx + drift) / s) - image
+        # the difference of two nearly equal terms can round below zero
+        return max(0.0, norm_cdf((lx + drift) / s) - image)
     except ArithmeticError as exc:
         raise NumericalError(f"survival weight at x={x} leaves the float range") from exc
 

@@ -3,11 +3,13 @@ terminal boundary value problems: agreement with the Crank-Nicolson,
 Monte Carlo and quadrature oracles, and the structural invariants.
 
 Each check takes its inputs explicitly and returns a Check record; it
-passes when the measured quantity does not exceed the tolerance. The PDE
-and Monte Carlo checks come in groups (pde_checks, mc_checks), each solved
-or simulated once, before its checks; a failed solve fails only the checks
-that need it. The `verify` command and the acceptance suite run these same
-functions, so both use one set of probes, draw counts and tolerances.
+passes when the measured quantity does not exceed the tolerance, and a
+worst gap that is NaN fails it (_worst). The PDE and Monte Carlo checks come
+in groups (pde_checks, mc_checks), each solved or simulated once, before its
+checks; a failed solve, or a grid short of a probe or the boundary, fails
+only the checks that need it. The `verify` command and the acceptance suite
+run these same functions, so both use one set of probes, draw counts and
+tolerances.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .credit_instruments import (BondSpec, OptionKind, OptionSpec, barrier_level
                                  early_redemption_boundary, exercise_value,
                                  option_price_paths, puttable_bond_price,
                                  survival_probability)
-from .errors import NumericalError
+from .errors import DomainError, NumericalError
 from .oracles import (GridSpec, McSpec, draw_verification_case,
                       mc_barrier_prices, pde_solve_tbvp, quadrature_green)
 from .special_functions import MarketParams, norm_cdf, norm_pdf
@@ -60,6 +62,17 @@ def _run(name: str, tol: float, measure) -> Check:
         return Check(name, measure(), tol)
     except (NumericalError, ArithmeticError) as exc:
         return Check(name, math.nan, math.nan, str(exc))
+
+
+def _worst(gaps) -> float:
+    """The largest of gaps, or 0.0 for none. A NaN gap raises
+    NumericalError, which fails the check, where max would drop it."""
+    worst = 0.0
+    for gap in gaps:
+        if math.isnan(gap):
+            raise NumericalError("a gap is NaN")
+        worst = max(worst, gap)
+    return worst
 
 
 def _flatten(v: float, t: float, bond: BondSpec) -> float:
@@ -103,6 +116,9 @@ def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None
     if option is not None:
         lvl_t1 = barrier_level(bond, option.T1)
         align = _flatten(early_redemption_boundary(bond, option, market).K, option.T1, bond)
+        if not 1.0 < align < grid.x_max_mult:
+            raise NumericalError(f"early redemption boundary at x={align} lies outside "
+                                 f"the grid (1, {grid.x_max_mult})")
         for kind in OptionKind:
             spec = replace(option, kind=kind)
 
@@ -119,21 +135,24 @@ def pde_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
     """Bond and survival and, when an option is given, the put and the call
     at its T1 and E against their pde_surfaces at the probe firm values and
     t in {0, T1/2, T1} (T1 = T/2 without an option; the options stop at
-    T1/2); worst relative gap, tolerance 1e-3."""
+    T1/2); worst relative gap, tolerance 1e-3. A probe beyond the solved
+    grid fails its check numerically."""
     surfaces = _held(lambda: pde_surfaces(bond, market, option, grid))
     t1 = option.T1 if option is not None else bond.T / 2.0
     probe_t = [0.0, t1 / 2.0, t1]
 
     def check(key, times, price, *specs):
-        def worst_gap():
-            surface, worst = _value(surfaces)[key], 0.0
+        def gaps():
+            surface = _value(surfaces)[key]
             for v in probe_v:
                 for t in times:
                     cf = price(v, t, *specs)
-                    pde = surface.value(_flatten(v, t, bond), t)
-                    worst = max(worst, abs(pde - cf) / max(abs(cf), 1e-12))
-            return worst
-        return _run(f"pde_{key}_agreement", 1e-3, worst_gap)
+                    try:
+                        pde = surface.value(_flatten(v, t, bond), t)
+                    except DomainError as exc:
+                        raise NumericalError(f"{exc}, which ends at x={surface.x[-1]}") from exc
+                    yield abs(pde - cf) / max(abs(cf), 1e-12)
+        return _run(f"pde_{key}_agreement", 1e-3, lambda: _worst(gaps()))
 
     checks = [check("bond", probe_t, bond_price, bond, market),
               check("survival", probe_t, survival_probability, bond, market)]
@@ -181,41 +200,37 @@ def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
 def quadrature_sweep(seed: int) -> Check:
     """200 random power-binary prices against quadrature of the terminal
     density; worst relative gap, tolerance 1e-6."""
-    def measure():
+    def gaps():
         rng = random.Random(seed)
-        worst = 0.0
         for _ in range(200):
             X, tau, params, market = draw_verification_case(rng)
             cf = power_binary_price(X, 0.0, tau, params, market)
             qd = quadrature_green(X, tau, params, market)
-            worst = max(worst, abs(cf - qd) / max(abs(cf), abs(qd), 1e-300))
-        return worst
+            yield abs(cf - qd) / max(abs(cf), abs(qd), 1e-300)
 
-    return _run("quadrature_power_binary_sweep", 1e-6, measure)
+    return _run("quadrature_power_binary_sweep", 1e-6, lambda: _worst(gaps()))
 
 
 def quadrature_bond(bond: BondSpec, market: MarketParams, probe_v) -> Check:
     """Bond price at t = 0 rebuilt from the survival weight as the image of
     a cash binary, each leg priced by quadrature under zero rate and
     dividend -c; worst absolute gap, tolerance 1e-8."""
-    def measure():
+    def gaps():
         c = market.r - market.q - bond.a
         drift_only = MarketParams(r=0.0, q=-c, sigma=market.sigma)
         gamma = 1.0 - 2.0 * c / (market.sigma * market.sigma)
         cash = PowerBinaryParams(beta=0.0, i=0.0, L=0.0, K=1.0, tau1=0.0,
                                  tau2=0.0, tau3=1.0,
                                  direction=IndicatorDirection.ABOVE)
-        worst = 0.0
         for v in probe_v:
             x = _flatten(v, 0.0, bond)
             w = (quadrature_green(x, bond.T, cash, drift_only)
                  - x**gamma * quadrature_green(1.0 / x, bond.T, cash, drift_only))
             quad_bond = math.exp(-market.r * bond.T) * (bond.R + (1.0 - bond.R) * w)
             cf = bond_price(v, 0.0, bond, market)
-            worst = max(worst, abs(quad_bond - cf))
-        return worst
+            yield abs(quad_bond - cf)
 
-    return _run("quadrature_bond_agreement", 1e-8, measure)
+    return _run("quadrature_bond_agreement", 1e-8, lambda: _worst(gaps()))
 
 
 def _shape_violations(value, bounds, bond: BondSpec) -> int:
@@ -258,9 +273,8 @@ def bond_shape(bond: BondSpec, market: MarketParams) -> Check:
 def image_annihilation(seed: int) -> Check:
     """25 random power-binary prices barriered by the image transform
     vanish on the barrier; worst absolute value, tolerance 1e-12."""
-    def measure():
+    def gaps():
         rng = random.Random(seed)
-        worst = 0.0
         for _ in range(25):
             X, tau, params, mkt = draw_verification_case(rng)
             level = X * math.exp(rng.uniform(-0.5, 0.5))
@@ -269,38 +283,34 @@ def image_annihilation(seed: int) -> Check:
                 return power_binary_price(x, t, tau, params, mkt)
 
             barriered = image_transform(u, level, mkt.r - mkt.q, mkt.sigma)
-            worst = max(worst, abs(barriered(level, 0.0)))
-        return worst
+            yield abs(barriered(level, 0.0))
 
-    return _run("image_barrier_annihilation", 1e-12, measure)
+    return _run("image_barrier_annihilation", 1e-12, lambda: _worst(gaps()))
 
 
 def parity_at_expiry(bond: BondSpec, market: MarketParams, option: OptionSpec,
                      probe_v) -> Check:
     """P - C -> E - B just before T1 for put and call at the option's T1
     and E; worst absolute gap, tolerance 1e-6."""
-    def measure():
+    def gaps():
         t = option.T1 - 1e-8
         put = replace(option, kind=OptionKind.PUT)
         call = replace(option, kind=OptionKind.CALL)
-        worst = 0.0
         for v in probe_v:
             p = bond_option_price(v, t, bond, put, market)
             c = bond_option_price(v, t, bond, call, market)
             b = bond_price(v, t, bond, market)
-            worst = max(worst, abs(p - c - (option.E - b)))
-        return worst
+            yield abs(p - c - (option.E - b))
 
-    return _run("put_call_parity_at_expiry", 1e-6, measure)
+    return _run("put_call_parity_at_expiry", 1e-6, lambda: _worst(gaps()))
 
 
 def direction_complement(seed: int) -> Check:
     """Above-strike plus below-strike legs equal the unconditional price
     over 100 random draws (those with a positive strike); worst relative
     gap, tolerance 1e-10."""
-    def measure():
+    def gaps():
         rng = random.Random(seed)
-        worst = 0.0
         for _ in range(100):
             X, tau, params, mkt = draw_verification_case(rng)
             if params.K <= 0.0:
@@ -311,10 +321,9 @@ def direction_complement(seed: int) -> Check:
             lhs = power_binary_price(X, 0.0, tau, above, mkt) \
                 + power_binary_price(X, 0.0, tau, below, mkt)
             rhs = power_binary_price(X, 0.0, tau, full, mkt)
-            worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-12))
-        return worst
+            yield abs(lhs - rhs) / max(abs(rhs), 1e-12)
 
-    return _run("direction_complement_identity", 1e-10, measure)
+    return _run("direction_complement_identity", 1e-10, lambda: _worst(gaps()))
 
 
 def hedge_positivity() -> Check:
@@ -334,9 +343,8 @@ def formula_vs_composition(seed: int) -> Check:
     """The literal option formula and the compositional path over
     FORMULA_VS_COMPOSITION_DRAWS random positions; worst gap relative to
     max(1, |price|), tolerance 1e-9."""
-    def measure():
+    def gaps():
         rng = random.Random(seed)
-        worst = 0.0
         for _ in range(FORMULA_VS_COMPOSITION_DRAWS):
             mkt = MarketParams(r=rng.uniform(0.01, 0.08), q=rng.uniform(0.0, 0.03),
                                sigma=rng.uniform(0.2, 0.7))
@@ -350,7 +358,6 @@ def formula_vs_composition(seed: int) -> Check:
             t = rng.uniform(0.0, 0.8) * t1
             v = barrier_level(bnd, t) * math.exp(rng.uniform(0.01, 1.5))
             lhs, rhs = option_price_paths(v, t, bnd, option, mkt)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-        return worst
+            yield abs(lhs - rhs) / max(1.0, abs(lhs))
 
-    return _run("option_formula_vs_composition", 1e-9, measure)
+    return _run("option_formula_vs_composition", 1e-9, lambda: _worst(gaps()))

@@ -6,11 +6,17 @@ import shutil
 import tempfile
 
 import pytest
+from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from credit_pricer import BondSpec, MarketParams, OptionKind, OptionSpec
 
 _HYPOTHESIS_HOME = pytest.StashKey[str]()
+
+# A deeper pass than tier-1's fixed draw counts: under
+# pytest --hypothesis-profile=deep, each test whose count comes from
+# helpers.draws runs at least this many draws.
+settings.register_profile("deep", max_examples=1000)
 
 
 def pytest_configure(config):

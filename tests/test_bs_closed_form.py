@@ -13,8 +13,10 @@ from credit_pricer import (
     MarketParams,
     NumericalError,
     PowerBinaryParams,
+    delta,
     draw_verification_case,
     image_transform,
+    mu,
     norm_cdf,
     power_binary_price,
     quadrature_green,
@@ -77,6 +79,36 @@ class TestPowerBinaryReductions:
                                    tau1=0.0, tau2=0.0, tau3=1.0,
                                    direction=IndicatorDirection.BELOW)
         assert power_binary_price(1.3, 0.0, 1.0, params, market) == 0.0
+
+    @pytest.mark.parametrize("params", [
+        _cash_binary(1.1),  # L = 0: the strike leg alone
+        PowerBinaryParams(beta=0.5, i=1.0, L=0.8, K=0.0, tau1=0.4, tau2=0.1, tau3=0.4),
+        # K = 0 with a correlation that would round to 1.0000000000000002:
+        # rho is not read
+        PowerBinaryParams(beta=0.0, i=7.0, L=1.0, K=0.0, tau1=0.0, tau2=0.0, tau3=0.0),
+    ], ids=["cash_leg", "zero_strike", "zero_strike_i7"])
+    def test_one_leg_is_the_univariate_reduction_bit_for_bit(self, params):
+        X, tau = 1.2, 0.3
+        market = MarketParams(r=0.04, q=0.0, sigma=0.5)
+        if params.L == 0.0:
+            a = delta(X / params.K, tau, params.beta * tau, tau, market)
+        else:
+            a = delta(X**params.i / params.L, params.tau1 + params.i * tau,
+                      params.tau2 + params.i * params.beta * tau,
+                      params.tau3 + params.i**2 * tau, market)
+        expected = X**params.beta * math.exp(mu(params.beta, market) * tau) * norm_cdf(a)
+        assert power_binary_price(X, 0.0, tau, params, market).hex() == expected.hex()
+
+    @pytest.mark.parametrize("i, direction", [(7.0, IndicatorDirection.ABOVE),
+                                              (-7.0, IndicatorDirection.BELOW)])
+    def test_correlation_rounding_past_one_is_clamped(self, i, direction):
+        """At i = +-7, tau3 = 0, tau = 0.3 the correlation i sqrt(tau/(i^2 tau))
+        rounds to +-1.0000000000000002; the leg still prices."""
+        params = PowerBinaryParams(beta=0.0, i=i, L=1.0, K=1.0, tau1=0.0, tau2=0.0,
+                                   tau3=0.0, direction=direction)
+        market = MarketParams(r=0.04, q=0.0, sigma=0.5)
+        cf = power_binary_price(1.2, 0.0, 0.3, params, market)
+        assert cf == pytest.approx(quadrature_green(1.2, 0.3, params, market), rel=1e-12)
 
     def test_pure_discount_with_no_legs(self):
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
@@ -198,6 +230,15 @@ class TestPowerBinaryValidation:
         with pytest.raises(NumericalError):
             call()
 
+    @pytest.mark.parametrize("K", [0.0, 1e250], ids=["inf", "nan"])
+    def test_overflowing_product_raises_numerical_error(self, K):
+        """X^beta = 1e300 and e^{mu tau} = 1.1e26 are finite, and their
+        product overflows without raising: to inf, or to NaN against an
+        orthant that underflows to 0."""
+        params = PowerBinaryParams(beta=1.5, i=0.0, L=0.0, K=K, tau1=0.0, tau2=0.0, tau3=1.0)
+        with pytest.raises(NumericalError):
+            power_binary_price(1e200, 0.0, 1.0, params, MarketParams(r=0.0, q=-40.0, sigma=0.1))
+
     def test_expired_claim_rejected(self):
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
         with pytest.raises(DomainError):
@@ -248,6 +289,11 @@ class TestSurvivalWeight:
     def test_on_barrier_is_exactly_zero(self):
         assert tbvp_w(1.0, 0.0, 0.04, 0.5, 2.0) == 0.0
         assert tbvp_w(1.0, 1.999, 0.04, 0.5, 2.0) == 0.0
+
+    def test_never_negative(self):
+        # one ulp above the barrier N(d+) - image cancels to -1.57e-43
+        assert tbvp_w(1.0000000000000004, 0.7415811029327684, -0.15382105541097735,
+                      0.015250329128941711, 1.9712471752663296) == 0.0
 
     def test_far_field_limit_is_one(self):
         assert tbvp_w(math.inf, 0.0, 0.04, 0.5, 2.0) == 1.0

@@ -602,6 +602,17 @@ class TestMcChecks:
         assert threading.active_count() == before
 
 
+class TestWorstGap:
+    """The worst-gap checks share one reduction over their gaps."""
+
+    def test_nan_gap_fails_the_check(self, monkeypatch):
+        """option_price_paths returns (0.0, nan), as at two book positions;
+        max(worst, nan) would keep worst, and the check would pass."""
+        monkeypatch.setattr(verification, "option_price_paths", lambda *args: (0.0, math.nan))
+        check = verification.formula_vs_composition(24601)
+        assert (check.ok, check.error) == (False, "a gap is NaN")
+
+
 def _bond_price_raising_at(t_fail, exc):
     """bond_price, except that it raises exc at time t_fail."""
     def price(v, t, *args):

@@ -2,7 +2,8 @@
 pinned to their inputs as strict xfails: a fix turns one into an XPASS,
 which fails, and the fixing change removes its marker. Mended so far: the
 puttable bond's jump at T1 on the barrier, where exercise_value did not
-knock out (test_puttable_bond_is_continuous_at_expiry_on_the_barrier).
+knock out (test_puttable_bond_is_continuous_at_expiry_on_the_barrier), and
+a survival weight of -5e-324 (test_survival_of_a_subnormal_difference_within_bounds).
 
 The domain is the benchmark book's (r, q, a in [-0.1, 0.2], R = 0 or up to
 0.95, E strictly inside its bracket, t in [0, T1), V from the barrier to
@@ -36,8 +37,10 @@ from credit_pricer import (
     tbvp_w,
 )
 from credit_pricer import credit_instruments, special_functions
+from helpers import draws
 
-_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+_SETTINGS = settings(max_examples=draws(150), deadline=None, derandomize=True,
+                     database=None)
 _PATH_AGREEMENT_TOL = 1e-9
 
 
@@ -221,10 +224,9 @@ def test_survival_weight_nondecreasing_in_x_and_t(position):
         assert w is None or later is None or w <= later
 
 
-# A survival probability of -5e-324: tbvp_w forms N(d+) - image, both terms
-# near 1.8e-319, and the difference is one negative subnormal; mpmath at 60
-# digits gives 1.76e-325, which rounds to 0.
-@pytest.mark.xfail(strict=True, reason="survival_probability returns -5e-324")
+# tbvp_w forms N(d+) - image from two terms near 1.8e-319, whose difference
+# rounds to -5e-324 before the floor at 0; mpmath at 60 digits gives
+# 1.76e-325, which rounds to 0.
 def test_survival_of_a_subnormal_difference_within_bounds():
     bond = BondSpec(T=4.490263305757545, a=0.0, b=100.0, R=0.5)
     market = MarketParams(r=-0.1936714275900154, q=0.2, sigma=0.016604017655055835)
