@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, InvalidParamsError, NumericalError
-from .special_functions import MarketParams, binorm_cdf, delta, mu, norm_cdf
+from .special_functions import MarketParams, binorm_cdf, norm_cdf
 
 __all__ = [
     "IndicatorDirection",
@@ -64,6 +64,15 @@ class PowerBinaryParams:
             raise InvalidParamsError("direction must be an IndicatorDirection")
 
 
+def _delta(ratio: float, tau1: float, tau2: float, tau3: float, market: MarketParams) -> float:
+    """delta of power_binary_price on checked clocks; +inf at ratio = +inf."""
+    if ratio == math.inf:
+        return math.inf
+    sig2 = market.sigma * market.sigma
+    num = math.log(ratio) + (market.r - market.q - 0.5 * sig2) * tau1 + sig2 * tau2
+    return num / (market.sigma * math.sqrt(tau3))
+
+
 def power_binary_price(
     X: float,
     t: float,
@@ -89,17 +98,19 @@ def power_binary_price(
     float
         X^beta e^{mu(beta) tau} N2(a1, a2; rho) with tau = T - t,
         a1 = delta(X^i/L, tau1 + i tau, tau2 + i beta tau, tau3 + i^2 tau),
-        a2 = delta(X/K, tau, beta tau, tau) and rho = i sqrt(tau/(tau3+i^2 tau)).
-        Direction BELOW prices the complementary indicator 1{X < K} through
-        the identity N2(a1, -a2; -rho) = N(a1) - N2(a1, a2; rho).
+        a2 = delta(X/K, tau, beta tau, tau), rho = i sqrt(tau/(tau3+i^2 tau)),
+        delta(y, s1, s2, s3) = (ln y + (r-q-sigma^2/2) s1 + sigma^2 s2)/(sigma sqrt(s3))
+        and the growth exponent mu(beta) = -r + beta (r - q - sigma^2 (1 - beta)/2),
+        -r at beta = 0 and at the reflection exponent 1 - 2(r - q)/sigma^2.
+        BELOW prices 1{X < K} as N2(a1, -a2; -rho) = N(a1) - N2(a1, a2; rho).
 
     Notes
     -----
     Either orthant argument may degenerate to +inf (K = 0 drops the strike
     leg, L = 0 the probability leg); binorm_cdf then reduces exactly to the
     univariate CDF. rho, which rounds above 1 on some valid legs (i = 7,
-    tau3 = 0), is clamped to [-1, 1]. A price that is not a finite float,
-    from a power of X, the prefactor or their product, raises
+    tau3 = 0), is clamped to [-1, 1]. Past the checks of X, tau and each
+    leg's clocks, an overflow or a ratio that underflows to 0 raises
     NumericalError.
     """
     if not (math.isfinite(X) and X > 0.0):
@@ -116,19 +127,27 @@ def power_binary_price(
     below = p.direction is IndicatorDirection.BELOW
     if below and p.K == 0.0:
         return 0.0  # 1{X < 0} carries no mass
+    # each leg that stays (K != 0, L != 0) needs finite clocks
+    tau1, tau2 = p.tau1 + p.i * tau, p.tau2 + p.i * p.beta * tau
+    if (p.K != 0.0 and not math.isfinite(p.beta * tau) or p.L != 0.0 and not (
+            math.isfinite(tau1) and math.isfinite(tau2) and math.isfinite(clock))):
+        raise NumericalError("power-binary price overflows a float")
     try:
-        a2 = math.inf if p.K == 0.0 else delta(X / p.K, tau, p.beta * tau, tau, market)
-        a1 = (math.inf if p.L == 0.0 else
-              delta(X**p.i / p.L, p.tau1 + p.i * tau, p.tau2 + p.i * p.beta * tau, clock, market))
+        a2 = math.inf if p.K == 0.0 else _delta(X / p.K, tau, p.beta * tau, tau, market)
+        a1 = math.inf if p.L == 0.0 else _delta(X**p.i / p.L, tau1, tau2, clock, market)
         # binorm_cdf checks rho before it reduces an infinite limit: a dropped leg
         # and i = 0 (where tau/clock may overflow) pass 0, and |rho| > 1 is rounding
         rho = 0.0 if p.K == 0.0 or p.L == 0.0 or p.i == 0.0 else p.i * math.sqrt(tau / clock)
         if not -1.0 <= rho <= 1.0:
             rho = math.copysign(1.0, rho)
         orthant = binorm_cdf(a1, -a2, -rho) if below else binorm_cdf(a1, a2, rho)
-        price = X**p.beta * math.exp(mu(p.beta, market) * tau) * orthant
+        m = market  # mu(beta)
+        mu = -m.r + p.beta * (m.r - m.q - 0.5 * m.sigma * m.sigma * (1.0 - p.beta))
+        price = X**p.beta * math.exp(mu * tau) * orthant
     except OverflowError as exc:
         raise NumericalError("power-binary price overflows a float") from exc
+    except (ArithmeticError, ValueError) as exc:  # log of an underflowed ratio, a NaN limit
+        raise NumericalError(f"power-binary price leaves the float range: {exc}") from exc
     if not math.isfinite(price):  # a float * overflows without raising
         raise NumericalError("power-binary price overflows a float")
     return price

@@ -29,7 +29,6 @@ from .errors import (
     InvalidOptionError,
     InvalidParamsError,
     NumericalError,
-    PricerError,
 )
 from .special_functions import MarketParams, binorm_cdf, norm_cdf
 
@@ -168,7 +167,10 @@ def _survival(V: float, t: float, lvl: float, bond: BondSpec, market: MarketPara
     """survival_probability at a barrier level lvl already checked at t."""
     if t == bond.T:
         return 1.0 if V > lvl else 0.0
-    return tbvp_w(V / lvl, t, market.r - market.q - bond.a, market.sigma, bond.T)
+    c = market.r - market.q - bond.a
+    if not math.isfinite(c):
+        raise NumericalError("carry r - q - a overflows a float")
+    return tbvp_w(V / lvl, t, c, market.sigma, bond.T)
 
 
 def bond_price(V: float, t: float, bond: BondSpec, market: MarketParams) -> float:
@@ -401,7 +403,7 @@ def option_price_paths(
     closed form, compositional construction), before any agreement check
     or clipping. Validates the inputs like bond_option_price and returns
     (0, 0) on the knockout boundary. Domain: V >= barrier, 0 <= t < T1.
-    A float overflow or underflow on either path raises NumericalError.
+    Past those checks, either path raises only NumericalError.
     The boundary and the composed path's legs of the last two (bond,
     option, market) triples priced are kept, keyed by value, so equal
     specs share them.
@@ -417,9 +419,9 @@ def option_price_paths(
         return _option_price_formula(V, t, lvl, bond, option, market, K), composed(V, t)
     except OverflowError as exc:
         raise NumericalError("option price overflows a float") from exc
-    except PricerError:
+    except NumericalError:
         raise
-    except ValueError as exc:  # math.log of a firm-value ratio that underflowed to 0
+    except (ArithmeticError, ValueError) as exc:  # a ratio that underflowed to 0, an inf
         raise NumericalError(f"option price leaves the float range: {exc}") from exc
 
 

@@ -263,6 +263,8 @@ class _Claim:
         if not (math.isfinite(anchor) and anchor >= T):
             raise InvalidParamsError(f"barrier anchor must be >= horizon, got {anchor}")
         log_b0 = math.log(b) - a * anchor  # log barrier at t=0
+        if not math.isfinite(log_b0):
+            raise NumericalError("log barrier at t=0 leaves the float range")
         if not (math.isfinite(V0) and V0 > 0.0) or math.log(V0) <= log_b0:
             raise DomainError(f"V0 must start above the barrier {math.exp(log_b0)}")
 

@@ -1,6 +1,5 @@
 """Scalar probability kernels used by every closed form in the package:
-univariate and bivariate standard normal CDFs, the normalized log-moneyness
-term, and the growth exponent of power payoffs."""
+the flat market, and the univariate and bivariate standard normal CDFs."""
 
 from __future__ import annotations
 
@@ -10,7 +9,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InvalidParamsError
 
-__all__ = ["MarketParams", "norm_pdf", "norm_cdf", "binorm_cdf", "delta", "mu"]
+__all__ = ["MarketParams", "norm_pdf", "norm_cdf", "binorm_cdf"]
 
 _SQRT2 = math.sqrt(2.0)
 _TWOPI = 2.0 * math.pi
@@ -279,40 +278,3 @@ def binorm_cdf(a1: float, a2: float, rho: float) -> float:
     if bvn < _TAIL_RATIO * base:
         return _orthant_tail(a1, a2, rho)
     return min(1.0, max(0.0, bvn))
-
-
-def delta(ratio: float, tau1: float, tau2: float, tau3: float, market: MarketParams) -> float:
-    """Normalized drift-adjusted log ratio.
-
-    Returns (ln(ratio) + (r - q - sigma^2/2) tau1 + sigma^2 tau2) divided by
-    sigma sqrt(tau3). A ratio of +inf returns +inf, the convention for a
-    dropped probability factor. tau1 and tau2 may be negative. Raises
-    InvalidParamsError, in this order, if ratio is NaN or not positive, a
-    clock is not finite, or tau3 is not positive.
-    """
-    if math.isnan(ratio) or ratio <= 0.0:
-        raise InvalidParamsError(f"ratio must be positive, got {ratio}")
-    if not (math.isfinite(tau1) and math.isfinite(tau2) and math.isfinite(tau3)):
-        raise InvalidParamsError("clock parameters must be finite")
-    if tau3 <= 0.0:
-        raise InvalidParamsError(f"tau3 must be positive, got {tau3}")
-    if math.isinf(ratio):
-        return math.inf
-    m = market
-    sig2 = m.sigma * m.sigma
-    num = math.log(ratio) + (m.r - m.q - 0.5 * sig2) * tau1 + sig2 * tau2
-    return num / (m.sigma * math.sqrt(tau3))
-
-
-def mu(beta: float, market: MarketParams) -> float:
-    """Per-year growth exponent of the discounted power payoff X^beta.
-
-    mu(beta) = -r + beta (r - q - sigma^2 (1 - beta) / 2). In particular
-    beta = 0 gives -r (pure discounting), beta = 1 gives -q, and the
-    reflection exponent beta = 1 - 2(r - q)/sigma^2 gives -r again, which is
-    what makes image terms decay at the riskless rate.
-    """
-    if not math.isfinite(beta):
-        raise DomainError(f"mu: beta must be finite, got {beta}")
-    m = market
-    return -m.r + beta * (m.r - m.q - 0.5 * m.sigma * m.sigma * (1.0 - beta))

@@ -104,6 +104,8 @@ def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None
     and call problems at its T1 and E, solved on one grid in flattened
     coordinates with the barrier at 1. Keys: bond, survival, put, call."""
     c = market.r - market.q - bond.a
+    if not math.isfinite(c):
+        raise NumericalError("carry r - q - a overflows a float")
 
     def solve(payoff, boundary, r_disc, horizon, align=None):
         return pde_solve_tbvp(payoff, boundary, c, market.sigma, r_disc,
@@ -216,18 +218,16 @@ def quadrature_bond(bond: BondSpec, market: MarketParams, probe_v) -> Check:
     a cash binary, each leg priced by quadrature under zero rate and
     dividend -c; worst absolute gap, tolerance 1e-8."""
     def gaps():
+        closed = [bond_price(v, 0.0, bond, market) for v in probe_v]  # fails first on an overflow
         c = market.r - market.q - bond.a
         drift_only = MarketParams(r=0.0, q=-c, sigma=market.sigma)
         gamma = 1.0 - 2.0 * c / (market.sigma * market.sigma)
-        cash = PowerBinaryParams(beta=0.0, i=0.0, L=0.0, K=1.0, tau1=0.0,
-                                 tau2=0.0, tau3=1.0,
-                                 direction=IndicatorDirection.ABOVE)
-        for v in probe_v:
+        cash = PowerBinaryParams(beta=0.0, i=0.0, L=0.0, K=1.0, tau1=0.0, tau2=0.0, tau3=1.0)
+        for v, cf in zip(probe_v, closed):
             x = _flatten(v, 0.0, bond)
             w = (quadrature_green(x, bond.T, cash, drift_only)
                  - x**gamma * quadrature_green(1.0 / x, bond.T, cash, drift_only))
             quad_bond = math.exp(-market.r * bond.T) * (bond.R + (1.0 - bond.R) * w)
-            cf = bond_price(v, 0.0, bond, market)
             yield abs(quad_bond - cf)
 
     return _run("quadrature_bond_agreement", 1e-8, lambda: _worst(gaps()))

@@ -13,15 +13,14 @@ from credit_pricer import (
     MarketParams,
     NumericalError,
     PowerBinaryParams,
-    delta,
     draw_verification_case,
     image_transform,
-    mu,
     norm_cdf,
     power_binary_price,
     quadrature_green,
     tbvp_w,
 )
+from credit_pricer.bs_closed_form import _delta
 from helpers import pricing_residual
 
 # theta-scheme value of the survival weight at x=1.5, c=0.04, sigma=0.5,
@@ -88,15 +87,22 @@ class TestPowerBinaryReductions:
         PowerBinaryParams(beta=0.0, i=7.0, L=1.0, K=0.0, tau1=0.0, tau2=0.0, tau3=0.0),
     ], ids=["cash_leg", "zero_strike", "zero_strike_i7"])
     def test_one_leg_is_the_univariate_reduction_bit_for_bit(self, params):
+        """The price is X^beta e^{mu(beta) tau} Phi(delta), with delta and mu
+        written out here as the docstring defines them."""
         X, tau = 1.2, 0.3
-        market = MarketParams(r=0.04, q=0.0, sigma=0.5)
+        r, q, sigma = 0.04, 0.0, 0.5
         if params.L == 0.0:
-            a = delta(X / params.K, tau, params.beta * tau, tau, market)
+            ratio, tau1, tau2, tau3 = X / params.K, tau, params.beta * tau, tau
         else:
-            a = delta(X**params.i / params.L, params.tau1 + params.i * tau,
-                      params.tau2 + params.i * params.beta * tau,
-                      params.tau3 + params.i**2 * tau, market)
-        expected = X**params.beta * math.exp(mu(params.beta, market) * tau) * norm_cdf(a)
+            ratio, tau1, tau2, tau3 = (X**params.i / params.L, params.tau1 + params.i * tau,
+                                       params.tau2 + params.i * params.beta * tau,
+                                       params.tau3 + params.i**2 * tau)
+        sig2 = sigma * sigma
+        a = ((math.log(ratio) + (r - q - 0.5 * sig2) * tau1 + sig2 * tau2)
+             / (sigma * math.sqrt(tau3)))
+        growth = -r + params.beta * (r - q - 0.5 * sigma * sigma * (1.0 - params.beta))
+        expected = X**params.beta * math.exp(growth * tau) * norm_cdf(a)
+        market = MarketParams(r=r, q=q, sigma=sigma)
         assert power_binary_price(X, 0.0, tau, params, market).hex() == expected.hex()
 
     @pytest.mark.parametrize("i, direction", [(7.0, IndicatorDirection.ABOVE),
@@ -116,6 +122,73 @@ class TestPowerBinaryReductions:
                                    tau1=0.0, tau2=0.0, tau3=1.0)
         got = power_binary_price(2.0, 0.0, 1.5, params, market)
         assert got == pytest.approx(math.exp(-0.04 * 1.5), rel=1e-15)
+
+
+class TestDelta:
+    """delta(ratio, tau1, tau2, tau3) of power_binary_price's docstring."""
+
+    def test_unit_ratio_no_drift(self):
+        m = MarketParams(r=0.04, q=0.0, sigma=0.5)
+        assert _delta(1.0, 0.0, 0.0, 1.0, m) == 0.0
+
+    def test_log_e_unit_everything(self):
+        m = MarketParams(r=0.0, q=0.0, sigma=1.0)
+        got = _delta(math.e, 0.0, 0.0, 1.0, m)
+        assert got == pytest.approx(1.0, rel=1e-15)
+
+    def test_hand_evaluated_point(self):
+        # (ln 1.39 + (0.04 - 0.125) * 2) / (0.5 sqrt(2)), mpmath dps=30
+        m = MarketParams(r=0.04, q=0.0, sigma=0.5)
+        got = _delta(1.39, 2.0, 0.0, 2.0, m)
+        assert got == pytest.approx(0.2252895197459197, rel=1e-13)
+
+    def test_infinite_ratio_gives_infinity(self):
+        m = MarketParams(r=0.04, q=0.0, sigma=0.5)
+        assert _delta(math.inf, 1.0, 0.0, 1.0, m) == math.inf
+
+    def test_variance_correction_term(self):
+        # sigma^2 tau2 enters the numerator without the -1/2 adjustment
+        m = MarketParams(r=0.0, q=0.0, sigma=0.5)
+        base = _delta(2.0, 0.0, 0.0, 4.0, m)
+        bumped = _delta(2.0, 0.0, 3.0, 4.0, m)
+        assert bumped - base == pytest.approx(0.25 * 3.0 / (0.5 * 2.0), rel=1e-14)
+
+    def test_negative_tau1_allowed(self):
+        # composed clocks can subtract drift time; only tau3 is sign-constrained
+        m = MarketParams(r=0.04, q=0.01, sigma=0.3)
+        got = _delta(1.5, -0.5, 0.0, 0.25, m)
+        assert math.isfinite(got)
+
+
+def _mu(beta, market):
+    """mu(beta) of power_binary_price's docstring, read off the price of
+    X^beta at X = 1 over one year with both legs dropped: e^{mu(beta)}."""
+    params = PowerBinaryParams(beta=beta, i=0.0, L=0.0, K=0.0, tau1=0.0, tau2=0.0, tau3=0.0)
+    return math.log(power_binary_price(1.0, 0.0, 1.0, params, market))
+
+
+class TestMu:
+    def test_beta_zero_is_pure_discounting(self):
+        m = MarketParams(r=0.04, q=0.01, sigma=0.5)
+        assert _mu(0.0, m) == pytest.approx(-0.04, abs=1e-16)
+
+    def test_beta_one_is_carry(self):
+        m = MarketParams(r=0.04, q=0.01, sigma=0.5)
+        assert _mu(1.0, m) == pytest.approx(-0.01, abs=1e-16)
+
+    @pytest.mark.parametrize("r,q,a,sigma", [
+        (0.04, 0.0, 0.0, 0.5),
+        (0.04, 0.0, 0.03, 0.5),
+        (0.06, 0.02, -0.01, 0.3),
+        (0.01, 0.0, 0.05, 0.8),
+    ])
+    def test_reflection_exponent_decays_at_riskless_rate(self, r, q, a, sigma):
+        """The image exponent gamma = 1 - 2(r - q - a)/sigma^2, evaluated in
+        the market with carry q + a, grows at exactly -r. This is what makes
+        reflected terms admissible solutions of the discounted equation."""
+        m = MarketParams(r=r, q=q + a, sigma=sigma)
+        gamma = 1.0 - 2.0 * (r - q - a) / (sigma * sigma)
+        assert _mu(gamma, m) == pytest.approx(-r, abs=1e-14)
 
 
 class TestSecondOrderBinary:
@@ -216,6 +289,15 @@ class TestPowerBinaryValidation:
             1e200, 0.0, 1.0,
             PowerBinaryParams(beta=0.0, i=2.0, L=1.0, K=1.0, tau1=0.5, tau2=0.0, tau3=0.5),
             MarketParams(r=0.04, q=0.0, sigma=0.5)),
+        # X/K underflows to 0 in the strike leg
+        lambda: power_binary_price(1e-200, 0.0, 1.0, PowerBinaryParams(0, 0, 0, 1e200, 1, 0, 1),
+                                   MarketParams(r=0.04, q=0.0, sigma=0.5)),
+        # X^i/L underflows to 0 in the probability leg
+        lambda: power_binary_price(1e-200, 0.0, 1.0, PowerBinaryParams(0, 2, 1e300, 1, 1, 0, 1),
+                                   MarketParams(r=0.04, q=0.0, sigma=0.5)),
+        # the clock tau1 + i tau overflows
+        lambda: power_binary_price(1.0, 0.0, 10.0, PowerBinaryParams(0, 1e308, 1, 1, 1, 0, 1),
+                                   MarketParams(r=0.04, q=0.0, sigma=0.5)),
         # (x/b)^gamma with gamma = 80001
         lambda: image_transform(lambda x, t: x, 1.0, -0.04, 1e-3)(1e10, 0.0),
         # z^300 in the quadrature integrand
@@ -223,10 +305,11 @@ class TestPowerBinaryValidation:
             20.0, 1.0,
             PowerBinaryParams(beta=300.0, i=0.0, L=0.0, K=1.0, tau1=0.0, tau2=0.0, tau3=1.0),
             MarketParams(r=0.04, q=0.0, sigma=0.5)),
-    ], ids=["power_binary_price", "image_transform", "quadrature_green"])
+    ], ids=["power_binary_price", "strike_ratio_underflow", "probability_ratio_underflow",
+            "clock_overflow", "image_transform", "quadrature_green"])
     def test_inner_overflow_raises_numerical_error(self, call):
-        """A float overflow past validation surfaces as NumericalError, never
-        as a bare OverflowError."""
+        """A float overflow or underflow past validation surfaces as
+        NumericalError, never as a bare OverflowError or as invalid input."""
         with pytest.raises(NumericalError):
             call()
 

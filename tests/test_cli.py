@@ -563,6 +563,28 @@ def test_overflowing_path_fails_its_mc_check(doc, lines, tmp_path, capsys):
     assert out.splitlines()[1:] == lines
 
 
+# Valid markets, each parameter finite, in which the carry r - q - a overflows
+# (r = -q = 1e308) or a barrier growth a = 1e308 overflows the default barrier
+# and the log barrier of the Monte Carlo claim.
+_CARRY_OVERFLOW = {
+    "carry": dict(_BASE, option=None, market={"r": 1e308, "q": -1e308, "sigma": 0.5},
+                  numerics=_SMALL_NUMERICS),
+    "barrier_growth": dict(_BASE, option=None, market={"r": 0.04, "q": -1e308, "sigma": 0.5},
+                           bond=dict(_BASE["bond"], a=1e308), numerics=_SMALL_NUMERICS),
+}
+
+
+@pytest.mark.parametrize("doc", _CARRY_OVERFLOW.values(), ids=_CARRY_OVERFLOW.keys())
+def test_overflowing_carry_fails_numerically(doc, tmp_path):
+    """Pricing fails numerically (exit 1), and each verify suite runs to its
+    summary with no warning and no message about parameters the user never
+    gave."""
+    code, err = _quiet_main(["price-bond"], doc, tmp_path)
+    assert code == 1 and err.startswith("numerical failure: "), err
+    for suite in ("pde", "mc", "quadrature", "all"):
+        assert _quiet_main(["verify", "--suite", suite], doc, tmp_path) == (1, ""), suite
+
+
 # Valid configs whose PDE probes the solved grid does not reach, and the check
 # lines each run must print. A boundary within half a cell of the barrier
 # shrinks the put's and call's cells, so their grid ends at 2.71, not 30; a

@@ -30,6 +30,7 @@ from credit_pricer import (
     early_redemption_boundary,
     exercise_value,
     mc_barrier_price,
+    option_price_paths,
     power_binary_price,
     puttable_bond_price,
     survival_probability,
@@ -333,6 +334,15 @@ class TestBondOptionPrice:
             bond_option_price(150.0, put_spec.T1, bond, put_spec, market)
         with pytest.raises(DomainError):
             bond_option_price(150.0, -0.2, bond, put_spec, market)
+
+    def test_flattened_firm_value_overflow_is_numerical_error(self):
+        """V e^{a(T-t)} overflows on the composed path, whose power binaries
+        reject the infinite underlying: past its entry checks the price
+        fails numerically, not as invalid input."""
+        bond = BondSpec(T=60.0, a=0.5, b=100.0, R=0.4)
+        put = OptionSpec(T1=30.0, E=0.18, kind=OptionKind.PUT)
+        with pytest.raises(NumericalError, match="option price leaves the float range"):
+            option_price_paths(1e300, 0.0, bond, put, MarketParams(r=0.04, q=0.0, sigma=0.5))
 
     @pytest.mark.parametrize("b, v, x", [(1e200, 2e200, "2e+200"), (1e-200, 1.0, "1.0")],
                              ids=["overflow", "underflow"])

@@ -65,12 +65,12 @@ def test_public_names():
         "IndicatorDirection", "InvalidOptionError", "InvalidParamsError", "MarketParams",
         "McSpec", "NumericalError", "OptionKind", "OptionSpec", "PdeSurface",
         "PowerBinaryParams", "PricerError", "Scheme", "barrier_level", "binorm_cdf",
-        "bond_option_price", "bond_price", "callable_bond_price", "delta",
+        "bond_option_price", "bond_price", "callable_bond_price",
         "draw_verification_case", "early_redemption_boundary", "exercise_value",
-        "image_transform", "mc_barrier_price", "mc_barrier_prices", "mu", "norm_cdf",
+        "image_transform", "mc_barrier_price", "mc_barrier_prices", "norm_cdf",
         "norm_pdf", "option_price_paths", "pde_solve_tbvp", "power_binary_price",
         "puttable_bond_price", "quadrature_green", "survival_probability", "tbvp_w",
         "__version__",
     }
-    assert len(credit_pricer.__all__) == 40
+    assert len(credit_pricer.__all__) == 38
     assert all(hasattr(credit_pricer, name) for name in credit_pricer.__all__)

@@ -18,8 +18,6 @@ from credit_pricer import (
     InvalidParamsError,
     MarketParams,
     binorm_cdf,
-    delta,
-    mu,
     norm_cdf,
     norm_pdf,
 )
@@ -282,79 +280,6 @@ class TestBinormTail:
         with rho near -0.91 where the orthant cancelled."""
         check = quadrature_sweep(seed)
         assert check.ok, check
-
-
-class TestDelta:
-    def test_unit_ratio_no_drift(self):
-        m = MarketParams(r=0.04, q=0.0, sigma=0.5)
-        assert delta(1.0, 0.0, 0.0, 1.0, m) == 0.0
-
-    def test_log_e_unit_everything(self):
-        m = MarketParams(r=0.0, q=0.0, sigma=1.0)
-        got = delta(math.e, 0.0, 0.0, 1.0, m)
-        assert got == pytest.approx(1.0, rel=1e-15)
-
-    def test_hand_evaluated_point(self):
-        # (ln 1.39 + (0.04 - 0.125) * 2) / (0.5 sqrt(2)), mpmath dps=30
-        m = MarketParams(r=0.04, q=0.0, sigma=0.5)
-        got = delta(1.39, 2.0, 0.0, 2.0, m)
-        assert got == pytest.approx(0.2252895197459197, rel=1e-13)
-
-    def test_infinite_ratio_gives_infinity(self):
-        m = MarketParams(r=0.04, q=0.0, sigma=0.5)
-        assert delta(math.inf, 1.0, 0.0, 1.0, m) == math.inf
-
-    def test_variance_correction_term(self):
-        # sigma^2 tau2 enters the numerator without the -1/2 adjustment
-        m = MarketParams(r=0.0, q=0.0, sigma=0.5)
-        base = delta(2.0, 0.0, 0.0, 4.0, m)
-        bumped = delta(2.0, 0.0, 3.0, 4.0, m)
-        assert bumped - base == pytest.approx(0.25 * 3.0 / (0.5 * 2.0), rel=1e-14)
-
-    def test_invalid_args_rejected(self):
-        m = MarketParams(r=0.04, q=0.0, sigma=0.5)
-        for ratio, tau1, tau2, tau3 in ((0.0, 1.0, 0.0, 1.0), (-2.0, 1.0, 0.0, 1.0),
-                                        (1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.0, -1.0),
-                                        (math.nan, 1.0, 0.0, 1.0), (1.0, math.nan, 0.0, 1.0)):
-            with pytest.raises(InvalidParamsError):
-                delta(ratio, tau1, tau2, tau3, m)
-
-    def test_negative_tau1_allowed(self):
-        # composed clocks can subtract drift time; only tau3 is sign-constrained
-        m = MarketParams(r=0.04, q=0.01, sigma=0.3)
-        got = delta(1.5, -0.5, 0.0, 0.25, m)
-        assert math.isfinite(got)
-
-
-class TestMu:
-    def test_beta_zero_is_pure_discounting(self):
-        m = MarketParams(r=0.04, q=0.01, sigma=0.5)
-        assert mu(0.0, m) == pytest.approx(-0.04, abs=1e-16)
-
-    def test_beta_one_is_carry(self):
-        m = MarketParams(r=0.04, q=0.01, sigma=0.5)
-        assert mu(1.0, m) == pytest.approx(-0.01, abs=1e-16)
-
-    @pytest.mark.parametrize("r,q,a,sigma", [
-        (0.04, 0.0, 0.0, 0.5),
-        (0.04, 0.0, 0.03, 0.5),
-        (0.06, 0.02, -0.01, 0.3),
-        (0.01, 0.0, 0.05, 0.8),
-    ])
-    def test_reflection_exponent_decays_at_riskless_rate(self, r, q, a, sigma):
-        """The image exponent gamma = 1 - 2(r - q - a)/sigma^2, evaluated in
-        the market with carry q + a, grows at exactly -r. This is what makes
-        reflected terms admissible solutions of the discounted equation."""
-        m = MarketParams(r=r, q=q + a, sigma=sigma)
-        gamma = 1.0 - 2.0 * (r - q - a) / (sigma * sigma)
-        assert mu(gamma, m) == pytest.approx(-r, abs=1e-14)
-
-    def test_nonfinite_beta_rejected(self):
-        m = MarketParams(r=0.04, q=0.0, sigma=0.5)
-        with pytest.raises(DomainError):
-            mu(math.inf, m)
-        with pytest.raises(DomainError):
-            mu(math.nan, m)
 
 
 class TestMarketParams:
