@@ -39,7 +39,7 @@ for name, closed in (("bond", bond_price(V0, 0.0, bond, market)),
           f"rel {abs(numeric - closed) / closed:.1e}")
 
 # Monte Carlo: simulate to maturity, pay the recovery on a barrier hit
-mc = McSpec(n_paths=200_000, n_steps=200, seed=7, bridge_correction=True)
+mc = McSpec(n_paths=200_000, n_steps=200, seed=7)
 est, se = mc_barrier_price(
     payoff=lambda v: 1.0,
     rebate_at_hit=lambda t: bond.R * math.exp(-market.r * (bond.T - t)),

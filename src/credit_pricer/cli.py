@@ -33,7 +33,7 @@ from .credit_instruments import (
     survival_probability,
 )
 from .errors import InvalidParamsError, NumericalError, PricerError
-from .oracles import GridSpec, McSpec, Scheme
+from .oracles import GridSpec, McSpec
 from .special_functions import MarketParams
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -50,9 +50,8 @@ _DEFAULT_CONFIG = {
                "series_t": [0.0, 0.5]},
     "numerics": {
         "seed": 1729,
-        "grid": {"n_space": 801, "n_time": 800, "x_max_mult": 30.0,
-                 "scheme": "crank_nicolson"},
-        "mc": {"n_paths": 100000, "n_steps": 200, "bridge_correction": True},
+        "grid": {"n_space": 801, "n_time": 800, "x_max_mult": 30.0},
+        "mc": {"n_paths": 100000, "n_steps": 200},
     },
     "out": None,
 }
@@ -94,14 +93,12 @@ def _is_number(value) -> bool:
 _TAKES = {
     float: (_is_number, "a number"),
     int: (lambda v: _is_number(v) and float(v).is_integer(), "an integer"),
-    bool: (lambda v: type(v) is bool, "true or false"),
     list: (lambda v: _is_number(v) or type(v) is list and v != [] and all(map(_is_number, v)),
            "a number or non-empty list of numbers"),
     type(None): (lambda v: v is None or type(v) is str, "a string path"),
 }
 _ENUMS = {
     "option.kind": (OptionKind, "option kind must be 'put' or 'call', got '{}'"),
-    "numerics.grid.scheme": (Scheme, "unknown scheme '{}'"),
 }
 
 

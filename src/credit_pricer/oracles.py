@@ -9,7 +9,6 @@ sides is evidence, not circularity.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,6 @@ from .errors import DomainError, InvalidParamsError, NumericalError
 from .special_functions import MarketParams
 
 __all__ = [
-    "Scheme",
     "GridSpec",
     "McSpec",
     "PdeSurface",
@@ -32,11 +30,6 @@ __all__ = [
 ]
 
 
-class Scheme(enum.Enum):
-    CRANK_NICOLSON = "crank_nicolson"
-    IMPLICIT_EULER = "implicit_euler"
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Finite-difference grid: n_space log-space nodes spanning the barrier
@@ -45,7 +38,6 @@ class GridSpec:
     n_space: int = 801
     n_time: int = 800
     x_max_mult: float = 30.0
-    scheme: Scheme = Scheme.CRANK_NICOLSON
 
     def __post_init__(self):
         if self.n_space < 50:
@@ -54,8 +46,6 @@ class GridSpec:
             raise InvalidParamsError(f"n_time must be >= 50, got {self.n_time}")
         if not (math.isfinite(self.x_max_mult) and self.x_max_mult >= 10.0):
             raise InvalidParamsError(f"x_max_mult must be >= 10, got {self.x_max_mult}")
-        if not isinstance(self.scheme, Scheme):
-            raise InvalidParamsError("scheme must be a Scheme")
 
 
 @dataclass(frozen=True)
@@ -66,7 +56,6 @@ class McSpec:
     n_paths: int = 100_000
     n_steps: int = 200
     seed: int = 0
-    bridge_correction: bool = True
 
     def __post_init__(self):
         if self.n_paths < 1000:
@@ -149,9 +138,10 @@ def pde_solve_tbvp(
 
     The problem is posed with the barrier normalized to 1; callers with a
     barrier at level b rescale x/b before querying. Uniform grid in
-    y = ln x. Crank-Nicolson starts with four implicit half-steps to damp
-    terminal discontinuities; align_at places a grid node exactly at that
-    x (inside the domain) so payoff kinks do not straddle a cell.
+    y = ln x. Crank-Nicolson, started as Rannacher (1984): the first two
+    steps are four implicit half-steps, which damp terminal
+    discontinuities; align_at places a grid node exactly at that x (inside
+    the domain) so payoff kinks do not straddle a cell.
     """
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise InvalidParamsError(f"sigma must be positive, got {sigma}")
@@ -193,15 +183,14 @@ def pde_solve_tbvp(
 
     # Rannacher start-up: each of the first two Crank-Nicolson steps is taken
     # as two implicit half-steps
-    crank_nicolson = grid.scheme is Scheme.CRANK_NICOLSON
-    half = _theta_step(n - 2, 0.5 * dt, 1.0, lower, diag, upper) if crank_nicolson else None
-    main = _theta_step(n - 2, dt, 0.5 if crank_nicolson else 1.0, lower, diag, upper)
+    half = _theta_step(n - 2, 0.5 * dt, 1.0, lower, diag, upper)
+    main = _theta_step(n - 2, dt, 0.5, lower, diag, upper)
 
     interior = terminal[1:-1].copy()
     u0_old, un_old = terminal[0], terminal[-1]
     for m in range(grid.n_time - 1, -1, -1):
         t_new = times[m]
-        if half is not None and m >= grid.n_time - 2:
+        if m >= grid.n_time - 2:
             sub_steps = ((t_new + 0.5 * dt, half), (t_new, half))
         else:
             sub_steps = ((t_new, main),)
@@ -219,7 +208,7 @@ def pde_solve_tbvp(
 
 
 # Path chunk width; fixed so the random stream layout, and therefore the
-# estimate, depends only on (seed, n_paths, n_steps, bridge_correction).
+# estimate, depends only on (seed, n_paths, n_steps).
 _MC_CHUNK = 1 << 14
 # Paths of a chunk simulated together; sized for the cache, it changes no
 # result.
@@ -288,9 +277,9 @@ class _Claim:
 
     def first_passage(self, rows, z, u, logv, exponent, event, crossed):
         """Build the log paths of a block of the chunk from its normals z
-        and record each path's first hit; u are the block's uniforms, None
-        without bridge_correction. logv, exponent, event and crossed are
-        work arrays of the block's shape, overwritten."""
+        and record each path's first hit, on the grid or within a step by
+        the bridge test against the block's uniforms u. logv, exponent,
+        event and crossed are work arrays of the block's shape, overwritten."""
         # the running sum adds log(V0) and then one increment per step, in
         # the order of a step-by-step simulation, so paths are reproducible
         # to the bit
@@ -302,15 +291,14 @@ class _Claim:
         gap_next = logv  # reused in place: log distance to the barrier
         gap_next -= self.log_barrier
         np.less_equal(gap_next, 0.0, out=event)
-        if u is not None:
-            exponent[:, 0] = self.start_exponent
-            # past a path's first hit the gaps change sign and the exponent
-            # may overflow; those steps are never read
-            with np.errstate(over="ignore", invalid="ignore"):
-                np.multiply(gap_next[:, :-1], -2.0, out=exponent[:, 1:])
-                exponent *= gap_next
-                exponent /= self.bar_var
-                event |= _bridge_crossed(u, exponent, crossed)
+        exponent[:, 0] = self.start_exponent
+        # past a path's first hit the gaps change sign and the exponent may
+        # overflow; those steps are never read
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(gap_next[:, :-1], -2.0, out=exponent[:, 1:])
+            exponent *= gap_next
+            exponent /= self.bar_var
+            event |= _bridge_crossed(u, exponent, crossed)
         step = event.argmax(axis=1)
         step[~event[np.arange(step.size), step]] = self.n_steps
         self.first[rows] = step
@@ -372,7 +360,7 @@ def mc_barrier_prices(claims, market: MarketParams, mc: McSpec,
     the others run on; when none is left the pass stops.
 
     One Philox stream feeds the pass, chunk by chunk: a chunk's normals,
-    then, with bridge_correction, its m * n_steps uniforms, then the next
+    then its m * n_steps uniforms for the bridge test, then the next
     chunk's normals. The normals are drawn one chunk ahead on a second
     thread while this one builds the current chunk's paths and payoffs; the
     second thread keeps the stream state after a chunk's normals, for this
@@ -392,11 +380,9 @@ def mc_barrier_prices(claims, market: MarketParams, mc: McSpec,
     uniforms = np.random.Generator(np.random.Philox(mc.seed))
 
     def draw(out):
-        """Fill out with a chunk's normals; with bridge_correction, return
-        the stream state at the chunk's uniforms and skip them."""
+        """Fill out with a chunk's normals; return the stream state at the
+        chunk's uniforms and skip them."""
         normals.standard_normal(out=out)
-        if not mc.bridge_correction:
-            return None
         state = bits.state
         bits.random_raw(out.size, output=False)
         return state
@@ -414,21 +400,19 @@ def mc_barrier_prices(claims, market: MarketParams, mc: McSpec,
     with ThreadPoolExecutor(max_workers=1) as ahead:
         pending = ahead.submit(draw, buffers[0])
         for k, m in enumerate(chunks):
-            uniform_state = pending.result()
+            uniforms.bit_generator.state = pending.result()
             if k + 1 < len(chunks):
                 pending = ahead.submit(draw, buffers[(k + 1) % 2][:chunks[k + 1]])
             z = buffers[k % 2][:m]
             live = [sim for sim in sims if sim.error is None]
             for sim in live:
                 sim.new_chunk(m)
-            if uniform_state is not None:
-                uniforms.bit_generator.state = uniform_state
             for lo in range(0, m, _MC_BLOCK):
                 rows = slice(lo, min(lo + _MC_BLOCK, m))
                 width = rows.stop - lo
                 # drawn block by block, these are the same numbers as one
                 # (m, n_steps) draw
-                u = None if uniform_state is None else uniforms.random(out=u_work[:width])
+                u = uniforms.random(out=u_work[:width])
                 block_work = [w[:width] for w in work]
                 for sim in live:
                     sim.first_passage(rows, z[rows], u, *block_work)
@@ -462,12 +446,12 @@ def mc_barrier_price(
     otherwise, both discounted at r. Returns (estimate, standard error).
 
     barrier_anchor defaults to the horizon T; pass the bond maturity when
-    pricing an option-horizon claim against the bond's barrier. With
-    bridge_correction the within-step crossing probability of the linear
-    log-barrier is added exactly (the log-barrier's Brownian bridge is
-    Gaussian), removing the discrete-monitoring bias. A within-step hit
-    pays at the step's right endpoint: exact whenever e^{-r t} times the
-    rebate is constant, as it is for the recovery payment. The crossing
+    pricing an option-horizon claim against the bond's barrier. The
+    within-step crossing probability of the linear log-barrier is always
+    added, exactly (its Brownian bridge is Gaussian), removing the
+    discrete-monitoring bias. A within-step hit pays at the step's right
+    endpoint: exact whenever e^{-r t} times the rebate is constant, as it
+    is for the recovery payment. The crossing
     probability is exponentiated only where its exponent exceeds -40 or the
     uniform is 0; elsewhere no uniform can fall below it (_bridge_crossed),
     so the estimate is the one an exp at every step gives, to the bit. The

@@ -225,6 +225,8 @@ def quadrature_bond(bond: BondSpec, market: MarketParams, probe_v) -> Check:
         cash = PowerBinaryParams(beta=0.0, i=0.0, L=0.0, K=1.0, tau1=0.0, tau2=0.0, tau3=1.0)
         for v, cf in zip(probe_v, closed):
             x = _flatten(v, 0.0, bond)
+            if not math.isfinite(x):
+                raise NumericalError(f"flattened firm value of V={v} leaves the float range")
             w = (quadrature_green(x, bond.T, cash, drift_only)
                  - x**gamma * quadrature_green(1.0 / x, bond.T, cash, drift_only))
             quad_bond = math.exp(-market.r * bond.T) * (bond.R + (1.0 - bond.R) * w)

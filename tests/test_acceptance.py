@@ -84,8 +84,7 @@ def test_criterion_3_pde_cross_check(bond, put_spec, call_spec, market):
 
 def test_criterion_4_monte_carlo_cross_check(bond, put_spec, market):
     start = time.monotonic()
-    mc = McSpec(n_paths=100000, n_steps=200, seed=1729,
-                bridge_correction=True)
+    mc = McSpec(n_paths=100000, n_steps=200, seed=1729)
     bond_check, puttable_check = verification.mc_checks(bond, market, put_spec, 199.0, mc)
     elapsed = time.monotonic() - start
 

@@ -276,10 +276,8 @@ class TestConfigRoundTrip:
                "curves": {"samples": 21, "v_max_mult": 2.5, "series_V": 120,
                           "series_t": [0.25, 0.5]},
                "numerics": {"seed": 7,
-                            "grid": {"n_space": 201, "n_time": 150.0, "x_max_mult": 20,
-                                     "scheme": "implicit_euler"},
-                            "mc": {"n_paths": 5000, "n_steps": 60,
-                                   "bridge_correction": False}},
+                            "grid": {"n_space": 201, "n_time": 150.0, "x_max_mult": 20},
+                            "mc": {"n_paths": 5000, "n_steps": 60}},
                "out": "from_config.csv"}
         assert main(["price-bond", "--config", _write_config(tmp_path, doc),
                      "--seed", "99", "--samples", "33", "--out", "flag.csv"]) == 0
@@ -287,8 +285,8 @@ class TestConfigRoundTrip:
             'config: {"bond":{"R":0.6,"T":2.5,"a":0.02,"b":90.0},'
             '"curves":{"samples":33,"series_V":[120.0],"series_t":[0.25,0.5],"v_max_mult":2.5},'
             '"market":{"q":0.01,"r":0.03,"sigma":0.4},'
-            '"numerics":{"grid":{"n_space":201,"n_time":150,"scheme":"implicit_euler",'
-            '"x_max_mult":20.0},"mc":{"bridge_correction":false,"n_paths":5000,"n_steps":60},'
+            '"numerics":{"grid":{"n_space":201,"n_time":150,"x_max_mult":20.0},'
+            '"mc":{"n_paths":5000,"n_steps":60},'
             '"seed":99},"option":{"E":0.92,"T1":1.25,"kind":"call"},"out":"flag.csv",'
             '"points":{"V":[150.0,220.0],"t":[0.125]}}')
 
@@ -389,12 +387,10 @@ def _with(path: str, value) -> dict:
 
 
 # Configs malformed in one place, with the one error line each must give.
-# The first six invite a misreading (a true-ish string, a truncated integer,
-# true as 1.0, numeric strings); the next nine are values or sections of a
+# The first five invite a misreading (a truncated integer, true as 1.0,
+# numeric strings); the next nine are values or sections of a
 # type that cannot be read at all; the rest pin the messages of other faults.
 _MALFORMED = {
-    "bridge_no": (_with("numerics.mc.bridge_correction", "no"),
-                  "'numerics.mc.bridge_correction' must be true or false"),
     "samples_2.7": (_with("curves.samples", 2.7), "'curves.samples' must be an integer"),
     "n_space_800.9": (_with("numerics.grid.n_space", 800.9),
                       "'numerics.grid.n_space' must be an integer"),
@@ -418,8 +414,14 @@ _MALFORMED = {
     "no_kind": (dict(_BASE, option={"T1": 1.0, "E": 0.9}),
                 "config section 'option' is missing key 'kind'"),
     "unknown_key": (_with("market.rate", 0.04), "config section 'market' has unknown keys ['rate']"),
+    # each oracle has one method; the keys that chose another are unknown,
+    # even at their old defaults
+    "scheme_removed": (_with("numerics.grid.scheme", "crank_nicolson"),
+                       "config section 'numerics.grid' has unknown keys ['scheme']"),
+    "bridge_correction_removed": (_with("numerics.mc.bridge_correction", True),
+                                  "config section 'numerics.mc' has unknown keys "
+                                  "['bridge_correction']"),
     "kind_5": (_with("option.kind", 5), "option kind must be 'put' or 'call', got '5'"),
-    "scheme_null": (_with("numerics.grid.scheme", None), "unknown scheme 'None'"),
     "r_inf": (_with("market.r", math.inf), "market parameters must be finite"),
     "T1_nan": (_with("option.T1", math.nan), "option maturity must be positive, got nan"),
     "samples_1": (_with("curves.samples", 1), "curves.samples must be >= 2, got 1"),
@@ -520,6 +522,25 @@ def test_extreme_value_fails_its_check(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL  quadrature_bond_agreement          numerical failure: " in out
     assert out.splitlines()[-1] == "2 checks, 1 failed"
+
+
+# The reference bond with a = 354.5: e^{aT} = e^{709} is a float, but the
+# probe V = 139 flattened to V e^{aT} / b is not, while its closed-form bond
+# price is finite.
+_FLATTENED_OVERFLOW = _with("bond.a", 354.5)
+
+
+def test_overflowing_flattened_probe_fails_its_quadrature_check(tmp_path, capsys):
+    """A probe whose flattened firm value overflows fails the quadrature
+    bond check numerically; it is not reported as invalid input."""
+    assert main(["verify", "--suite", "quadrature",
+                 "--config", _write_config(tmp_path, _FLATTENED_OVERFLOW)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[2:] == [
+        "FAIL  quadrature_bond_agreement          numerical failure: "
+        "flattened firm value of V=139.0 leaves the float range",
+        "2 checks, 1 failed"]
 
 
 # The smallest grid and simulation the config accepts.
@@ -632,7 +653,7 @@ def _config_paths(doc: dict, prefix=()):
 
 _PATHS = list(_config_paths(_DEFAULT_CONFIG))
 _SCHEMA_KEYS = sorted({path[-1] for path in _PATHS})
-_STRINGS = ["", "x", "0.5", "NaN", "put", "call", "crank_nicolson", "implicit_euler"]
+_STRINGS = ["", "x", "0.5", "NaN", "put", "call"]
 _ODD_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, 10**400, 0, -1, 0.5,
                True, False, None, "x", "0.5", [], {}, [math.nan, 1e308], [True]]
 _JSON = st.recursive(
@@ -714,11 +735,12 @@ def _extreme_market(draw):
 @example(doc=_MC_OVERFLOW["r_800_no_option"][0])
 @example(doc=_MC_OVERFLOW["q_minus_1000_put"][0])
 @example(doc=_MC_OVERFLOW["r_minus_306_no_option"][0])
+@example(doc=dict(_FLATTENED_OVERFLOW, numerics=_SMALL_NUMERICS))
 def test_oracles_on_any_market_exit_cleanly(doc, fuzz_dir):
-    """verify --suite pde and --suite mc exit 0 or 1 on any market, with no
-    traceback and no warning, except where a probe or V0 lies below the
-    barrier or the put does not fit the bond: those exit 2."""
-    for suite in ("pde", "mc"):
+    """verify --suite pde, --suite mc and --suite quadrature exit 0 or 1 on
+    any market, with no traceback and no warning, except where a probe or V0
+    lies below the barrier or the put does not fit the bond: those exit 2."""
+    for suite in ("pde", "mc", "quadrature"):
         code, err = _quiet_main(["verify", "--suite", suite], doc, fuzz_dir)
         if code == 2:
             assert err.startswith("error: ")

@@ -151,7 +151,7 @@ class TestSurvivalProbability:
     def test_against_monte_carlo(self, bond, market):
         """Hit-fraction estimate with bridge correction; the barrier is flat
         so the per-step crossing probability is exact."""
-        mc = McSpec(n_paths=20_000, n_steps=100, seed=20240814, bridge_correction=True)
+        mc = McSpec(n_paths=20_000, n_steps=100, seed=20240814)
         mean, se = mc_barrier_price(
             payoff=lambda v: 1.0, rebate_at_hit=lambda t: 0.0,
             T=bond.T, a=bond.a, b=bond.b, market=market, mc=mc, V0=139.0)

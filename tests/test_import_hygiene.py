@@ -64,7 +64,7 @@ def test_public_names():
         "BelowBarrierError", "BondSpec", "BoundaryResult", "DomainError", "GridSpec",
         "IndicatorDirection", "InvalidOptionError", "InvalidParamsError", "MarketParams",
         "McSpec", "NumericalError", "OptionKind", "OptionSpec", "PdeSurface",
-        "PowerBinaryParams", "PricerError", "Scheme", "barrier_level", "binorm_cdf",
+        "PowerBinaryParams", "PricerError", "barrier_level", "binorm_cdf",
         "bond_option_price", "bond_price", "callable_bond_price",
         "draw_verification_case", "early_redemption_boundary", "exercise_value",
         "image_transform", "mc_barrier_price", "mc_barrier_prices", "norm_cdf",
@@ -72,5 +72,5 @@ def test_public_names():
         "puttable_bond_price", "quadrature_green", "survival_probability", "tbvp_w",
         "__version__",
     }
-    assert len(credit_pricer.__all__) == 38
+    assert len(credit_pricer.__all__) == 37
     assert all(hasattr(credit_pricer, name) for name in credit_pricer.__all__)

@@ -26,7 +26,6 @@ from credit_pricer import (
     OptionKind,
     OptionSpec,
     PowerBinaryParams,
-    Scheme,
     barrier_level,
     bond_price,
     callable_bond_price,
@@ -35,8 +34,10 @@ from credit_pricer import (
     early_redemption_boundary,
     mc_barrier_price,
     mc_barrier_prices,
+    norm_cdf,
     pde_solve_tbvp,
     power_binary_price,
+    puttable_bond_price,
     quadrature_green,
     survival_probability,
     tbvp_w,
@@ -79,26 +80,40 @@ _MC_PIN_RUNS = {
         lambda v: v / 1e6, _recovery(_FLAT), 2.0, 0.0, 100.0, _LOW_VOL, mc, 1e4 * 100.0),
 }
 
-# (estimate, SE) as float.hex per (case, bridge_correction), at 20 000 paths
-# x 64 steps, seed 5. The estimates were recorded from the step-by-step
+# (estimate, SE) as float.hex per case, at 20 000 paths x 64 steps, seed 5. The estimates were recorded from the step-by-step
 # simulation loop that the whole-path first passage replaced; the SEs from
 # each chunk's squared deviations about its own mean, merged by Chan, Golub
 # & LeVeque's update, which agree with the SE of the same path values in
 # exact rational arithmetic to 5e-16 relative.
 _MC_PINS = {
-    ("flat_bond", True): ("0x1.73f504bce8213p-1", "0x1.d1da8858554b8p-11"),
-    ("flat_bond", False): ("0x1.7aaf60ce09bbap-1", "0x1.e57267c64cf8bp-11"),
-    ("moving_composite", True): ("0x1.8850a4037b6e8p-1", "0x1.ac4b00a6ba07bp-11"),
-    ("moving_composite", False): ("0x1.8ce1ac14a310bp-1", "0x1.a876274dbb535p-11"),
-    ("near_barrier", True): ("0x1.4ada1be405c8ep-1", "0x1.d09ea2b3031aep-17"),
-    ("near_barrier", False): ("0x1.525a4b806d9bbp-1", "0x1.cbd349d4e690dp-12"),
-    ("unreachable", True): ("0x1.241ddc94f2e9bp+0", "0x1.efaf9cf14172fp-9"),
-    ("unreachable", False): ("0x1.253ee58e03b17p+0", "0x1.eec10c2ebb9a9p-9"),
+    "flat_bond": ("0x1.73f504bce8213p-1", "0x1.d1da8858554b8p-11"),
+    "moving_composite": ("0x1.8850a4037b6e8p-1", "0x1.ac4b00a6ba07bp-11"),
+    "near_barrier": ("0x1.4ada1be405c8ep-1", "0x1.d09ea2b3031aep-17"),
+    "unreachable": ("0x1.241ddc94f2e9bp+0", "0x1.efaf9cf14172fp-9"),
     # recorded from the simulation that exponentiated every bridge exponent
-    ("low_vol_near", True): ("0x1.8f890f412c466p-1", "0x1.008d007833c7fp-10"),
-    ("low_vol_near", False): ("0x1.9b7ed4a355efcp-1", "0x1.fc778373ab250p-11"),
-    ("low_vol_far", True): ("0x1.0020613353e68p+0", "0x1.05eba124a2337p-11"),
-    ("low_vol_far", False): ("0x1.004c2fccd9133p+0", "0x1.064756a34fdaep-11"),
+    "low_vol_near": ("0x1.8f890f412c466p-1", "0x1.008d007833c7fp-10"),
+    "low_vol_far": ("0x1.0020613353e68p+0", "0x1.05eba124a2337p-11"),
+}
+
+
+
+def _capped_at(V0, cap, market, tau):
+    """Black-Scholes value of min(V_tau, cap): the forward less a call."""
+    sd = market.sigma * math.sqrt(tau)
+    d1 = (math.log(V0 / cap) + (market.r - market.q) * tau) / sd + 0.5 * sd
+    forward = V0 * math.exp(-market.q * tau)
+    return forward * (1.0 - norm_cdf(d1)) + cap * math.exp(-market.r * tau) * norm_cdf(d1 - sd)
+
+
+# The closed-form value of each case's claim at t = 0.
+_MC_PIN_CLOSED_FORMS = {
+    "flat_bond": lambda: bond_price(139.0, 0.0, _FLAT, _REF_MARKET),
+    "moving_composite": lambda: puttable_bond_price(
+        139.0, 0.0, _MOVING, OptionSpec(T1=1.0, E=0.9, kind=OptionKind.PUT), _REF_MARKET),
+    "near_barrier": lambda: bond_price(1.0001 * 100.0, 0.0, _FLAT, _REF_MARKET),
+    "unreachable": lambda: _capped_at(139.0, 200.0, _REF_MARKET, 2.0) / 100.0,
+    "low_vol_near": lambda: bond_price(1.02 * 100.0, 0.0, _FLAT, _LOW_VOL),
+    "low_vol_far": lambda: 1e4 * 100.0 * math.exp(-_LOW_VOL.q * 2.0) / 1e6,
 }
 
 # (estimate, SE) as float.hex at 40 001 paths x 50 steps, seed 5: two full
@@ -107,10 +122,8 @@ _MC_PINS = {
 # single-threaded simulation that drew every chunk in turn, the SEs as above
 # (re-recorded with them).
 _MC_CHUNKED_PINS = {
-    ("flat_bond", True): ("0x1.73fcec1e1bc5cp-1", "0x1.4979217c9b875p-11"),
-    ("flat_bond", False): ("0x1.7b853a2d0a0a7p-1", "0x1.58b2031b0ee58p-11"),
-    ("moving_composite", True): ("0x1.87f94d1aeccf8p-1", "0x1.2f537ce0f0556p-11"),
-    ("moving_composite", False): ("0x1.8cecbb6c1fa93p-1", "0x1.2c134576bd2fbp-11"),
+    "flat_bond": ("0x1.73fcec1e1bc5cp-1", "0x1.4979217c9b875p-11"),
+    "moving_composite": ("0x1.87f94d1aeccf8p-1", "0x1.2f537ce0f0556p-11"),
 }
 
 # The two claims of verify's MC checks on one shared pass, for the default
@@ -144,18 +157,14 @@ def _shared_pass(config, mc, composite_payoff=None):
 
 
 # ((estimate, SE) of the bond claim, the same of the composite claim) as
-# float.hex per (config, bridge_correction), at 40 001 paths x 50 steps,
+# float.hex per config, at 40 001 paths x 50 steps,
 # seed 5: three chunks, the last one partial. Each estimate is the one two
 # separate mc_barrier_price runs gave before the claims shared a pass.
 _MC_SHARED_PINS = {
-    ("reference", True): (("0x1.9e518ad03944cp-1", "0x1.6539b51692387p-11"),
-                          ("0x1.ab70fd2a17709p-1", "0x1.040881592bd36p-11")),
-    ("reference", False): (("0x1.a4bfa251b48d8p-1", "0x1.5db19de68fc0ep-11"),
-                           ("0x1.aec1afccd0d4ep-1", "0x1.eb5d87bb81d16p-12")),
-    ("moving_call", True): (("0x1.7df3c7ff36c6dp-1", "0x1.4b4acc77053cdp-10"),
-                            ("0x1.5ee4ec894a0eap-1", "0x1.5a1d926c2e48ep-11")),
-    ("moving_call", False): (("0x1.877843d46f7a8p-1", "0x1.3ff5dce04445bp-10"),
-                             ("0x1.60276d6d63eb2p-1", "0x1.515cc3eae4f75p-11")),
+    "reference": (("0x1.9e518ad03944cp-1", "0x1.6539b51692387p-11"),
+                  ("0x1.ab70fd2a17709p-1", "0x1.040881592bd36p-11")),
+    "moving_call": (("0x1.7df3c7ff36c6dp-1", "0x1.4b4acc77053cdp-10"),
+                    ("0x1.5ee4ec894a0eap-1", "0x1.5a1d926c2e48ep-11")),
 }
 
 
@@ -174,22 +183,23 @@ _PDE_PINS = {
     "call": "cc33ee8a38fe91abc77e7c6289fb928a2dd45804a3a4fe418d49d4c2ebbf7b1b",
 }
 
-# The same digests on two coarse grids: Crank-Nicolson 101 x 50, where the two
-# Rannacher steps are a larger share of the march, and implicit Euler
-# 201 x 150, which takes no half-steps. Recorded from the solver that wrote
-# the Rannacher half-steps out apart from the main step.
+# The same digests on two coarse grids, where the two Rannacher steps are a
+# larger share of the march: 101 x 50, recorded from the solver that wrote
+# the Rannacher half-steps out apart from the main step, and 201 x 150,
+# recorded from the solver that still offered implicit Euler beside
+# Crank-Nicolson.
 _PDE_COARSE_PINS = {
-    (101, 50, Scheme.CRANK_NICOLSON): {
+    (101, 50): {
         "bond": "087f8935202b87c3db55a8a008d82e4cedffd6e3b908c6cfedb843daea4860a5",
         "survival": "1b8c1c25fd125dbdc307f14dfb034f4d858c9d4874e121d72f3dbcaca62f703e",
         "put": "3d36f669b490db58ed9a5030f223ea96ac4c4e04dd518464d7d23f4798665935",
         "call": "4102a56fd4543edbcbaa22302b692af94d48aafa540fd46492f7f9c7e085745c",
     },
-    (201, 150, Scheme.IMPLICIT_EULER): {
-        "bond": "b6bef11a473b21e58694f55a5f2d34ee35a0c792ddc32a89d8960c514b1981fc",
-        "survival": "d52a583e96a424efcf1bfa308eb9f734d2855635d26d9b4483b9dd2f5a630760",
-        "put": "5d1332f841bb194233790e97eb7a0f89a48eae5a3d21ea4edfef53b8c214473c",
-        "call": "5dc15ce8c5ada689721006b6dc094b249cbda6d22e7f96bd50da2f20a5cbfac8",
+    (201, 150): {
+        "bond": "6aee5391aba3903af184ee5025c4d40c0562c621b6918671f3138d1d4c7de6cb",
+        "survival": "57aa83079b2a6d8a0f78380233bd1d2106948ab8514e80c507bae648567e6112",
+        "put": "c3b600c4da1ffc49b6e36ca1fc7a3954e6e7eeca9e2fe933cfaa47d2a1affc4b",
+        "call": "4b58e86e2f0b4ba4a2ea0165eb0bb409adecc123aff8c3a882797171bc023301",
     },
 }
 
@@ -212,15 +222,9 @@ class TestGridSpecValidation:
         with pytest.raises(InvalidParamsError):
             GridSpec(n_space=100, n_time=100, x_max_mult=9.0)
 
-    def test_scheme_must_be_a_scheme(self):
-        with pytest.raises(InvalidParamsError) as info:
-            GridSpec(scheme="crank_nicolson")
-        assert str(info.value) == "scheme must be a Scheme"
-
     def test_defaults(self):
         g = GridSpec()
         assert g.n_space == 801 and g.n_time == 800
-        assert g.scheme is Scheme.CRANK_NICOLSON
 
 
 class TestMcSpecValidation:
@@ -275,14 +279,16 @@ class TestPdeSolver:
                            c=0.03, sigma=0.4, r_discount=r, T=2.0, grid=g)
         assert s.value(40.0, 0.0) == pytest.approx(math.exp(-2.0 * r), rel=1e-6)
 
-    def test_implicit_euler_converges_first_order(self):
-        c, sigma, T = 0.04, 0.5, 1.0
-        g = GridSpec(n_space=401, n_time=400, scheme=Scheme.IMPLICIT_EULER)
-        s = pde_solve_tbvp(payoff=lambda x: 1.0, boundary_value=lambda t: 0.0,
-                           c=c, sigma=sigma, r_discount=0.0,
-                           T=T, grid=g)
-        exact = tbvp_w(1.5, 0.0, c, sigma, T)
-        assert s.value(1.5, 0.0) == pytest.approx(exact, rel=2e-3)
+    def test_rannacher_start_keeps_a_digital_monotone(self):
+        """A cash digital at x = 2 on a grid whose time step is 160 times
+        its diffusive one: plain Crank-Nicolson rings at the jump (rows fall
+        by up to 0.45 between nodes), while the implicit half-steps leave
+        every row nondecreasing in x to rounding."""
+        g = GridSpec(n_space=401, n_time=50)
+        s = pde_solve_tbvp(payoff=lambda x: 1.0 if x > 2.0 else 0.0,
+                           boundary_value=lambda t: 0.0, c=0.04, sigma=0.5,
+                           r_discount=0.0, T=1.0, grid=g, align_at=2.0)
+        assert np.diff(s.values, axis=1).min() >= -1e-12
 
     def test_nonfinite_payoff_rejected(self):
         g = GridSpec(n_space=101, n_time=100)
@@ -338,11 +344,11 @@ class TestPdeSolver:
             pde_surfaces(bond, wild, put_spec, grid)
         assert str(info.value) == "finite-difference coefficients leave the float range"
 
-    @pytest.mark.parametrize("n_space, n_time, scheme", list(_PDE_COARSE_PINS))
-    def test_coarse_surfaces_pinned(self, bond, market, put_spec, n_space, n_time, scheme):
-        grid = GridSpec(n_space=n_space, n_time=n_time, scheme=scheme)
+    @pytest.mark.parametrize("n_space, n_time", list(_PDE_COARSE_PINS))
+    def test_coarse_surfaces_pinned(self, bond, market, put_spec, n_space, n_time):
+        grid = GridSpec(n_space=n_space, n_time=n_time)
         assert (_surface_digests(pde_surfaces(bond, market, put_spec, grid))
-                == _PDE_COARSE_PINS[n_space, n_time, scheme])
+                == _PDE_COARSE_PINS[n_space, n_time])
 
 
 class TestMcSimulator:
@@ -414,43 +420,65 @@ class TestMcSimulator:
         assert str(info.value) == message
         assert threading.active_count() == before
 
-    def test_bridge_correction_lowers_survival(self, bond, market):
-        """Discrete monitoring misses intra-step crossings; the bridge
-        correction must push the survival estimate down."""
-        kw = dict(n_paths=20_000, n_steps=50, seed=11)
-        naive = mc_barrier_price(lambda v: 1.0, lambda t: 0.0, bond.T, bond.a,
-                                 bond.b, market, McSpec(bridge_correction=False, **kw),
-                                 139.0)[0]
-        bridged = mc_barrier_price(lambda v: 1.0, lambda t: 0.0, bond.T, bond.a,
-                                   bond.b, market, McSpec(bridge_correction=True, **kw),
-                                   139.0)[0]
-        assert bridged < naive
+    @pytest.mark.parametrize("a", [0.0, 0.05])
+    @pytest.mark.parametrize("V0", [105.0, 139.0, 199.0])
+    def test_bridge_removes_the_monitoring_bias(self, market, a, V0):
+        """Discrete monitoring misses crossings within a step, which biases
+        the survival claim up; the bridge test restores them, so 50 steps
+        land within 3 SE of the closed form, on a flat and on a moving
+        barrier (-1.9 to +0.4 SE here, where the simulation without the
+        bridge read +10.4 to +26.5 SE; -0.74 and +14.5 at a = 0, V0 = 139)."""
+        bond = BondSpec(T=2.0, a=a, b=100.0, R=0.7)
+        mc = McSpec(n_paths=20_000, n_steps=50, seed=11)
+        mean, se = mc_barrier_price(lambda v: 1.0, lambda t: 0.0, bond.T, bond.a, bond.b,
+                                    market, mc, V0)
+        exact = math.exp(-market.r * bond.T) * survival_probability(V0, 0.0, bond, market)
+        assert abs(mean - exact) <= 3.0 * se
 
-    @pytest.mark.parametrize("case, bridge", sorted(_MC_PINS))
-    def test_pinned_bits(self, case, bridge):
+    @pytest.mark.parametrize("case, pins", [
+        *((case, _MC_PINS[case]) for case in sorted(_MC_PINS)),
+        *((f"{case}_chunked", _MC_CHUNKED_PINS[case]) for case in sorted(_MC_CHUNKED_PINS))])
+    def test_pinned_estimate_within_3se_of_closed_form(self, case, pins):
+        """Each pinned bridged estimate lies within 3 SE of its claim's
+        closed form, so the pins record a correct simulation."""
+        mean, se = (float.fromhex(h) for h in pins)
+        exact = _MC_PIN_CLOSED_FORMS[case.removesuffix("_chunked")]()
+        assert abs(mean - exact) <= 3.0 * se
+
+    @pytest.mark.parametrize("config", sorted(_MC_SHARED_PINS))
+    def test_shared_pass_pins_within_3se_of_closed_form(self, config):
+        market, bond, option, _ = _SHARED_CONFIGS[config]
+        composite = puttable_bond_price if option.kind is OptionKind.PUT else callable_bond_price
+        closed = [bond_price(199.0, 0.0, bond, market),
+                  composite(199.0, 0.0, bond, option, market)]
+        for (mean, se), exact in zip(_MC_SHARED_PINS[config], closed):
+            assert abs(float.fromhex(mean) - exact) <= 3.0 * float.fromhex(se)
+
+    @pytest.mark.parametrize("case", sorted(_MC_PINS))
+    def test_pinned_bits(self, case):
         """The estimate and SE to the bit. 20 000 paths fill one 16 384-path
         chunk and part of a second; no floating-point warning escapes."""
-        mc = McSpec(n_paths=20_000, n_steps=64, seed=5, bridge_correction=bridge)
+        mc = McSpec(n_paths=20_000, n_steps=64, seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mean, se = _MC_PIN_RUNS[case](mc)
-        assert (mean.hex(), se.hex()) == _MC_PINS[case, bridge]
+        assert (mean.hex(), se.hex()) == _MC_PINS[case]
 
 
-    @pytest.mark.parametrize("case, bridge", sorted(_MC_CHUNKED_PINS))
-    def test_pinned_bits_over_three_chunks(self, case, bridge):
-        mc = McSpec(n_paths=40_001, n_steps=50, seed=5, bridge_correction=bridge)
+    @pytest.mark.parametrize("case", sorted(_MC_CHUNKED_PINS))
+    def test_pinned_bits_over_three_chunks(self, case):
+        mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
         mean, se = _MC_PIN_RUNS[case](mc)
-        assert (mean.hex(), se.hex()) == _MC_CHUNKED_PINS[case, bridge]
+        assert (mean.hex(), se.hex()) == _MC_CHUNKED_PINS[case]
 
-    @pytest.mark.parametrize("config, bridge", sorted(_MC_SHARED_PINS))
-    def test_shared_pass_pinned_bits(self, config, bridge):
-        mc = McSpec(n_paths=40_001, n_steps=50, seed=5, bridge_correction=bridge)
-        assert _hexes(_shared_pass(config, mc)) == _MC_SHARED_PINS[config, bridge]
+    @pytest.mark.parametrize("config", sorted(_MC_SHARED_PINS))
+    def test_shared_pass_pinned_bits(self, config):
+        mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
+        assert _hexes(_shared_pass(config, mc)) == _MC_SHARED_PINS[config]
 
-    @pytest.mark.parametrize("config, bridge", sorted(_MC_SHARED_PINS))
-    def test_shared_pass_equals_separate_runs(self, config, bridge):
-        mc = McSpec(n_paths=40_001, n_steps=50, seed=5, bridge_correction=bridge)
+    @pytest.mark.parametrize("config", sorted(_MC_SHARED_PINS))
+    def test_shared_pass_equals_separate_runs(self, config):
+        mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
         market = _SHARED_CONFIGS[config][0]
         alone = [mc_barrier_price(payoff, rebate, T, a, b, market, mc, 199.0,
                                   barrier_anchor=anchor)
@@ -466,18 +494,17 @@ class TestMcSimulator:
             script = (
                 "from credit_pricer import McSpec\n"
                 "from test_oracles import _MC_PIN_RUNS as runs, _hexes, _shared_pass\n"
-                "def mc(bridge):\n"
-                "    return McSpec(n_paths=40_001, n_steps=50, seed=5, bridge_correction=bridge)\n"
-                "for case, bridge in " + repr(sorted(_MC_CHUNKED_PINS)) + ":\n"
-                "    print(case, bridge, *_hexes([runs[case](mc(bridge))])[0])\n"
-                "for config, bridge in " + repr(sorted(_MC_SHARED_PINS)) + ":\n"
-                "    print(config, bridge, *sum(_hexes(_shared_pass(config, mc(bridge))), ()))\n")
+                "mc = McSpec(n_paths=40_001, n_steps=50, seed=5)\n"
+                "for case in " + repr(sorted(_MC_CHUNKED_PINS)) + ":\n"
+                "    print(case, *_hexes([runs[case](mc)])[0])\n"
+                "for config in " + repr(sorted(_MC_SHARED_PINS)) + ":\n"
+                "    print(config, *sum(_hexes(_shared_pass(config, mc)), ()))\n")
             env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
                        **kwargs.pop("env", {}))
             out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                                  text=True, check=True, timeout=120, **kwargs).stdout
-            return {(case, bridge == "True"): tuple(hexes)
-                    for case, bridge, *hexes in (line.split() for line in out.splitlines())}
+            return {case: tuple(hexes)
+                    for case, *hexes in (line.split() for line in out.splitlines())}
 
         expected = dict(_MC_CHUNKED_PINS)
         expected.update((key, sum(pins, ())) for key, pins in _MC_SHARED_PINS.items())
@@ -534,7 +561,7 @@ class TestMcSimulator:
         mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
         bond_claim, composite = _shared_pass("reference", mc, raising)
         assert isinstance(composite, Boom) and composite.args == (20_001,)
-        assert _hexes([bond_claim]) == _MC_SHARED_PINS["reference", True][:1]
+        assert _hexes([bond_claim]) == _MC_SHARED_PINS["reference"][:1]
         assert threading.active_count() == before
 
 
@@ -557,7 +584,7 @@ class TestMcChecks:
                                                     "mc_callable_within_3se"]
         closed = [bond_price(199.0, 0.0, bond, market),
                   callable_bond_price(199.0, 0.0, bond, option, market)]
-        for check, cf, (mean, se) in zip(checks, closed, _MC_SHARED_PINS["moving_call", True]):
+        for check, cf, (mean, se) in zip(checks, closed, _MC_SHARED_PINS["moving_call"]):
             assert check.measured == abs(float.fromhex(mean) - cf) / float.fromhex(se)
 
     def test_one_boundary_solve(self, bond, market, put_spec, monkeypatch):
