@@ -4,15 +4,13 @@ barrier-monitored Monte Carlo simulator of the firm value, and adaptive
 quadrature of the pricing integral against the lognormal density.
 
 None of these call into the closed-form modules; agreement between the two
-sides is evidence, not circularity.
+sides is evidence, not circularity. numpy loads on the first oracle call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bs_closed_form import IndicatorDirection, PowerBinaryParams
 from .errors import DomainError, InvalidParamsError, NumericalError
@@ -76,6 +74,7 @@ class PdeSurface:
     values: np.ndarray  # shape (len(t), len(x))
 
     def value(self, x: float, t: float) -> float:
+        import numpy as np
         y = math.log(x) if x > 0.0 else -math.inf
         ys = np.log(self.x)
         if not (ys[0] - 1e-12 <= y <= ys[-1] + 1e-12):
@@ -100,6 +99,7 @@ def _theta_step(n, dt, theta, lower, diag, upper):
     Raises NumericalError where a coefficient is not finite or the matrix is
     singular. A non-finite right-hand side gives a non-finite interior,
     which the caller rejects."""
+    import numpy as np
     from scipy.linalg.lapack import dgttrf, dgttrs  # scipy loads only when an oracle runs
 
     sub, main, sup = -theta * dt * lower, 1.0 - theta * dt * diag, -theta * dt * upper
@@ -143,6 +143,7 @@ def pde_solve_tbvp(
     discontinuities; align_at places a grid node exactly at that x (inside
     the domain) so payoff kinks do not straddle a cell.
     """
+    import numpy as np
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise InvalidParamsError(f"sigma must be positive, got {sigma}")
     if not (math.isfinite(T) and T > 0.0):
@@ -228,6 +229,7 @@ def _bridge_crossed(u, exponent, out=None):
     its real exp, underflow to 0 included. Elsewhere the exponent stays in
     place, and at <= -40 or NaN no u >= 0 is below it: not crossed.
     """
+    import numpy as np
     need = np.greater(exponent, _BRIDGE_EXP_CUT, out=out)
     need |= u == 0.0
     np.exp(exponent, out=exponent, where=need)
@@ -242,6 +244,7 @@ class _Claim:
     the NumericalError of a path value or sum that overflows a float."""
 
     def __init__(self, payoff, rebate_at_hit, T, a, b, anchor, market, n_steps, V0):
+        import numpy as np
         if not (math.isfinite(T) and T > 0.0):
             raise InvalidParamsError(f"horizon must be positive, got {T}")
         if not (math.isfinite(b) and b > 0.0):
@@ -272,6 +275,7 @@ class _Claim:
         self.n, self.total, self.m2 = 0, 0.0, 0.0
 
     def new_chunk(self, m):
+        import numpy as np
         self.first = np.empty(m, dtype=np.intp)  # step of the first hit; n_steps if none
         self.logv_T = np.empty(m)
 
@@ -280,6 +284,7 @@ class _Claim:
         and record each path's first hit, on the grid or within a step by
         the bridge test against the block's uniforms u. logv, exponent,
         event and crossed are work arrays of the block's shape, overwritten."""
+        import numpy as np
         # the running sum adds log(V0) and then one increment per step, in
         # the order of a step-by-step simulation, so paths are reproducible
         # to the bit
@@ -306,6 +311,7 @@ class _Claim:
     def values(self):
         """Discounted value of each path of the chunk: the rebate at its
         first hit, else the payoff at T."""
+        import numpy as np
         first, dt = self.first, self.dt
         hit = first < self.n_steps
         value = np.empty(first.size)
@@ -328,6 +334,7 @@ class _Claim:
         are taken about the chunk's own mean and the chunks merged by the
         pairwise update of Chan, Golub & LeVeque (1983), so the variance
         does not cancel when the SE is small against the mean."""
+        import numpy as np
         m, total = value.size, float(value.sum())
         dev = value - total / m
         m2 = float(np.square(dev, out=dev).sum())
@@ -374,6 +381,7 @@ def mc_barrier_prices(claims, market: MarketParams, mc: McSpec,
     sims = [_Claim(*claim, market, n_steps, V0) for claim in claims]
 
     from concurrent.futures import ThreadPoolExecutor  # loads only when an oracle runs
+    import numpy as np
 
     bits = np.random.Philox(mc.seed)
     normals = np.random.Generator(bits)
