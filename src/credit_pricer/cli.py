@@ -28,7 +28,6 @@ from .credit_instruments import (
     bond_price,
     callable_bond_price,
     early_redemption_boundary,
-    exercise_value,
     puttable_bond_price,
     survival_probability,
 )
@@ -89,7 +88,7 @@ def _is_number(value) -> bool:
 
 
 # What a key takes, by the type of its default, and its name in an error;
-# a string key takes a value of its enum.
+# the one string key, option.kind, takes an OptionKind value.
 _TAKES = {
     float: (_is_number, "a number"),
     int: (lambda v: _is_number(v) and float(v).is_integer(), "an integer"),
@@ -97,19 +96,15 @@ _TAKES = {
            "a number or non-empty list of numbers"),
     type(None): (lambda v: v is None or type(v) is str, "a string path"),
 }
-_ENUMS = {
-    "option.kind": (OptionKind, "option kind must be 'put' or 'call', got '{}'"),
-}
 
 
 def _typed(value, default, where: str):
     """value checked against what its default's type takes (_TAKES) and
-    converted to that type: a tuple of floats for a list, an enum member for a string."""
+    converted to that type: a tuple of floats for a list, an OptionKind for a string."""
     if isinstance(default, str):
-        enum, message = _ENUMS[where]
-        if str(value) not in [member.value for member in enum]:
-            raise InvalidParamsError(message.format(value))
-        return enum(str(value))
+        if str(value) not in [kind.value for kind in OptionKind]:
+            raise InvalidParamsError(f"option kind must be 'put' or 'call', got '{value}'")
+        return OptionKind(str(value))
     takes, name = _TAKES[type(default)]
     if not takes(value):
         raise InvalidParamsError(f"'{where}' must be {name}")
@@ -292,8 +287,7 @@ def cmd_curves(config: RunConfig, args) -> int:
         # at expiry the continuous limit: the exercise value
         x_name, xs = "t", _linspace(0.0, option.T1, n)
         columns = ((f"{option.kind.value}_V{v:g}",
-                    [bond_option_price(v, t, bond, option, market) if t < option.T1
-                     else exercise_value(v, bond, option, market) for t in xs])
+                    [bond_option_price(v, t, bond, option, market) for t in xs])
                    for v in crv["series_V"])
     elif figure == 4:
         for t in crv["series_t"]:

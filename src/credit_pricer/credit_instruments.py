@@ -3,10 +3,11 @@ one-factor structural model: the firm value follows a lognormal process and
 default is triggered at an exponential barrier, paying a recovery fraction
 of the discounted face.
 
-Option prices are computed twice on every call, through a literal closed
-form and through an independent compositional construction (power binaries
-plus the image transform), and the two must agree; a disagreement raises
-rather than returning a silently wrong number.
+Option prices before the option expiry are computed twice on every call,
+through a literal closed form and through an independent compositional
+construction (power binaries plus the image transform), and the two must
+agree; a disagreement raises rather than returning a silently wrong number.
+At the expiry the option is its exercise value, and after it 0.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "early_redemption_boundary",
     "option_price_paths",
     "bond_option_price",
-    "exercise_value",
     "puttable_bond_price",
     "callable_bond_price",
 ]
@@ -401,8 +401,9 @@ def option_price_paths(
 ) -> tuple[float, float]:
     """The knockout option price by both evaluation paths, as (literal
     closed form, compositional construction), before any agreement check
-    or clipping. Validates the inputs like bond_option_price and returns
-    (0, 0) on the knockout boundary. Domain: V >= barrier, 0 <= t < T1.
+    or clipping. Validates the inputs like bond_option_price.
+    Domain: V >= barrier, 0 <= t <= T. Both paths are (0, 0) on the
+    knockout boundary and after T1, and the exercise value at T1.
     Past those checks, either path raises only NumericalError.
     The boundary and the composed path's legs of the last two (bond,
     option, market) triples priced are kept, keyed by value, so equal
@@ -410,10 +411,12 @@ def option_price_paths(
     """
     _validate_option(bond, option, market)
     lvl = _check_time_and_barrier(V, t, bond)
-    if not t < option.T1:
-        raise DomainError(f"t must precede option maturity {option.T1}, got {t}")
-    if V == lvl:
-        return 0.0, 0.0  # knockout boundary
+    if V == lvl or t > option.T1:
+        return 0.0, 0.0  # knocked out, or expired
+    if t == option.T1:
+        b_t1 = _bond(V, t, lvl, bond, market)
+        payoff = option.E - b_t1 if option.kind is OptionKind.PUT else b_t1 - option.E
+        return max(payoff, 0.0), max(payoff, 0.0)
     try:
         K, composed = _solved(bond, option, market)
         return _option_price_formula(V, t, lvl, bond, option, market, K), composed(V, t)
@@ -439,7 +442,8 @@ def bond_option_price(
     The value is computed twice, through the literal closed form and
     through the compositional power-binary construction; a disagreement
     beyond 1e-9 raises a numerical error instead of returning either
-    number. Domain: V >= barrier, 0 <= t < T1.
+    number. Domain: V >= barrier, 0 <= t <= T: the exercise value at T1,
+    0 after it.
     """
     via_formula, via_composition = option_price_paths(V, t, bond, option, market)
     if abs(via_formula - via_composition) > _PATH_AGREEMENT_TOL * max(1.0, abs(via_formula)):
@@ -452,45 +456,27 @@ def bond_option_price(
     return max(via_formula, 0.0)
 
 
-def exercise_value(V: float, bond: BondSpec, option: OptionSpec, market: MarketParams) -> float:
-    """Option payoff at expiry T1 for firm value V: (E - B(V, T1))^+ for a
-    put, (B(V, T1) - E)^+ for a call, and 0 on the knockout barrier.
-    Validates like bond_option_price. Domain: V >= barrier at T1."""
-    _validate_option(bond, option, market)
-    lvl = _check_time_and_barrier(V, option.T1, bond)
-    if V == lvl:
-        return 0.0  # knockout boundary
-    b_t1 = _bond(V, option.T1, lvl, bond, market)
-    if option.kind is OptionKind.PUT:
-        return max(option.E - b_t1, 0.0)
-    return max(b_t1 - option.E, 0.0)
-
-
 def _bond_with_option(V: float, t: float, bond: BondSpec, option: OptionSpec,
                       market: MarketParams, kind: OptionKind, sign: float) -> float:
-    """B + sign * (the option of the given kind) up to T1, the exercise value
-    in its place at T1, the plain bond after."""
+    """B + sign * (the option of the given kind) on [0, T]."""
     if option.kind is not kind:
         holder = "puttable" if kind is OptionKind.PUT else "callable"
         raise InvalidOptionError(f"{holder} bond requires a {kind.value} option spec")
-    if t > option.T1:  # the option has expired, but must still fit the bond
-        _validate_option(bond, option, market)
-        return bond_price(V, t, bond, market)
-    if t == option.T1:  # exercise_value first: it validates the option
-        return sign * exercise_value(V, bond, option, market) + bond_price(V, t, bond, market)
     return bond_price(V, t, bond, market) + sign * bond_option_price(V, t, bond, option, market)
 
 
 def puttable_bond_price(V: float, t: float, bond: BondSpec, option: OptionSpec,
                         market: MarketParams) -> float:
-    """Bond plus the holder's right to redeem early at E: B + P up to T1,
-    the plain bond after. At t = T1 the value is max(B(V, T1), E), and B on
-    the barrier, where the put is knocked out, as it is just before T1."""
+    """Bond plus the holder's right to redeem early at E: B + P on the
+    domain 0 <= t <= T, the plain bond after T1. At t = T1 the value is
+    max(B(V, T1), E), and B on the barrier, where the put is knocked out,
+    as it is just before T1."""
     return _bond_with_option(V, t, bond, option, market, OptionKind.PUT, 1.0)
 
 
 def callable_bond_price(V: float, t: float, bond: BondSpec, option: OptionSpec,
                         market: MarketParams) -> float:
-    """Bond minus the issuer's right to call at E: B - C up to T1, the
-    plain bond after. At t = T1 the value is min(B(V, T1), E)."""
+    """Bond minus the issuer's right to call at E: B - C on the domain
+    0 <= t <= T, the plain bond after T1. At t = T1 the value is
+    min(B(V, T1), E)."""
     return _bond_with_option(V, t, bond, option, market, OptionKind.CALL, -1.0)

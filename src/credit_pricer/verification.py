@@ -22,9 +22,8 @@ from .bs_closed_form import (IndicatorDirection, PowerBinaryParams, image_transf
                              power_binary_price)
 from .credit_instruments import (BondSpec, OptionKind, OptionSpec, barrier_level,
                                  bond_option_price, bond_price, callable_bond_price,
-                                 early_redemption_boundary, exercise_value,
-                                 option_price_paths, puttable_bond_price,
-                                 survival_probability)
+                                 early_redemption_boundary, option_price_paths,
+                                 puttable_bond_price, survival_probability)
 from .errors import DomainError, NumericalError
 from .oracles import (GridSpec, McSpec, draw_verification_case,
                       mc_barrier_prices, pde_solve_tbvp, quadrature_green)
@@ -125,7 +124,7 @@ def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None
             spec = replace(option, kind=kind)
 
             def payoff(x, spec=spec):
-                return exercise_value(lvl_t1 * x, bond, spec, market)
+                return bond_option_price(lvl_t1 * x, option.T1, bond, spec, market)
 
             surfaces[kind.value] = solve(payoff, lambda t: 0.0, market.r, option.T1,
                                          align=align)

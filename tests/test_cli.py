@@ -220,6 +220,27 @@ class TestPriceCommands:
         for got_str, want in zip(row[2:], expected):
             assert float(got_str) == pytest.approx(want, abs=5e-10)
 
+    @pytest.mark.parametrize("command, kind, at_expiry",
+                             [("price-puttable", "put", max), ("price-callable", "call", min)])
+    def test_composite_table_runs_past_expiry(self, tmp_path, capsys, command, kind,
+                                              at_expiry):
+        """Points before, at and after T1 = 1: at T1 the puttable bond is
+        max(B, E) and the callable min(B, E); after it the option is worth 0
+        and the composite is the bond."""
+        doc = dict(_BASE, option=dict(_BASE["option"], kind=kind),
+                   points={"V": [139.0, 199.0, 300.0], "t": [0.5, 1.0, 1.5]})
+        assert main([command, "--config", _write_config(tmp_path, doc)]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()[1:]
+        assert header.split() == ["V", "t", "survival", "bond", kind,
+                                  command.removeprefix("price-")]
+        rows = [list(map(float, row.split())) for row in rows]
+        assert len(rows) == 9
+        for v, t, _, bond, option, composite in rows:
+            if t == 1.0:
+                assert composite == at_expiry(bond, 0.9), v
+            elif t == 1.5:
+                assert (option, composite) == (0.0, bond), v
+
     def test_bond_only_needs_no_option(self, tmp_path, capsys):
         doc = {"market": _BASE["market"], "bond": _BASE["bond"],
                "points": {"V": [139.0, 199.0], "t": [0.0, 0.5]}}

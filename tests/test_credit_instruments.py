@@ -28,7 +28,6 @@ from credit_pricer import (
     bond_price,
     callable_bond_price,
     early_redemption_boundary,
-    exercise_value,
     mc_barrier_price,
     option_price_paths,
     power_binary_price,
@@ -330,10 +329,14 @@ class TestBondOptionPrice:
     def test_domain_errors(self, bond, market, put_spec):
         with pytest.raises(BelowBarrierError):
             bond_option_price(50.0, 0.0, bond, put_spec, market)
-        with pytest.raises(DomainError):
-            bond_option_price(150.0, put_spec.T1, bond, put_spec, market)
+        # at T1 the exercise value, in the money at V = 150 below K = 199.1
+        exercised = put_spec.E - bond_price(150.0, put_spec.T1, bond, market)
+        assert exercised > 0.0
+        assert bond_option_price(150.0, put_spec.T1, bond, put_spec, market) == exercised
         with pytest.raises(DomainError):
             bond_option_price(150.0, -0.2, bond, put_spec, market)
+        with pytest.raises(DomainError):
+            bond_option_price(150.0, bond.T + 0.2, bond, put_spec, market)
 
     def test_flattened_firm_value_overflow_is_numerical_error(self):
         """V e^{a(T-t)} overflows on the composed path, whose power binaries
@@ -365,7 +368,7 @@ class TestExerciseValue:
         with pytest.raises(InvalidOptionError) as priced:
             bond_option_price(150.0, 0.0, bond, option, market)
         with pytest.raises(InvalidOptionError) as exercised:
-            exercise_value(150.0, bond, option, market)
+            bond_option_price(150.0, option.T1, bond, option, market)
         assert (type(exercised.value), str(exercised.value)) == (
             type(priced.value), str(priced.value))
 
@@ -376,7 +379,6 @@ def test_firm_value_must_be_positive_and_finite(V, bond, market, put_spec, call_
         "survival": lambda t: survival_probability(V, t, bond, market),
         "bond": lambda t: bond_price(V, t, bond, market),
         "option": lambda t: bond_option_price(V, t, bond, put_spec, market),
-        "exercise": lambda t: exercise_value(V, bond, put_spec, market),
         "puttable": lambda t: puttable_bond_price(V, t, bond, put_spec, market),
         "callable": lambda t: callable_bond_price(V, t, bond, call_spec, market),
     }

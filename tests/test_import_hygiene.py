@@ -110,11 +110,11 @@ def test_public_names():
         "McSpec", "NumericalError", "OptionKind", "OptionSpec", "PdeSurface",
         "PowerBinaryParams", "PricerError", "barrier_level", "binorm_cdf",
         "bond_option_price", "bond_price", "callable_bond_price",
-        "draw_verification_case", "early_redemption_boundary", "exercise_value",
-        "image_transform", "mc_barrier_price", "mc_barrier_prices", "norm_cdf",
+        "draw_verification_case", "early_redemption_boundary", "image_transform",
+        "mc_barrier_price", "mc_barrier_prices", "norm_cdf",
         "norm_pdf", "option_price_paths", "pde_solve_tbvp", "power_binary_price",
         "puttable_bond_price", "quadrature_green", "survival_probability", "tbvp_w",
         "__version__",
     }
-    assert len(credit_pricer.__all__) == 37
+    assert len(credit_pricer.__all__) == 36
     assert all(hasattr(credit_pricer, name) for name in credit_pricer.__all__)

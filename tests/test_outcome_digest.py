@@ -4,11 +4,11 @@ About a thousand positions are drawn from a seeded random.Random, not from
 hypothesis, so that an upgrade of hypothesis cannot move them. Each is
 priced by seven calls, at V and at 0.999 V (below the barrier for some):
 survival, bond, both option paths, the option price, the matching
-composite at t and at T1, and the exercise value. A call's outcome is the
-float.hex of its price, or the class and message of the PricerError it
-raises, and each call's outcomes feed one sha256. A change that moves one
-bit of one price, or one word of one error, fails here; a change that
-means to must record the new digests and say why."""
+composite at t and at T1, and the option price at T1, its exercise value.
+A call's outcome is the float.hex of its price, or the class and message
+of the PricerError it raises, and each call's outcomes feed one sha256. A
+change that moves one bit of one price, or one word of one error, fails
+here; a change that means to must record the new digests and say why."""
 
 import hashlib
 import math
@@ -25,7 +25,6 @@ from credit_pricer import (
     bond_option_price,
     bond_price,
     callable_bond_price,
-    exercise_value,
     option_price_paths,
     puttable_bond_price,
     survival_probability,
@@ -64,7 +63,7 @@ def _calls(V, t, bond, option, market):
         "bond_option_price": lambda: bond_option_price(V, t, bond, option, market),
         "composite_at_t": lambda: composite(V, t, bond, option, market),
         "composite_at_T1": lambda: composite(V, option.T1, bond, option, market),
-        "exercise_value": lambda: exercise_value(V, bond, option, market),
+        "exercise_value": lambda: bond_option_price(V, option.T1, bond, option, market),
     }
 
 

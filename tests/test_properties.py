@@ -1,7 +1,7 @@
 """Properties drawn over the whole admissible domain, and the known defects
 pinned to their inputs as strict xfails: a fix turns one into an XPASS,
 which fails, and the fixing change removes its marker. Mended so far: the
-puttable bond's jump at T1 on the barrier, where exercise_value did not
+puttable bond's jump at T1 on the barrier, where the exercise value did not
 knock out (test_puttable_bond_is_continuous_at_expiry_on_the_barrier), and
 a survival weight of -5e-324 (test_survival_of_a_subnormal_difference_within_bounds).
 
@@ -29,7 +29,6 @@ from credit_pricer import (
     bond_option_price,
     bond_price,
     callable_bond_price,
-    exercise_value,
     image_transform,
     option_price_paths,
     puttable_bond_price,
@@ -158,9 +157,59 @@ def test_knocked_out_on_the_barrier_at_expiry(position):
     _, _, bond, option, market = position
     lvl = barrier_level(bond, option.T1)
     composite = puttable_bond_price if option.kind is OptionKind.PUT else callable_bond_price
-    assert exercise_value(lvl, bond, option, market) == 0.0
+    assert bond_option_price(lvl, option.T1, bond, option, market) == 0.0
     assert (composite(lvl, option.T1, bond, option, market)
             == bond_price(lvl, option.T1, bond, market))
+
+
+def _shifted(V, t, s, bond):
+    """V at t moved to time s, as far above the barrier at s."""
+    return barrier_level(bond, s) * (V / barrier_level(bond, t))
+
+
+def _after_expiry(t, bond, option):
+    """t in [0, T1) mapped onto (T1, T]; it may round to T1."""
+    return bond.T - (bond.T - option.T1) * (t / option.T1)
+
+
+def _exercise_payoff(V, bond, option, market):
+    """The option's payoff at T1 from bond_price: 0 on the barrier."""
+    if V == barrier_level(bond, option.T1):
+        return 0.0
+    b_t1 = bond_price(V, option.T1, bond, market)
+    return max(option.E - b_t1 if option.kind is OptionKind.PUT else b_t1 - option.E, 0.0)
+
+
+def _bond_plus_option(V, t, bond, option, market):
+    sign = 1.0 if option.kind is OptionKind.PUT else -1.0
+    return bond_price(V, t, bond, market) + sign * bond_option_price(V, t, bond, option, market)
+
+
+@_SETTINGS
+@given(positions())
+def test_option_is_its_payoff_at_expiry_and_nothing_after(position):
+    """At T1 the option price is the payoff built from bond_price, to the
+    bit; on (T1, T] it is 0."""
+    V, t, bond, option, market = position
+    v1 = _shifted(V, t, option.T1, bond)
+    assert (_outcome(bond_option_price, v1, option.T1, bond, option, market)
+            == _outcome(_exercise_payoff, v1, bond, option, market))
+    for s in (_after_expiry(t, bond, option), bond.T):
+        if s > option.T1:
+            assert bond_option_price(_shifted(V, t, s, bond), s, bond, option, market) == 0.0
+
+
+@_SETTINGS
+@given(positions())
+def test_composite_is_the_bond_plus_or_minus_the_option(position):
+    """puttable = B + P and callable = B - C to the bit, or the same error,
+    at t, at T1 and after it, and at T."""
+    V, t, bond, option, market = position
+    composite = puttable_bond_price if option.kind is OptionKind.PUT else callable_bond_price
+    for s in (t, option.T1, _after_expiry(t, bond, option), bond.T):
+        v = _shifted(V, t, s, bond)
+        assert (_outcome(composite, v, s, bond, option, market)
+                == _outcome(_bond_plus_option, v, s, bond, option, market)), s
 
 
 @_SETTINGS
