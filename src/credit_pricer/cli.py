@@ -14,7 +14,6 @@ import argparse
 import enum
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ from .special_functions import MarketParams
 
 __all__ = ["RunConfig", "load_config", "main"]
 
-_ENV_SEED = "CREDIT_PRICER_SEED"
 
 # Shipped default, the reference numerical experiment, and the config schema.
 _DEFAULT_CONFIG = {
@@ -166,15 +164,9 @@ def load_config(path: str | None) -> RunConfig:
 
 
 def _with_overrides(config: RunConfig, args) -> RunConfig:
-    """The config with flag/env overrides, checked again as a config file is: --seed
-    wins over CREDIT_PRICER_SEED, which wins over the config; --samples, --out replace theirs."""
+    """The config with flag overrides, checked again as a config file is:
+    --seed, --samples and --out replace their config values."""
     doc = config.to_dict()
-    env = os.environ.get(_ENV_SEED)
-    if env is not None:
-        try:
-            doc["numerics"]["seed"] = int(env)
-        except ValueError:
-            raise InvalidParamsError(f"{_ENV_SEED} must be an integer, got '{env}'")
     if args.seed is not None:
         doc["numerics"]["seed"] = args.seed
     if args.samples is not None:
@@ -362,8 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config path (default: built-in reference setup)")
     common.add_argument("--out", help="output path for CSV-writing commands")
-    common.add_argument("--seed", type=int, help="RNG seed (wins over "
-                        f"{_ENV_SEED} and the config)")
+    common.add_argument("--seed", type=int, help="RNG seed (wins over the config)")
     common.add_argument("--samples", type=int, help="curve samples per series")
     for name, columns in _PRICE_COLUMNS.items():
         sub.add_parser(name, parents=[common]).set_defaults(run=cmd_price, columns=columns)

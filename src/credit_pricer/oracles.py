@@ -129,7 +129,6 @@ def pde_solve_tbvp(
     r_discount: float,
     T: float,
     grid: GridSpec,
-    align_at: float | None = None,
 ) -> PdeSurface:
     """Solve u_t + (sigma^2/2) x^2 u_xx + c x u_x - r_discount u = 0 on
     x in [1, x_max_mult], t in [0, T], with terminal data u(x, T) =
@@ -138,10 +137,10 @@ def pde_solve_tbvp(
 
     The problem is posed with the barrier normalized to 1; callers with a
     barrier at level b rescale x/b before querying. Uniform grid in
-    y = ln x. Crank-Nicolson, started as Rannacher (1984): the first two
-    steps are four implicit half-steps, which damp terminal
-    discontinuities; align_at places a grid node exactly at that x (inside
-    the domain) so payoff kinks do not straddle a cell.
+    y = ln x from the barrier to x_max_mult, whatever the payoff.
+    Crank-Nicolson, started as Rannacher (1984): the first two steps are
+    four implicit half-steps, which damp terminal kinks and jumps. The
+    terminal data is payoff evaluated on Python floats.
     """
     import numpy as np
     if not (math.isfinite(sigma) and sigma > 0.0):
@@ -154,17 +153,9 @@ def pde_solve_tbvp(
     n = grid.n_space
     y_max = math.log(grid.x_max_mult)
     h = y_max / (n - 1)
-    if align_at is not None:
-        if not (1.0 < align_at < grid.x_max_mult):
-            raise InvalidParamsError(
-                f"align_at must lie inside (1, {grid.x_max_mult}), got {align_at}"
-            )
-        y_star = math.log(align_at)
-        h = y_star / max(1, round(y_star / h))
-    y = h * np.arange(n)
-    x = np.exp(y)
+    x = np.exp(h * np.arange(n))
 
-    terminal = np.array([payoff(v) for v in x], dtype=float)
+    terminal = np.array([payoff(v) for v in x.tolist()], dtype=float)
     if not np.all(np.isfinite(terminal)):
         raise InvalidParamsError("payoff produced non-finite values on the grid")
     blowup = 1e6 * (1.0 + float(np.max(np.abs(terminal))))

@@ -6,10 +6,11 @@ Each check takes its inputs explicitly and returns a Check record; it
 passes when the measured quantity does not exceed the tolerance, and a
 worst gap that is NaN fails it (_worst). The PDE and Monte Carlo checks come
 in groups (pde_checks, mc_checks), each solved or simulated once, before its
-checks; a failed solve, or a grid short of a probe or the boundary, fails
-only the checks that need it. The `verify` command and the acceptance suite
-run these same functions, so both use one set of probes, draw counts and
-tolerances.
+checks; a failed solve, or a grid short of a probe, fails only the checks
+that need it. The PDE grid takes nothing from the closed forms: it always
+runs from the barrier to its far field. The `verify` command and the
+acceptance suite run these same functions, so both use one set of probes,
+draw counts and tolerances.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .bs_closed_form import (IndicatorDirection, PowerBinaryParams, image_transf
                              power_binary_price)
 from .credit_instruments import (BondSpec, OptionKind, OptionSpec, barrier_level,
                                  bond_option_price, bond_price, callable_bond_price,
-                                 early_redemption_boundary, option_price_paths,
-                                 puttable_bond_price, survival_probability)
+                                 option_price_paths, puttable_bond_price,
+                                 survival_probability)
 from .errors import DomainError, NumericalError
 from .oracles import (GridSpec, McSpec, draw_verification_case,
                       mc_barrier_prices, pde_solve_tbvp, quadrature_green)
@@ -101,14 +102,15 @@ def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None
                  grid: GridSpec) -> dict:
     """The bond and survival problems and, when an option is given, the put
     and call problems at its T1 and E, solved on one grid in flattened
-    coordinates with the barrier at 1. Keys: bond, survival, put, call."""
+    coordinates with the barrier at 1 and the far field at x_max_mult; the
+    grid takes nothing from the closed forms. Keys: bond, survival, put,
+    call."""
     c = market.r - market.q - bond.a
     if not math.isfinite(c):
         raise NumericalError("carry r - q - a overflows a float")
 
-    def solve(payoff, boundary, r_disc, horizon, align=None):
-        return pde_solve_tbvp(payoff, boundary, c, market.sigma, r_disc,
-                              horizon, grid, align_at=align)
+    def solve(payoff, boundary, r_disc, horizon):
+        return pde_solve_tbvp(payoff, boundary, c, market.sigma, r_disc, horizon, grid)
 
     surfaces = {
         "bond": solve(lambda x: 1.0, _rebate(bond, market), market.r, bond.T),
@@ -116,18 +118,16 @@ def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None
     }
     if option is not None:
         lvl_t1 = barrier_level(bond, option.T1)
-        align = _flatten(early_redemption_boundary(bond, option, market).K, option.T1, bond)
-        if not 1.0 < align < grid.x_max_mult:
-            raise NumericalError(f"early redemption boundary at x={align} lies outside "
-                                 f"the grid (1, {grid.x_max_mult})")
         for kind in OptionKind:
             spec = replace(option, kind=kind)
 
             def payoff(x, spec=spec):
-                return bond_option_price(lvl_t1 * x, option.T1, bond, spec, market)
+                v = lvl_t1 * x
+                if not math.isfinite(v):
+                    raise NumericalError(f"firm value at grid node x={x} leaves the float range")
+                return bond_option_price(v, option.T1, bond, spec, market)
 
-            surfaces[kind.value] = solve(payoff, lambda t: 0.0, market.r, option.T1,
-                                         align=align)
+            surfaces[kind.value] = solve(payoff, lambda t: 0.0, market.r, option.T1)
     return surfaces
 
 
@@ -136,8 +136,8 @@ def pde_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
     """Bond and survival and, when an option is given, the put and the call
     at its T1 and E against their pde_surfaces at the probe firm values and
     t in {0, T1/2, T1} (T1 = T/2 without an option; the options stop at
-    T1/2); worst relative gap, tolerance 1e-3. A probe beyond the solved
-    grid fails its check numerically."""
+    T1/2); worst relative gap, tolerance 1e-3. A probe beyond the grid's
+    far field fails its check numerically."""
     surfaces = _held(lambda: pde_surfaces(bond, market, option, grid))
     t1 = option.T1 if option is not None else bond.T / 2.0
     probe_t = [0.0, t1 / 2.0, t1]

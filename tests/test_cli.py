@@ -250,15 +250,10 @@ class TestPriceCommands:
 
 
 class TestSeedPrecedence:
-    def test_env_overrides_config(self, capsys, monkeypatch):
-        monkeypatch.setenv("CREDIT_PRICER_SEED", "123")
-        assert main(["price-bond"]) == 0
-        cfg = _echoed_config(capsys.readouterr().out)
-        assert cfg["numerics"]["seed"] == 123
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("CREDIT_PRICER_SEED", "123")
-        assert main(["price-bond", "--seed", "55"]) == 0
+    def test_flag_overrides_config(self, tmp_path, capsys):
+        doc = dict(_BASE, numerics={"seed": 42})
+        assert main(["price-bond", "--config", _write_config(tmp_path, doc),
+                     "--seed", "55"]) == 0
         cfg = _echoed_config(capsys.readouterr().out)
         assert cfg["numerics"]["seed"] == 55
 
@@ -267,9 +262,12 @@ class TestSeedPrecedence:
         cfg = _echoed_config(capsys.readouterr().out)
         assert cfg["numerics"]["seed"] == 1729
 
-    def test_invalid_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("CREDIT_PRICER_SEED", "not-a-number")
-        assert main(["price-bond"]) == 2
+    @pytest.mark.parametrize("value", ["123", "not-a-number"])
+    def test_environment_sets_no_seed(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("CREDIT_PRICER_SEED", value)
+        assert main(["price-bond"]) == 0
+        cfg = _echoed_config(capsys.readouterr().out)
+        assert cfg["numerics"]["seed"] == 1729
 
 
 class TestConfigRoundTrip:
@@ -496,13 +494,13 @@ def test_extreme_value_is_numerical_failure(doc, command, message, tmp_path, cap
 _PDE_FAILURES = {
     "pde_sigma_squared_overflow": (_with("market.sigma", 1e200),
                                    "finite-difference coefficients leave the float range"),
+    # the firm value of a grid node, barrier level times x, overflows a float
     "pde_boundary_bracket_overflow": (_with("bond.b", 1e308),
-                                      "early redemption boundary bracket leaves the float range"),
-    # the flattened boundary lies far beyond the grid's far field
-    "pde_boundary_outside_grid": (
-        dict(_BASE, market={"r": 0.0, "q": 0.0, "sigma": 8.812959474883078},
-             bond=dict(_BASE["bond"], a=-0.5)),
-        "early redemption boundary at x=4.966506384523203e+18 lies outside the grid (1, 30.0)"),
+                                      "firm value at grid node x=1.7980568397909666 "
+                                      "leaves the float range"),
+    "pde_far_field_overflow": (
+        dict(_with("bond.b", 1e307), curves={"series_V": [2e307]}),
+        "firm value at grid node x=18.011632054145025 leaves the float range"),
 }
 
 
@@ -627,21 +625,29 @@ def test_overflowing_carry_fails_numerically(doc, tmp_path):
         assert _quiet_main(["verify", "--suite", suite], doc, tmp_path) == (1, ""), suite
 
 
+def test_boundary_near_the_barrier_leaves_the_grid_whole(tmp_path, capsys):
+    """The early redemption boundary within half a cell of the barrier
+    (sigma 0.0209 on a 50-node grid): the put's and call's grid runs to the
+    far field 30, as the bond's does, and every check reaches its probes."""
+    doc = dict(_BASE, market={"r": 0.0, "q": 0.0, "sigma": 0.020923387053127924},
+               numerics=_SMALL_NUMERICS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--suite", "pde", "--config", _write_config(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [
+        "PASS  pde_bond_agreement                 measured=2.288128e-07  tol=1.000000e-03",
+        "PASS  pde_survival_agreement             measured=7.627093e-07  tol=1.000000e-03",
+        "PASS  pde_put_agreement                  measured=0.000000e+00  tol=1.000000e-03",
+        "PASS  pde_call_agreement                 measured=6.171686e-08  tol=1.000000e-03",
+        "4 checks, 0 failed"]
+
+
 # Valid configs whose PDE probes the solved grid does not reach, and the check
-# lines each run must print. A boundary within half a cell of the barrier
-# shrinks the put's and call's cells, so their grid ends at 2.71, not 30; a
-# barrier drift of 168 flattens the probes to about 1.6e146.
+# lines each run must print: a barrier drift of 168 flattens the probes to
+# about 1.6e146, beyond the far field.
 _PROBES_BEYOND_GRID = {
-    "shrunk_option_grid": (
-        dict(_BASE, market={"r": 0.0, "q": 0.0, "sigma": 0.020923387053127924},
-             numerics=_SMALL_NUMERICS),
-        ["PASS  pde_bond_agreement                 measured=2.288128e-07  tol=1.000000e-03",
-         "PASS  pde_survival_agreement             measured=7.627093e-07  tol=1.000000e-03",
-         "FAIL  pde_put_agreement                  numerical failure: "
-         "x=3.0 outside the solved domain, which ends at x=2.714976692863849",
-         "FAIL  pde_call_agreement                 numerical failure: "
-         "x=3.0 outside the solved domain, which ends at x=2.714976692863849",
-         "4 checks, 2 failed"]),
     "probes_beyond_far_field": (
         dict(_NO_OPTION, market={"r": 658.3272974416138, "q": 625.1429342263227,
                                  "sigma": 0.06735836807941464},

@@ -44,7 +44,7 @@ from credit_pricer import (
     verification,
 )
 from credit_pricer.oracles import _bridge_crossed
-from credit_pricer.verification import mc_checks, pde_surfaces
+from credit_pricer.verification import mc_checks, pde_checks, pde_surfaces
 
 _REF_MARKET = MarketParams(r=0.04, q=0.0, sigma=0.5)
 _LOW_VOL = MarketParams(r=0.04, q=0.0, sigma=0.05)
@@ -173,33 +173,35 @@ def _hexes(outcomes):
 
 
 # sha256 of each PdeSurface.values (float64, little-endian) of the reference
-# bond, put and call on the default 801 x 800 grid. Recorded from the solver
-# that rebuilt its banded matrix at every time step; the put's, with the put
-# knocked out (0) at the barrier node of its terminal row.
+# bond, put and call on the default 801 x 800 grid. The bond's and the
+# survival's were recorded from the solver that rebuilt its banded matrix at
+# every time step; the put's and the call's from the grid that runs to
+# x_max_mult with no node placed on the early redemption boundary.
 _PDE_PINS = {
     "bond": "7f02b2ad5c5f3b525b687c71ff944040f1e98daa2227aa3fef4c983cbf264ff7",
     "survival": "53ce093279e60842e01779687740a721b9de9cf71d15040b797e3f63c516db7c",
-    "put": "9d0ae75eb8189f388a3df545bb8de0a718845712c6d4cf85a1745beaea89ca5e",
-    "call": "cc33ee8a38fe91abc77e7c6289fb928a2dd45804a3a4fe418d49d4c2ebbf7b1b",
+    "put": "137fb1f27d11bd395bcec62f531354317fccb605b8ce0826785c74a42df43dc3",
+    "call": "ea237f3966ab7040f0a3074cca4970bd0c82a8a8932e0a23ef135f0cd97d5181",
 }
 
 # The same digests on two coarse grids, where the two Rannacher steps are a
-# larger share of the march: 101 x 50, recorded from the solver that wrote
-# the Rannacher half-steps out apart from the main step, and 201 x 150,
-# recorded from the solver that still offered implicit Euler beside
-# Crank-Nicolson.
+# larger share of the march. The bond's and the survival's were recorded at
+# 101 x 50 from the solver that wrote the Rannacher half-steps out apart from
+# the main step, and at 201 x 150 from the solver that still offered implicit
+# Euler beside Crank-Nicolson; the put's and the call's as on the default
+# grid.
 _PDE_COARSE_PINS = {
     (101, 50): {
         "bond": "087f8935202b87c3db55a8a008d82e4cedffd6e3b908c6cfedb843daea4860a5",
         "survival": "1b8c1c25fd125dbdc307f14dfb034f4d858c9d4874e121d72f3dbcaca62f703e",
-        "put": "3d36f669b490db58ed9a5030f223ea96ac4c4e04dd518464d7d23f4798665935",
-        "call": "4102a56fd4543edbcbaa22302b692af94d48aafa540fd46492f7f9c7e085745c",
+        "put": "7a2acca7abb5735d675d4d9d51c6d7d32ae56e9b64b9d93fc32e41a5d2534b16",
+        "call": "c8f96d198b5f8df0ae2db58e17c7823cc7863f4eea3e3ae5441684de7d840486",
     },
     (201, 150): {
         "bond": "6aee5391aba3903af184ee5025c4d40c0562c621b6918671f3138d1d4c7de6cb",
         "survival": "57aa83079b2a6d8a0f78380233bd1d2106948ab8514e80c507bae648567e6112",
-        "put": "c3b600c4da1ffc49b6e36ca1fc7a3954e6e7eeca9e2fe933cfaa47d2a1affc4b",
-        "call": "4b58e86e2f0b4ba4a2ea0165eb0bb409adecc123aff8c3a882797171bc023301",
+        "put": "1d840a36d111f03d9512105e775469a4116489f1f6830167cc126af35d91ecac",
+        "call": "91ddda1f61a5ed280654913c6d1e1fa039bba9cc25dded43d3c216d7f087c23e",
     },
 }
 
@@ -211,6 +213,20 @@ _QUADRATURE_PIN = "5792a9793fd136ff27b8c5e06d150d43e15aa0f6c8b7e88108e8f229d2a55
 def _surface_digests(surfaces):
     return {name: hashlib.sha256(surfaces[name].values.astype("<f8").tobytes()).hexdigest()
             for name in ("bond", "survival", "put", "call")}
+
+
+def _counted_boundary_solves(monkeypatch):
+    """The (bond, option, market) of each early redemption boundary solve
+    from here on, with the boundary cache cleared."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return early_redemption_boundary(*args)
+
+    monkeypatch.setattr(credit_instruments, "early_redemption_boundary", counted)
+    credit_instruments._solved.cache_clear()
+    return calls
 
 
 class TestGridSpecValidation:
@@ -252,17 +268,17 @@ class TestPdeSolver:
                 assert s.value(x, t) == 0.0
 
     def test_second_order_convergence(self):
-        """Richardson measurement on the survival problem with the probe
-        aligned to a grid node; both halvings should show order near 2 and
-        each halving should cut the error by at least a factor 3."""
+        """Richardson measurement on the survival problem with the probe on
+        a grid node (the far field 1.5^10 puts x = 1.5 on a node of each
+        grid); both halvings should show order near 2 and each halving
+        should cut the error by at least a factor 3."""
         c, sigma, T = 0.04, 0.5, 1.0
         exact = tbvp_w(1.5, 0.0, c, sigma, T)
         errors = []
         for n in (100, 200, 400):
-            g = GridSpec(n_space=n + 1, n_time=n)
+            g = GridSpec(n_space=n + 1, n_time=n, x_max_mult=1.5**10)
             s = pde_solve_tbvp(payoff=lambda x: 1.0, boundary_value=lambda t: 0.0,
-                               c=c, sigma=sigma, r_discount=0.0,
-                               T=T, grid=g, align_at=1.5)
+                               c=c, sigma=sigma, r_discount=0.0, T=T, grid=g)
             errors.append(abs(s.value(1.5, 0.0) - exact))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         for order in orders:
@@ -283,11 +299,12 @@ class TestPdeSolver:
         """A cash digital at x = 2 on a grid whose time step is 160 times
         its diffusive one: plain Crank-Nicolson rings at the jump (rows fall
         by up to 0.45 between nodes), while the implicit half-steps leave
-        every row nondecreasing in x to rounding."""
-        g = GridSpec(n_space=401, n_time=50)
+        every row nondecreasing in x to rounding. The far field 2^5 puts the
+        jump on a node."""
+        g = GridSpec(n_space=401, n_time=50, x_max_mult=2.0**5)
         s = pde_solve_tbvp(payoff=lambda x: 1.0 if x > 2.0 else 0.0,
                            boundary_value=lambda t: 0.0, c=0.04, sigma=0.5,
-                           r_discount=0.0, T=1.0, grid=g, align_at=2.0)
+                           r_discount=0.0, T=1.0, grid=g)
         assert np.diff(s.values, axis=1).min() >= -1e-12
 
     def test_nonfinite_payoff_rejected(self):
@@ -304,10 +321,7 @@ class TestPdeSolver:
         (dict(T=math.nan), "T must be positive, got nan"),
         (dict(c=math.nan), "c and r_discount must be finite"),
         (dict(r_discount=-math.inf), "c and r_discount must be finite"),
-        (dict(align_at=1.0), "align_at must lie inside (1, 30.0), got 1.0"),
-        (dict(align_at=30.0), "align_at must lie inside (1, 30.0), got 30.0"),
-    ], ids=["sigma_zero", "sigma_inf", "T_negative", "T_nan", "c_nan", "r_discount_inf",
-            "align_at_barrier", "align_at_far_field"])
+    ], ids=["sigma_zero", "sigma_inf", "T_negative", "T_nan", "c_nan", "r_discount_inf"])
     def test_invalid_problem_rejected(self, change, message):
         problem = dict(payoff=lambda x: 1.0, boundary_value=lambda t: 0.0, c=0.04,
                        sigma=0.5, r_discount=0.0, T=1.0, grid=GridSpec(n_space=101, n_time=100))
@@ -343,6 +357,19 @@ class TestPdeSolver:
         with pytest.raises(NumericalError) as info:
             pde_surfaces(bond, wild, put_spec, grid)
         assert str(info.value) == "finite-difference coefficients leave the float range"
+
+    def test_pde_checks_solve_each_boundary_once(self, bond, market, put_spec, call_spec,
+                                                 monkeypatch):
+        """With the boundary cache cold, the put's and the call's closed forms
+        each solve the early redemption boundary once, and the PDE oracle,
+        whose grid takes nothing from the closed forms, never solves it."""
+        calls = _counted_boundary_solves(monkeypatch)
+        # counted too where verification holds its own reference to the solver
+        monkeypatch.setattr(verification, "early_redemption_boundary",
+                            credit_instruments.early_redemption_boundary, raising=False)
+        pde_checks(bond, market, put_spec, GridSpec(n_space=101, n_time=100),
+                   [139.0, 199.0, 300.0])
+        assert calls == [(bond, put_spec, market), (bond, call_spec, market)]
 
     @pytest.mark.parametrize("n_space, n_time", list(_PDE_COARSE_PINS))
     def test_coarse_surfaces_pinned(self, bond, market, put_spec, n_space, n_time):
@@ -590,15 +617,7 @@ class TestMcChecks:
     def test_one_boundary_solve(self, bond, market, put_spec, monkeypatch):
         """With the boundary cache cold, the puttable bond's closed form solves
         the early redemption boundary once, and nothing else solves it."""
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return early_redemption_boundary(*args)
-
-        for module in (credit_instruments, verification):
-            monkeypatch.setattr(module, "early_redemption_boundary", counted)
-        credit_instruments._solved.cache_clear()
+        calls = _counted_boundary_solves(monkeypatch)
         mc_checks(bond, market, put_spec, 199.0, self._MC)
         assert calls == [(bond, put_spec, market)]
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from credit_pricer import (
     BondSpec,
+    GridSpec,
     MarketParams,
     NumericalError,
     OptionKind,
@@ -36,6 +37,7 @@ from credit_pricer import (
     tbvp_w,
 )
 from credit_pricer import credit_instruments, special_functions
+from credit_pricer.verification import pde_surfaces
 from helpers import draws
 
 _SETTINGS = settings(max_examples=draws(150), deadline=None, derandomize=True,
@@ -271,6 +273,23 @@ def test_survival_weight_nondecreasing_in_x_and_t(position):
     for later in (_finite(tbvp_w, 1.01 * x, t, *args),
                   _finite(tbvp_w, x, 0.5 * (t + bond.T), *args)):
         assert w is None or later is None or w <= later
+
+
+@_SETTINGS
+@given(positions(), st.integers(50, 120), st.floats(10.0, 1000.0))
+def test_pde_surfaces_share_one_grid_to_the_far_field(position, n_space, x_max_mult):
+    """The bond, survival, put and call surfaces share one x grid, from the
+    barrier at 1 to x_max_mult to rounding, wherever the option's
+    early redemption boundary lies."""
+    _, _, bond, option, market = position
+    grid = GridSpec(n_space=n_space, n_time=50, x_max_mult=x_max_mult)
+    surfaces = _finite(pde_surfaces, bond, market, option, grid)
+    if surfaces is None:
+        return
+    grids = {tuple(surface.x.tolist()) for surface in surfaces.values()}
+    assert len(surfaces) == 4 and len(grids) == 1
+    (x,) = grids
+    assert x[0] == 1.0 and math.isclose(x[-1], x_max_mult, rel_tol=1e-13), x[-1]
 
 
 # tbvp_w forms N(d+) - image from two terms near 1.8e-319, whose difference
