@@ -28,10 +28,10 @@ put = OptionSpec(T1=1.0, E=0.9, kind=OptionKind.PUT)
 V0 = 199.0
 
 # PDE: the bond up to maturity, and the put up to its own expiry with the
-# exercise value as terminal data, both on one grid in barrier-normalized
-# coordinates; Rannacher's implicit start damps the payoff's kink
-surfaces = verification.pde_surfaces(bond, market, put,
-                                     GridSpec(n_space=801, n_time=800, x_max_mult=30.0))
+# exercise value as terminal data, in barrier-normalized coordinates out to
+# a far field the solver sizes from each horizon; Rannacher's implicit start
+# damps the payoff's kink
+surfaces = verification.pde_surfaces(bond, market, put, GridSpec(n_space=801, n_time=800))
 for name, closed in (("bond", bond_price(V0, 0.0, bond, market)),
                      ("put", bond_option_price(V0, 0.0, bond, put, market))):
     numeric = surfaces[name].value(V0 / bond.b, 0.0)

@@ -213,7 +213,7 @@ def image_transform(
     with b = barrier_level. If u solves the PDE, so does the wrapped
     function, and it is identically zero at x = b: the classical method of
     images for equidimensional operators. Raises NumericalError where the
-    weight overflows or the image point b^2/x rounds to inf or 0.
+    weight overflows or b^2/x, as b*b/x and as b*(b/x), rounds to inf or 0.
     """
     if not (math.isfinite(barrier_level) and barrier_level > 0.0):
         raise InvalidParamsError(f"barrier level must be positive, got {barrier_level}")
@@ -228,8 +228,10 @@ def image_transform(
             direct = u(x, t)
             weight = (x / barrier_level) ** gamma
             image = barrier_level * barrier_level / x
-            if image == 0.0 or image == math.inf:
-                raise NumericalError(f"image point of x={x} leaves the float range")
+            if image == 0.0 or image == math.inf:  # b * b left the range, b^2/x may not
+                image = barrier_level * (barrier_level / x)
+                if image == 0.0 or image == math.inf:
+                    raise NumericalError(f"image point of x={x} leaves the float range")
             return direct - weight * u(image, t)
         except OverflowError as exc:
             raise NumericalError(f"image term at x={x} overflows a float") from exc

@@ -47,7 +47,7 @@ _DEFAULT_CONFIG = {
                "series_t": [0.0, 0.5]},
     "numerics": {
         "seed": 1729,
-        "grid": {"n_space": 801, "n_time": 800, "x_max_mult": 30.0},
+        "grid": {"n_space": 801, "n_time": 800},
         "mc": {"n_paths": 100000, "n_steps": 200},
     },
     "out": None,
@@ -293,8 +293,6 @@ def cmd_curves(config: RunConfig, args) -> int:
                     [bond_option_price(v, t, bond, option, market) for v in xs])
                    for t in crv["series_t"])
     else:
-        if option.kind is not OptionKind.PUT:
-            raise InvalidParamsError("figure 5 requires a put option (puttable bond)")
         x_name, xs = "t", _linspace(0.0, bond.T, n)
         columns = ((f"puttable_V{v:g}", [puttable_bond_price(v, t, bond, option, market)
                                          for t in xs]) for v in crv["series_V"])

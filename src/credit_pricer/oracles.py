@@ -30,20 +30,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Finite-difference grid: n_space log-space nodes spanning the barrier
-    up to x_max_mult times the barrier, n_time time steps."""
+    """Finite-difference grid: n_space log-space nodes from the barrier to
+    the far field pde_solve_tbvp sizes for its problem, n_time time steps."""
 
     n_space: int = 801
     n_time: int = 800
-    x_max_mult: float = 30.0
 
     def __post_init__(self):
         if self.n_space < 50:
             raise InvalidParamsError(f"n_space must be >= 50, got {self.n_space}")
         if self.n_time < 50:
             raise InvalidParamsError(f"n_time must be >= 50, got {self.n_time}")
-        if not (math.isfinite(self.x_max_mult) and self.x_max_mult >= 10.0):
-            raise InvalidParamsError(f"x_max_mult must be >= 10, got {self.x_max_mult}")
 
 
 @dataclass(frozen=True)
@@ -131,13 +128,16 @@ def pde_solve_tbvp(
     grid: GridSpec,
 ) -> PdeSurface:
     """Solve u_t + (sigma^2/2) x^2 u_xx + c x u_x - r_discount u = 0 on
-    x in [1, x_max_mult], t in [0, T], with terminal data u(x, T) =
+    x in [1, x_max], t in [0, T], with terminal data u(x, T) =
     payoff(x), lower Dirichlet u(1, t) = boundary_value(t), and far-field
     Dirichlet u(x_max, t) = payoff(x_max) e^{-r_discount (T - t)}.
 
     The problem is posed with the barrier normalized to 1; callers with a
-    barrier at level b rescale x/b before querying. Uniform grid in
-    y = ln x from the barrier to x_max_mult, whatever the payoff.
+    barrier at level b rescale x/b before querying. Uniform grid in y = ln x
+    from the barrier to ln x_max = min(700, max(ln 30, 4 sigma sqrt(T) +
+    max(c - sigma^2/2, 0) T)), whatever the payoff: 4 standard deviations of
+    ln x plus the upward drift, as the far field's error decays with that
+    distance (Kangro & Nicolaides 2000), and at least 30 barriers.
     Crank-Nicolson, started as Rannacher (1984): the first two steps are
     four implicit half-steps, which damp terminal kinks and jumps. The
     terminal data is payoff evaluated on Python floats.
@@ -150,8 +150,9 @@ def pde_solve_tbvp(
     if not (math.isfinite(c) and math.isfinite(r_discount)):
         raise InvalidParamsError("c and r_discount must be finite")
 
+    nu = c - 0.5 * sigma * sigma
     n = grid.n_space
-    y_max = math.log(grid.x_max_mult)
+    y_max = min(700.0, max(math.log(30.0), 4.0 * sigma * math.sqrt(T) + max(nu, 0.0) * T))
     h = y_max / (n - 1)
     x = np.exp(h * np.arange(n))
 
@@ -160,7 +161,6 @@ def pde_solve_tbvp(
         raise InvalidParamsError("payoff produced non-finite values on the grid")
     blowup = 1e6 * (1.0 + float(np.max(np.abs(terminal))))
 
-    nu = c - 0.5 * sigma * sigma
     lower = 0.5 * sigma * sigma / (h * h) - nu / (2.0 * h)
     diag = -sigma * sigma / (h * h) - r_discount
     upper = 0.5 * sigma * sigma / (h * h) + nu / (2.0 * h)

@@ -7,8 +7,8 @@ passes when the measured quantity does not exceed the tolerance, and a
 worst gap that is NaN fails it (_worst). The PDE and Monte Carlo checks come
 in groups (pde_checks, mc_checks), each solved or simulated once, before its
 checks; a failed solve, or a grid short of a probe, fails only the checks
-that need it. The PDE grid takes nothing from the closed forms: it always
-runs from the barrier to its far field. The `verify` command and the
+that need it. The PDE grid takes nothing from the closed forms: its far
+field comes from each problem's own terms. The `verify` command and the
 acceptance suite run these same functions, so both use one set of probes,
 draw counts and tolerances.
 """
@@ -100,11 +100,10 @@ def _value(outcome):
 
 def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
                  grid: GridSpec) -> dict:
-    """The bond and survival problems and, when an option is given, the put
-    and call problems at its T1 and E, solved on one grid in flattened
-    coordinates with the barrier at 1 and the far field at x_max_mult; the
-    grid takes nothing from the closed forms. Keys: bond, survival, put,
-    call."""
+    """The bond and survival problems on one grid and, when an option is
+    given, the put and call at its T1 and E on one sized for T1, in flattened
+    coordinates with the barrier at 1; no grid takes anything from the
+    closed forms. Keys: bond, survival, put, call."""
     c = market.r - market.q - bond.a
     if not math.isfinite(c):
         raise NumericalError("carry r - q - a overflows a float")

@@ -107,15 +107,30 @@ class TestExitCodes:
         assert main([command, "--config", _write_config(tmp_path, doc)]) == 1
         assert capsys.readouterr().err.startswith("numerical failure:")
 
-    @pytest.mark.parametrize("b, v", [(1e200, 2e200), (1e-200, 1.0)],
-                             ids=["overflow", "underflow"])
-    def test_image_point_out_of_range_is_numerical_failure(self, tmp_path, capsys, b, v):
-        # b^2 / V rounds to inf or 0 inside the composed option path
-        doc = dict(_BASE, bond=dict(_BASE["bond"], b=b), points={"V": [v], "t": [0.0]})
+    def test_image_point_out_of_range_is_numerical_failure(self, tmp_path, capsys):
+        # b^2 / V = 1e-400 rounds to 0 inside the composed option path
+        doc = dict(_BASE, bond=dict(_BASE["bond"], b=1e-200), points={"V": [1.0], "t": [0.0]})
         assert main(["price-option", "--config", _write_config(tmp_path, doc)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: image point of x=")
         assert "underlying" not in err
+
+    def test_huge_barrier_prices_to_scale(self, tmp_path, capsys):
+        """The model depends on V / b alone: figure 3's put at b = 1e200 and
+        V = 2e200, where b * b overflows, is the one at b = 100 and V = 200,
+        column for column at full precision."""
+        curves = []
+        for b in (1e200, 100.0):
+            doc = dict(_BASE, bond=dict(_BASE["bond"], b=b), curves={"series_V": [2.0 * b]})
+            out = tmp_path / f"fig3_{b:g}.csv"
+            assert main(["curves", "--figure", "3", "--samples", "11", "--out", str(out),
+                         "--config", _write_config(tmp_path, doc)]) == 0
+            rows = out.read_text().splitlines()[2:]
+            curves.append([float(row.split(",")[1]) for row in rows])
+        capsys.readouterr()
+        huge, reference = curves
+        assert len(huge) == 11
+        assert huge == pytest.approx(reference, rel=1e-12)
 
     def test_figure4_series_t_checked_before_barrier(self, tmp_path, capsys):
         # the barrier at t = 1e4 leaves the float range; the range check wins
@@ -146,7 +161,7 @@ class TestExitCodes:
         assert main(["curves", "--figure", "5", "--out", str(out),
                      "--config", _write_config(tmp_path, doc)]) == 2
         assert capsys.readouterr().err == (
-            "error: figure 5 requires a put option (puttable bond)\n")
+            "error: puttable bond requires a put option spec\n")
         assert not out.exists()
 
     def test_non_utf8_config_is_invalid(self, tmp_path, capsys):
@@ -172,8 +187,7 @@ class TestExitCodes:
     def test_coarse_grid_fails_verification(self, tmp_path, capsys):
         """The legal floor (50x50) resolves the bond but not the option
         payoff kink, so the PDE suite must report failures and exit 1."""
-        doc = dict(_BASE, numerics={"grid": {"n_space": 50, "n_time": 50,
-                                             "x_max_mult": 10.0}})
+        doc = dict(_BASE, numerics={"grid": {"n_space": 50, "n_time": 50}})
         code = main(["verify", "--suite", "pde",
                      "--config", _write_config(tmp_path, doc)])
         out = capsys.readouterr().out
@@ -295,7 +309,7 @@ class TestConfigRoundTrip:
                "curves": {"samples": 21, "v_max_mult": 2.5, "series_V": 120,
                           "series_t": [0.25, 0.5]},
                "numerics": {"seed": 7,
-                            "grid": {"n_space": 201, "n_time": 150.0, "x_max_mult": 20},
+                            "grid": {"n_space": 201, "n_time": 150.0},
                             "mc": {"n_paths": 5000, "n_steps": 60}},
                "out": "from_config.csv"}
         assert main(["price-bond", "--config", _write_config(tmp_path, doc),
@@ -304,7 +318,7 @@ class TestConfigRoundTrip:
             'config: {"bond":{"R":0.6,"T":2.5,"a":0.02,"b":90.0},'
             '"curves":{"samples":33,"series_V":[120.0],"series_t":[0.25,0.5],"v_max_mult":2.5},'
             '"market":{"q":0.01,"r":0.03,"sigma":0.4},'
-            '"numerics":{"grid":{"n_space":201,"n_time":150,"x_max_mult":20.0},'
+            '"numerics":{"grid":{"n_space":201,"n_time":150},'
             '"mc":{"n_paths":5000,"n_steps":60},'
             '"seed":99},"option":{"E":0.92,"T1":1.25,"kind":"call"},"out":"flag.csv",'
             '"points":{"V":[150.0,220.0],"t":[0.125]}}')
@@ -440,6 +454,9 @@ _MALFORMED = {
     "bridge_correction_removed": (_with("numerics.mc.bridge_correction", True),
                                   "config section 'numerics.mc' has unknown keys "
                                   "['bridge_correction']"),
+    # the solver works out its far field; the key that set it is unknown
+    "x_max_mult_removed": (_with("numerics.grid.x_max_mult", 30.0),
+                           "config section 'numerics.grid' has unknown keys ['x_max_mult']"),
     "kind_5": (_with("option.kind", 5), "option kind must be 'put' or 'call', got '5'"),
     "r_inf": (_with("market.r", math.inf), "market parameters must be finite"),
     "T1_nan": (_with("option.T1", math.nan), "option maturity must be positive, got nan"),
@@ -642,6 +659,28 @@ def test_boundary_near_the_barrier_leaves_the_grid_whole(tmp_path, capsys):
         "PASS  pde_put_agreement                  measured=0.000000e+00  tol=1.000000e-03",
         "PASS  pde_call_agreement                 measured=6.171686e-08  tol=1.000000e-03",
         "4 checks, 0 failed"]
+
+
+# A volatile, long-dated bond: over its 5 years one standard deviation of
+# ln x is 0.8 sqrt(5) = 1.79, so a far field of 30 barriers lies 1.9 of them
+# out, and a grid that stopped there failed the bond, survival and call
+# checks on closed forms that are right.
+_VOLATILE = dict(_BASE, market={"r": 0.04, "q": 0.0, "sigma": 0.8},
+                 bond=dict(_BASE["bond"], T=5.0, R=0.4),
+                 option={"T1": 2.5, "E": 0.6, "kind": "put"})
+
+
+def test_volatile_bond_passes_its_pde_checks(tmp_path, capsys):
+    """The grid reaches 4 standard deviations of ln x over each problem's
+    horizon, so on the default grid every PDE check passes."""
+    code = main(["verify", "--suite", "pde", "--config", _write_config(tmp_path, _VOLATILE)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    lines = out.splitlines()[1:]
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["PASS", "pde_bond_agreement"], ["PASS", "pde_survival_agreement"],
+        ["PASS", "pde_put_agreement"], ["PASS", "pde_call_agreement"]]
+    assert lines[-1] == "4 checks, 0 failed"
 
 
 # Valid configs whose PDE probes the solved grid does not reach, and the check

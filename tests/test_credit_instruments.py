@@ -347,14 +347,25 @@ class TestBondOptionPrice:
         with pytest.raises(NumericalError, match="option price leaves the float range"):
             option_price_paths(1e300, 0.0, bond, put, MarketParams(r=0.04, q=0.0, sigma=0.5))
 
-    @pytest.mark.parametrize("b, v, x", [(1e200, 2e200, "2e+200"), (1e-200, 1.0, "1.0")],
-                             ids=["overflow", "underflow"])
-    def test_image_point_out_of_range_is_numerical_error(self, market, put_spec, b, v, x):
-        # the reflected point b^2 / V rounds to inf or 0; the user gave neither
-        bond = BondSpec(T=2.0, a=0.0, b=b, R=0.7)
+    def test_image_point_out_of_range_is_numerical_error(self, market, put_spec):
+        # the reflected point b^2 / V = 1e-400 rounds to 0 in either order;
+        # the user gave neither
+        bond = BondSpec(T=2.0, a=0.0, b=1e-200, R=0.7)
         with pytest.raises(NumericalError) as info:
-            bond_option_price(v, 0.0, bond, put_spec, market)
-        assert str(info.value) == f"image point of x={x} leaves the float range"
+            bond_option_price(1.0, 0.0, bond, put_spec, market)
+        assert str(info.value) == "image point of x=1.0 leaves the float range"
+
+    @pytest.mark.parametrize("kind", OptionKind)
+    def test_huge_barrier_prices_to_scale(self, market, kind):
+        """The model depends on V / b alone: at b = 1e200, where b * b
+        overflows but the image point b^2 / V = 5e199 does not, the option
+        is the one at b = 100."""
+        option = OptionSpec(T1=1.0, E=0.9, kind=kind)
+        huge = bond_option_price(2e200, 0.0, BondSpec(T=2.0, a=0.0, b=1e200, R=0.7),
+                                 option, market)
+        reference = bond_option_price(200.0, 0.0, BondSpec(T=2.0, a=0.0, b=100.0, R=0.7),
+                                      option, market)
+        assert huge == pytest.approx(reference, rel=1e-12)
 
 
 class TestExerciseValue:

@@ -175,8 +175,8 @@ def _hexes(outcomes):
 # sha256 of each PdeSurface.values (float64, little-endian) of the reference
 # bond, put and call on the default 801 x 800 grid. The bond's and the
 # survival's were recorded from the solver that rebuilt its banded matrix at
-# every time step; the put's and the call's from the grid that runs to
-# x_max_mult with no node placed on the early redemption boundary.
+# every time step; the put's and the call's from the grid that runs to the
+# far field 30 with no node placed on the early redemption boundary.
 _PDE_PINS = {
     "bond": "7f02b2ad5c5f3b525b687c71ff944040f1e98daa2227aa3fef4c983cbf264ff7",
     "survival": "53ce093279e60842e01779687740a721b9de9cf71d15040b797e3f63c516db7c",
@@ -235,8 +235,6 @@ class TestGridSpecValidation:
             GridSpec(n_space=49, n_time=100)
         with pytest.raises(InvalidParamsError):
             GridSpec(n_space=100, n_time=49)
-        with pytest.raises(InvalidParamsError):
-            GridSpec(n_space=100, n_time=100, x_max_mult=9.0)
 
     def test_defaults(self):
         g = GridSpec()
@@ -269,17 +267,19 @@ class TestPdeSolver:
 
     def test_second_order_convergence(self):
         """Richardson measurement on the survival problem with the probe on
-        a grid node (the far field 1.5^10 puts x = 1.5 on a node of each
-        grid); both halvings should show order near 2 and each halving
-        should cut the error by at least a factor 3."""
+        a grid node (the coarsest grid's node nearest x = 1.5, which each
+        halving keeps); both halvings should show order near 2 and each
+        halving should cut the error by at least a factor 3."""
         c, sigma, T = 0.04, 0.5, 1.0
-        exact = tbvp_w(1.5, 0.0, c, sigma, T)
-        errors = []
+        errors, probe = [], None
         for n in (100, 200, 400):
-            g = GridSpec(n_space=n + 1, n_time=n, x_max_mult=1.5**10)
+            g = GridSpec(n_space=n + 1, n_time=n)
             s = pde_solve_tbvp(payoff=lambda x: 1.0, boundary_value=lambda t: 0.0,
                                c=c, sigma=sigma, r_discount=0.0, T=T, grid=g)
-            errors.append(abs(s.value(1.5, 0.0) - exact))
+            if probe is None:
+                probe = float(s.x[np.abs(s.x - 1.5).argmin()])
+                exact = tbvp_w(probe, 0.0, c, sigma, T)
+            errors.append(abs(s.value(probe, 0.0) - exact))
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(2)]
         for order in orders:
             assert 1.7 <= order <= 2.3, f"observed orders {orders}"
@@ -289,19 +289,18 @@ class TestPdeSolver:
     def test_discounted_far_field(self):
         # payoff 1 under discounting: far from the barrier the solution is
         # the discount factor itself
-        g = GridSpec(n_space=201, n_time=200, x_max_mult=50.0)
+        g = GridSpec(n_space=201, n_time=200)
         r = 0.05
         s = pde_solve_tbvp(payoff=lambda x: 1.0, boundary_value=lambda t: 0.0,
                            c=0.03, sigma=0.4, r_discount=r, T=2.0, grid=g)
-        assert s.value(40.0, 0.0) == pytest.approx(math.exp(-2.0 * r), rel=1e-6)
+        assert s.value(25.0, 0.0) == pytest.approx(math.exp(-2.0 * r), rel=1e-6)
 
     def test_rannacher_start_keeps_a_digital_monotone(self):
         """A cash digital at x = 2 on a grid whose time step is 160 times
         its diffusive one: plain Crank-Nicolson rings at the jump (rows fall
         by up to 0.45 between nodes), while the implicit half-steps leave
-        every row nondecreasing in x to rounding. The far field 2^5 puts the
-        jump on a node."""
-        g = GridSpec(n_space=401, n_time=50, x_max_mult=2.0**5)
+        every row nondecreasing in x to rounding."""
+        g = GridSpec(n_space=401, n_time=50)
         s = pde_solve_tbvp(payoff=lambda x: 1.0 if x > 2.0 else 0.0,
                            boundary_value=lambda t: 0.0, c=0.04, sigma=0.5,
                            r_discount=0.0, T=1.0, grid=g)

@@ -2,8 +2,10 @@
 pinned to their inputs as strict xfails: a fix turns one into an XPASS,
 which fails, and the fixing change removes its marker. Mended so far: the
 puttable bond's jump at T1 on the barrier, where the exercise value did not
-knock out (test_puttable_bond_is_continuous_at_expiry_on_the_barrier), and
-a survival weight of -5e-324 (test_survival_of_a_subnormal_difference_within_bounds).
+knock out (test_puttable_bond_is_continuous_at_expiry_on_the_barrier), a
+survival weight of -5e-324 (test_survival_of_a_subnormal_difference_within_bounds),
+and an image point b*b/x whose b*b overflowed
+(test_image_point_of_a_huge_barrier_stays_finite).
 
 The domain is the benchmark book's (r, q, a in [-0.1, 0.2], R = 0 or up to
 0.95, E strictly inside its bracket, t in [0, T1), V from the barrier to
@@ -276,20 +278,25 @@ def test_survival_weight_nondecreasing_in_x_and_t(position):
 
 
 @_SETTINGS
-@given(positions(), st.integers(50, 120), st.floats(10.0, 1000.0))
-def test_pde_surfaces_share_one_grid_to_the_far_field(position, n_space, x_max_mult):
-    """The bond, survival, put and call surfaces share one x grid, from the
-    barrier at 1 to x_max_mult to rounding, wherever the option's
-    early redemption boundary lies."""
+@given(positions(), st.integers(50, 120))
+def test_pde_surfaces_share_one_grid_to_the_far_field(position, n_space):
+    """The bond and survival surfaces share one x grid and the put and call
+    surfaces another, wherever the option's early redemption boundary lies.
+    Each runs from the barrier at 1 to a far field of at least 30 and of at
+    least exp(min(700, 4 sigma sqrt(h) + max(nu, 0) h)) over its horizon h,
+    nu = r - q - a - sigma^2 / 2, to rounding."""
     _, _, bond, option, market = position
-    grid = GridSpec(n_space=n_space, n_time=50, x_max_mult=x_max_mult)
+    grid = GridSpec(n_space=n_space, n_time=50)
     surfaces = _finite(pde_surfaces, bond, market, option, grid)
     if surfaces is None:
         return
-    grids = {tuple(surface.x.tolist()) for surface in surfaces.values()}
-    assert len(surfaces) == 4 and len(grids) == 1
-    (x,) = grids
-    assert x[0] == 1.0 and math.isclose(x[-1], x_max_mult, rel_tol=1e-13), x[-1]
+    assert len(surfaces) == 4
+    nu = market.r - market.q - bond.a - market.sigma**2 / 2
+    for pair, h in ((("bond", "survival"), bond.T), (("put", "call"), option.T1)):
+        x, other = (surfaces[key].x.tolist() for key in pair)
+        assert x == other, pair
+        reach = math.exp(min(700.0, 4.0 * market.sigma * math.sqrt(h) + max(nu, 0.0) * h))
+        assert x[0] == 1.0 and x[-1] >= max(30.0, reach) * (1.0 - 1e-13), (pair, x[-1])
 
 
 # tbvp_w forms N(d+) - image from two terms near 1.8e-319, whose difference
@@ -345,8 +352,6 @@ def test_puttable_bond_is_continuous_at_expiry_on_the_barrier():
     assert puttable_bond_price(100.0, put.T1, bond, put, market) == pytest.approx(before, abs=1e-6)
 
 
-@pytest.mark.xfail(strict=True, raises=NumericalError,
-                   reason="image_transform forms b*b, which overflows above b = 1.34e154")
 def test_image_point_of_a_huge_barrier_stays_finite():
     # the image point b^2 / x is 5e199, a normal float
     barriered = image_transform(lambda x, t: 1.0, 1e200, 0.04, 0.5)
