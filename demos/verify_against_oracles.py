@@ -38,13 +38,13 @@ for name, closed in (("bond", bond_price(V0, 0.0, bond, market)),
     print(f"PDE     {name:<4} at V={V0:.0f}: closed {closed:.8f}  grid {numeric:.8f}  "
           f"rel {abs(numeric - closed) / closed:.1e}")
 
-# Monte Carlo: simulate to maturity, pay the recovery on a barrier hit
+# Monte Carlo: simulate to maturity, pay the recovery on a barrier hit; a
+# claim is (payoff, rebate_at_hit, T, a, b, anchor), and the simulator
+# prices a list of them, here one
 mc = McSpec(n_paths=200_000, n_steps=200, seed=7)
-est, se = mc_barrier_price(
-    payoff=lambda v: 1.0,
-    rebate_at_hit=lambda t: bond.R * math.exp(-market.r * (bond.T - t)),
-    T=bond.T, a=bond.a, b=bond.b, market=market, mc=mc, V0=V0,
-)
+recovery = lambda t: bond.R * math.exp(-market.r * (bond.T - t))
+((est, se),) = mc_barrier_price([(lambda v: 1.0, recovery, bond.T, bond.a, bond.b, None)],
+                                market, mc, V0)
 closed = bond_price(V0, 0.0, bond, market)
 print(f"MC      bond at V={V0:.0f}: closed {closed:.8f}  "
       f"sim {est:.8f} +- {se:.8f}  ({abs(est - closed) / se:.2f} se)")

@@ -118,8 +118,11 @@ class BoundaryResult:
 
 
 def barrier_level(bond: BondSpec, t: float) -> float:
-    """Default barrier b e^{-a (T - t)} at time t. Raises NumericalError
-    where it overflows a float or underflows to 0."""
+    """Default barrier b e^{-a (T - t)} at time t. Raises DomainError where
+    t is NaN or infinite, and NumericalError where the level overflows a
+    float or underflows to 0."""
+    if not math.isfinite(t):
+        raise DomainError(f"t must be finite, got {t}")
     try:
         lvl = bond.b * math.exp(-bond.a * (bond.T - t))
     except OverflowError:

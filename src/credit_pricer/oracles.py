@@ -10,6 +10,7 @@ sides is evidence, not circularity. numpy loads on the first oracle call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .bs_closed_form import IndicatorDirection, PowerBinaryParams
@@ -22,10 +23,20 @@ __all__ = [
     "PdeSurface",
     "pde_solve_tbvp",
     "mc_barrier_price",
-    "mc_barrier_prices",
     "quadrature_green",
     "draw_verification_case",
 ]
+
+
+def _check_integer(spec, *names):
+    """Raise InvalidParamsError unless each named field of spec is an
+    integer: a float count or seed fails later, as a bare TypeError."""
+    for name in names:
+        value = getattr(spec, name)
+        try:
+            operator.index(value)
+        except TypeError:
+            raise InvalidParamsError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -37,6 +48,7 @@ class GridSpec:
     n_time: int = 800
 
     def __post_init__(self):
+        _check_integer(self, "n_space", "n_time")
         if self.n_space < 50:
             raise InvalidParamsError(f"n_space must be >= 50, got {self.n_space}")
         if self.n_time < 50:
@@ -53,6 +65,7 @@ class McSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_integer(self, "n_paths", "n_steps", "seed")
         if self.n_paths < 1000:
             raise InvalidParamsError(f"n_paths must be >= 1000, got {self.n_paths}")
         if self.n_steps < 50:
@@ -341,21 +354,34 @@ class _Claim:
         return self.total / n, math.sqrt(self.m2 / (n - 1) / n)
 
 
-def mc_barrier_prices(claims, market: MarketParams, mc: McSpec,
-                      V0: float) -> list[tuple[float, float] | Exception]:
-    """Price several barrier claims on one simulation of the firm value: the
-    same paths, crossing decisions and random numbers feed each claim, so
-    each gets the bits mc_barrier_price gives it alone.
+def mc_barrier_price(claims, market: MarketParams, mc: McSpec,
+                     V0: float) -> list[tuple[float, float] | Exception]:
+    """Simulate dV/V = (r - q) dt + sigma dW exactly from V0 and price each
+    of the claims on that one simulation. A claim is (payoff, rebate_at_hit,
+    T, a, b, anchor): it pays rebate_at_hit(t) the first time V touches the
+    barrier b e^{-a (anchor - t)} and payoff(V_T) at its horizon T
+    otherwise, both discounted at r; anchor None is the horizon T (pass the
+    bond maturity to price an option-horizon claim against the bond's
+    barrier).
 
-    A claim is (payoff, rebate_at_hit, T, a, b, anchor), the arguments of
-    mc_barrier_price, with anchor None for the horizon T. Claims may differ
-    in every term: each builds its own paths of n_steps intervals of [0, T]
-    from the same normals and tests its own barrier with the same uniforms.
+    Claims may differ in every term: each builds its own log paths of
+    n_steps intervals of [0, T] from the same normals and tests its own
+    barrier with the same uniforms, so a claim gets the same bits alone as
+    beside others. The within-step crossing probability of the linear
+    log-barrier is always added, exactly (its Brownian bridge is Gaussian),
+    removing the discrete-monitoring bias. A within-step hit pays at the
+    step's right endpoint: exact whenever e^{-r t} times the rebate is
+    constant, as it is for the recovery payment. The crossing probability is
+    exponentiated only where its exponent exceeds -40 or the uniform is 0;
+    elsewhere no uniform can fall below it (_bridge_crossed), so the
+    estimate is the one an exp at every step gives, to the bit. The SE is
+    the sample standard deviation over sqrt(n_paths).
+
     Every claim is validated before any draw, in order. Returns one slot per
-    claim: (estimate, standard error), or the Exception its payoff or
-    rebate raised, or a NumericalError where one of its path values or
-    their sums overflows a float. Such a claim is simulated no further, and
-    the others run on; when none is left the pass stops.
+    claim: (estimate, standard error), or the Exception its payoff or rebate
+    raised, or a NumericalError where one of its path values or their sums
+    overflows a float. Such a claim is simulated no further, and the others
+    run on; when none is left the pass stops.
 
     One Philox stream feeds the pass, chunk by chunk: a chunk's normals,
     then its m * n_steps uniforms for the bridge test, then the next
@@ -426,45 +452,6 @@ def mc_barrier_prices(claims, market: MarketParams, mc: McSpec,
             if all(sim.error is not None for sim in sims):
                 break
     return [sim.result() for sim in sims]
-
-
-def mc_barrier_price(
-    payoff,
-    rebate_at_hit,
-    T: float,
-    a: float,
-    b: float,
-    market: MarketParams,
-    mc: McSpec,
-    V0: float,
-    barrier_anchor: float | None = None,
-) -> tuple[float, float]:
-    """Simulate dV/V = (r - q) dt + sigma dW exactly on n_steps intervals
-    of [0, T] and price a claim that pays rebate_at_hit(t) the first time V
-    touches the barrier b e^{-a (anchor - t)} and payoff(V_T) at T
-    otherwise, both discounted at r. Returns (estimate, standard error).
-
-    barrier_anchor defaults to the horizon T; pass the bond maturity when
-    pricing an option-horizon claim against the bond's barrier. The
-    within-step crossing probability of the linear log-barrier is always
-    added, exactly (its Brownian bridge is Gaussian), removing the
-    discrete-monitoring bias. A within-step hit pays at the step's right
-    endpoint: exact whenever e^{-r t} times the rebate is constant, as it
-    is for the recovery payment. The crossing
-    probability is exponentiated only where its exponent exceeds -40 or the
-    uniform is 0; elsewhere no uniform can fall below it (_bridge_crossed),
-    so the estimate is the one an exp at every step gives, to the bit. The
-    SE is the sample standard deviation over sqrt(n_paths).
-
-    This is the one-claim call of mc_barrier_prices, which runs one Philox
-    stream for several claims and describes its layout; an exception from
-    the payoff or the rebate propagates, and the drawing thread has ended.
-    """
-    (outcome,) = mc_barrier_prices([(payoff, rebate_at_hit, T, a, b, barrier_anchor)],
-                                   market, mc, V0)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 def quadrature_green(

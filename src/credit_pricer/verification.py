@@ -27,7 +27,7 @@ from .credit_instruments import (BondSpec, OptionKind, OptionSpec, barrier_level
                                  survival_probability)
 from .errors import DomainError, NumericalError
 from .oracles import (GridSpec, McSpec, draw_verification_case,
-                      mc_barrier_prices, pde_solve_tbvp, quadrature_green)
+                      mc_barrier_price, pde_solve_tbvp, quadrature_green)
 from .special_functions import MarketParams, norm_cdf, norm_pdf
 
 __all__ = [
@@ -172,7 +172,7 @@ def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
 
     The closed forms are priced first, so a firm value below the barrier or
     an ill-fitting option raises before any draw; then both claims share one
-    pass over the random stream (mc_barrier_prices). A closed form or claim
+    pass over the random stream (mc_barrier_price). A closed form or claim
     that fails numerically fails only its own check; other errors propagate."""
     rebate = _rebate(bond, market)
     entries = [("mc_bond_within_3se", lambda: bond_price(v0, 0.0, bond, market),
@@ -186,7 +186,7 @@ def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
             lambda v: exercise(bond_price(v, option.T1, bond, market), option.E),
             rebate, option.T1, bond.a, bond.b, bond.T)))
     closed = [_held(price) for _, price, _ in entries]
-    simulated = _held(lambda: mc_barrier_prices([claim for *_, claim in entries], market, mc, v0))
+    simulated = _held(lambda: mc_barrier_price([claim for *_, claim in entries], market, mc, v0))
 
     def gap(k):
         if k:  # the composite reports a failed closed form first, the bond a failed pass

@@ -61,7 +61,7 @@ class TestExitCodes:
                                                                monkeypatch):
         """The option is checked against the bond, as the composite prices
         check it, before the simulator draws a number."""
-        monkeypatch.setattr(verification, "mc_barrier_prices",
+        monkeypatch.setattr(verification, "mc_barrier_price",
                             lambda *args: pytest.fail("the simulator ran"))
         doc = _with("option.T1", 3.0)
         assert main(["verify", "--suite", "mc", "--config", _write_config(tmp_path, doc)]) == 2
@@ -73,7 +73,7 @@ class TestExitCodes:
             self, tmp_path, capsys, monkeypatch, with_option):
         """The bond's closed form rejects the firm value with the pricer's
         own message before the simulator draws a number."""
-        monkeypatch.setattr(verification, "mc_barrier_prices",
+        monkeypatch.setattr(verification, "mc_barrier_price",
                             lambda *args: pytest.fail("the simulator ran"))
         doc = _with("points.V", [50])
         if not with_option:

@@ -105,6 +105,13 @@ class TestBarrierLevel:
         sloped = BondSpec(T=2.0, a=0.05, b=100.0, R=0.7)
         assert barrier_level(sloped, 0.0) == pytest.approx(100.0 * math.exp(-0.1), rel=1e-15)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_is_a_domain_error(self, bond, t):
+        """On a flat barrier -a (T - t) is NaN at an infinite t as at a NaN
+        one: the level is refused, not returned as NaN."""
+        with pytest.raises(DomainError, match="t must be finite"):
+            barrier_level(bond, t)
+
 
 class TestSurvivalProbability:
     def test_zero_on_barrier(self, bond, market):
@@ -151,9 +158,8 @@ class TestSurvivalProbability:
         """Hit-fraction estimate with bridge correction; the barrier is flat
         so the per-step crossing probability is exact."""
         mc = McSpec(n_paths=20_000, n_steps=100, seed=20240814)
-        mean, se = mc_barrier_price(
-            payoff=lambda v: 1.0, rebate_at_hit=lambda t: 0.0,
-            T=bond.T, a=bond.a, b=bond.b, market=market, mc=mc, V0=139.0)
+        ((mean, se),) = mc_barrier_price(
+            [(lambda v: 1.0, lambda t: 0.0, bond.T, bond.a, bond.b, None)], market, mc, 139.0)
         grow = math.exp(market.r * bond.T)
         w_mc = mean * grow
         w_cf = survival_probability(139.0, 0.0, bond, market)

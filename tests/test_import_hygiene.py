@@ -78,9 +78,10 @@ def _first_oracle_calls():
     """float.hex of a small pinned Monte Carlo price, its SE, and an
     interpolation on a surface of numpy arrays; in a fresh process, the
     first oracle calls, which load numpy."""
-    mean, se = mc_barrier_price(lambda v: min(v, 150.0) / 100.0, lambda t: 0.7, 2.0, 0.05,
-                                100.0, MarketParams(r=0.04, q=0.01, sigma=0.5),
-                                McSpec(n_paths=1000, n_steps=50, seed=3), 139.0)
+    ((mean, se),) = mc_barrier_price(
+        [(lambda v: min(v, 150.0) / 100.0, lambda t: 0.7, 2.0, 0.05, 100.0, None)],
+        MarketParams(r=0.04, q=0.01, sigma=0.5), McSpec(n_paths=1000, n_steps=50, seed=3),
+        139.0)
     import numpy as np
 
     x = np.exp(np.linspace(0.0, np.log(30.0), 41))
@@ -111,10 +112,10 @@ def test_public_names():
         "PowerBinaryParams", "PricerError", "barrier_level", "binorm_cdf",
         "bond_option_price", "bond_price", "callable_bond_price",
         "draw_verification_case", "early_redemption_boundary", "image_transform",
-        "mc_barrier_price", "mc_barrier_prices", "norm_cdf",
+        "mc_barrier_price", "norm_cdf",
         "norm_pdf", "option_price_paths", "pde_solve_tbvp", "power_binary_price",
         "puttable_bond_price", "quadrature_green", "survival_probability", "tbvp_w",
         "__version__",
     }
-    assert len(credit_pricer.__all__) == 36
+    assert len(credit_pricer.__all__) == 35
     assert all(hasattr(credit_pricer, name) for name in credit_pricer.__all__)

@@ -33,7 +33,6 @@ from credit_pricer import (
     draw_verification_case,
     early_redemption_boundary,
     mc_barrier_price,
-    mc_barrier_prices,
     norm_cdf,
     pde_solve_tbvp,
     power_binary_price,
@@ -56,28 +55,32 @@ def _recovery(bond):
     return lambda t: bond.R * math.exp(-_REF_MARKET.r * (bond.T - t))
 
 
-# One Monte Carlo run per case, given its McSpec.
+# One Monte Carlo run per case, given its McSpec: the slot of its one claim.
 _MC_PIN_RUNS = {
     "flat_bond": lambda mc: mc_barrier_price(
-        lambda v: 1.0, _recovery(_FLAT), 2.0, 0.0, 100.0, _REF_MARKET, mc, 139.0),
+        [(lambda v: 1.0, _recovery(_FLAT), 2.0, 0.0, 100.0, None)], _REF_MARKET, mc,
+        139.0)[0],
     # option horizon T1 = 1 against the bond's moving barrier, anchored at T = 2
     "moving_composite": lambda mc: mc_barrier_price(
-        lambda v: max(bond_price(v, 1.0, _MOVING, _REF_MARKET), 0.9), _recovery(_MOVING),
-        1.0, 0.05, 100.0, _REF_MARKET, mc, 139.0, barrier_anchor=2.0),
+        [(lambda v: max(bond_price(v, 1.0, _MOVING, _REF_MARKET), 0.9), _recovery(_MOVING),
+          1.0, 0.05, 100.0, 2.0)], _REF_MARKET, mc, 139.0)[0],
     # most paths die at the first step
     "near_barrier": lambda mc: mc_barrier_price(
-        lambda v: 1.0, _recovery(_FLAT), 2.0, 0.0, 100.0, _REF_MARKET, mc, 1.0001 * 100.0),
+        [(lambda v: 1.0, _recovery(_FLAT), 2.0, 0.0, 100.0, None)], _REF_MARKET, mc,
+        1.0001 * 100.0)[0],
     # no path hits
     "unreachable": lambda mc: mc_barrier_price(
-        lambda v: min(v, 200.0) / 100.0, lambda t: 0.0, 2.0, 0.0, 1e-9, _REF_MARKET,
-        mc, 139.0),
+        [(lambda v: min(v, 200.0) / 100.0, lambda t: 0.0, 2.0, 0.0, 1e-9, None)],
+        _REF_MARKET, mc, 139.0)[0],
     # bridge exponents on both sides of the -40 cut, some below exp's
     # underflow at about -745
     "low_vol_near": lambda mc: mc_barrier_price(
-        lambda v: 1.0, _recovery(_FLAT), 2.0, 0.0, 100.0, _LOW_VOL, mc, 1.02 * 100.0),
+        [(lambda v: 1.0, _recovery(_FLAT), 2.0, 0.0, 100.0, None)], _LOW_VOL, mc,
+        1.02 * 100.0)[0],
     # every bridge exponent below -745
     "low_vol_far": lambda mc: mc_barrier_price(
-        lambda v: v / 1e6, _recovery(_FLAT), 2.0, 0.0, 100.0, _LOW_VOL, mc, 1e4 * 100.0),
+        [(lambda v: v / 1e6, _recovery(_FLAT), 2.0, 0.0, 100.0, None)], _LOW_VOL, mc,
+        1e4 * 100.0)[0],
 }
 
 # (estimate, SE) as float.hex per case, at 20 000 paths x 64 steps, seed 5. The estimates were recorded from the step-by-step
@@ -152,14 +155,14 @@ def _shared_claims(config, composite_payoff=None):
 
 
 def _shared_pass(config, mc, composite_payoff=None):
-    return mc_barrier_prices(_shared_claims(config, composite_payoff),
-                             _SHARED_CONFIGS[config][0], mc, 199.0)
+    return mc_barrier_price(_shared_claims(config, composite_payoff),
+                            _SHARED_CONFIGS[config][0], mc, 199.0)
 
 
 # ((estimate, SE) of the bond claim, the same of the composite claim) as
 # float.hex per config, at 40 001 paths x 50 steps,
 # seed 5: three chunks, the last one partial. Each estimate is the one two
-# separate mc_barrier_price runs gave before the claims shared a pass.
+# separate one-claim runs gave before the claims shared a pass.
 _MC_SHARED_PINS = {
     "reference": (("0x1.9e518ad03944cp-1", "0x1.6539b51692387p-11"),
                   ("0x1.ab70fd2a17709p-1", "0x1.040881592bd36p-11")),
@@ -235,6 +238,10 @@ class TestGridSpecValidation:
             GridSpec(n_space=49, n_time=100)
         with pytest.raises(InvalidParamsError):
             GridSpec(n_space=100, n_time=49)
+        with pytest.raises(InvalidParamsError, match="n_space must be an integer, got 100.5"):
+            GridSpec(n_space=100.5)
+        with pytest.raises(InvalidParamsError, match="n_time must be an integer, got 100.0"):
+            GridSpec(n_time=100.0)
 
     def test_defaults(self):
         g = GridSpec()
@@ -247,6 +254,10 @@ class TestMcSpecValidation:
             McSpec(n_paths=999, n_steps=100)
         with pytest.raises(InvalidParamsError):
             McSpec(n_paths=10_000, n_steps=49)
+        with pytest.raises(InvalidParamsError, match="n_paths must be an integer, got 1000.5"):
+            McSpec(n_paths=1000.5)
+        with pytest.raises(InvalidParamsError, match="n_steps must be an integer, got '64'"):
+            McSpec(n_steps="64")
 
     def test_seed_range(self):
         McSpec(n_paths=1000, n_steps=50, seed=2**64 - 1)
@@ -254,6 +265,8 @@ class TestMcSpecValidation:
             McSpec(n_paths=1000, n_steps=50, seed=2**64)
         with pytest.raises(InvalidParamsError):
             McSpec(n_paths=1000, n_steps=50, seed=-1)
+        with pytest.raises(InvalidParamsError, match="seed must be an integer, got 1.5"):
+            McSpec(n_paths=1000, n_steps=50, seed=1.5)
 
 
 class TestPdeSolver:
@@ -381,27 +394,25 @@ class TestMcSimulator:
     def test_unreachable_barrier_prices_discount_bond(self):
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
         mc = McSpec(n_paths=1000, n_steps=50, seed=3)
-        mean, se = mc_barrier_price(
-            payoff=lambda v: 1.0, rebate_at_hit=lambda t: 0.0,
-            T=2.0, a=0.0, b=1e-9, market=market, mc=mc, V0=100.0)
+        ((mean, se),) = mc_barrier_price([(lambda v: 1.0, lambda t: 0.0, 2.0, 0.0, 1e-9, None)],
+                                         market, mc, 100.0)
         # constant payoff and no hits: zero variance, exact discounting
         assert abs(mean - math.exp(-0.08)) <= max(3.0 * se, 1e-12)
 
     def test_same_seed_bit_identical(self):
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
         mc = McSpec(n_paths=4000, n_steps=64, seed=99)
-        args = (lambda v: max(v - 100.0, 0.0), lambda t: 0.1,
-                2.0, 0.0, 100.0, market, mc, 139.0)
+        args = ([(lambda v: max(v - 100.0, 0.0), lambda t: 0.1, 2.0, 0.0, 100.0, None)],
+                market, mc, 139.0)
         first = mc_barrier_price(*args)
         second = mc_barrier_price(*args)
         assert first == second
 
     def test_seed_actually_matters(self):
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
-        a = mc_barrier_price(lambda v: 1.0, lambda t: 0.0, 2.0, 0.0, 100.0,
-                             market, McSpec(n_paths=4000, n_steps=64, seed=1), 139.0)
-        b = mc_barrier_price(lambda v: 1.0, lambda t: 0.0, 2.0, 0.0, 100.0,
-                             market, McSpec(n_paths=4000, n_steps=64, seed=2), 139.0)
+        claims = [(lambda v: 1.0, lambda t: 0.0, 2.0, 0.0, 100.0, None)]
+        a = mc_barrier_price(claims, market, McSpec(n_paths=4000, n_steps=64, seed=1), 139.0)
+        b = mc_barrier_price(claims, market, McSpec(n_paths=4000, n_steps=64, seed=2), 139.0)
         assert a != b
 
     def test_standard_error_scaling(self):
@@ -412,8 +423,8 @@ class TestMcSimulator:
         ses = {}
         for n in (2000, 20000):
             mc = McSpec(n_paths=n, n_steps=64, seed=7)
-            _, ses[n] = mc_barrier_price(lambda v: 1.0, rebate, 2.0, 0.0, 100.0,
-                                         market, mc, 139.0)
+            ((_, ses[n]),) = mc_barrier_price([(lambda v: 1.0, rebate, 2.0, 0.0, 100.0, None)],
+                                              market, mc, 139.0)
         ratio = ses[2000] / ses[20000]
         assert abs(ratio - math.sqrt(10.0)) <= 0.2 * math.sqrt(10.0), f"ratio {ratio:.3f}"
 
@@ -422,7 +433,7 @@ class TestMcSimulator:
         mc = McSpec(n_paths=1000, n_steps=50)
         for v0 in (100.0, 60.0):
             with pytest.raises(DomainError):
-                mc_barrier_price(lambda v: 1.0, lambda t: 0.0, 2.0, 0.0, 100.0,
+                mc_barrier_price([(lambda v: 1.0, lambda t: 0.0, 2.0, 0.0, 100.0, None)],
                                  market, mc, v0)
 
     @pytest.mark.parametrize("change, message", [
@@ -431,18 +442,18 @@ class TestMcSimulator:
         (dict(b=-1.0), "barrier level must be positive, got -1.0"),
         (dict(b=math.nan), "barrier level must be positive, got nan"),
         (dict(a=math.inf), "barrier growth rate must be finite"),
-        (dict(barrier_anchor=1.0), "barrier anchor must be >= horizon, got 1.0"),
-        (dict(barrier_anchor=math.nan), "barrier anchor must be >= horizon, got nan"),
+        (dict(anchor=1.0), "barrier anchor must be >= horizon, got 1.0"),
+        (dict(anchor=math.nan), "barrier anchor must be >= horizon, got nan"),
     ], ids=["T_zero", "T_inf", "b_negative", "b_nan", "a_inf", "anchor_before_T",
             "anchor_nan"])
     def test_invalid_claim_rejected(self, change, message):
         """A claim is checked before any draw: no thread is left running."""
         claim = dict(payoff=lambda v: 1.0, rebate_at_hit=lambda t: 0.0, T=2.0, a=0.0,
-                     b=100.0, market=_REF_MARKET, mc=McSpec(n_paths=1000, n_steps=50),
-                     V0=139.0)
+                     b=100.0, anchor=None)
         before = threading.active_count()
         with pytest.raises(InvalidParamsError) as info:
-            mc_barrier_price(**{**claim, **change})
+            mc_barrier_price([tuple({**claim, **change}.values())], _REF_MARKET,
+                             McSpec(n_paths=1000, n_steps=50), 139.0)
         assert str(info.value) == message
         assert threading.active_count() == before
 
@@ -456,8 +467,8 @@ class TestMcSimulator:
         bridge read +10.4 to +26.5 SE; -0.74 and +14.5 at a = 0, V0 = 139)."""
         bond = BondSpec(T=2.0, a=a, b=100.0, R=0.7)
         mc = McSpec(n_paths=20_000, n_steps=50, seed=11)
-        mean, se = mc_barrier_price(lambda v: 1.0, lambda t: 0.0, bond.T, bond.a, bond.b,
-                                    market, mc, V0)
+        ((mean, se),) = mc_barrier_price(
+            [(lambda v: 1.0, lambda t: 0.0, bond.T, bond.a, bond.b, None)], market, mc, V0)
         exact = math.exp(-market.r * bond.T) * survival_probability(V0, 0.0, bond, market)
         assert abs(mean - exact) <= 3.0 * se
 
@@ -506,9 +517,8 @@ class TestMcSimulator:
     def test_shared_pass_equals_separate_runs(self, config):
         mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
         market = _SHARED_CONFIGS[config][0]
-        alone = [mc_barrier_price(payoff, rebate, T, a, b, market, mc, 199.0,
-                                  barrier_anchor=anchor)
-                 for payoff, rebate, T, a, b, anchor in _shared_claims(config)]
+        alone = [mc_barrier_price([claim], market, mc, 199.0)[0]
+                 for claim in _shared_claims(config)]
         assert _hexes(_shared_pass(config, mc)) == _hexes(alone)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
@@ -542,8 +552,8 @@ class TestMcSimulator:
 
     def test_raising_payoff_leaves_no_thread(self):
         """An exception from the payoff in the second chunk, while the third
-        chunk's normals are being drawn, propagates unchanged, and the
-        thread that drew them has ended."""
+        chunk's normals are being drawn, fills the claim's slot unchanged,
+        and the thread that drew them has ended."""
         class Boom(Exception):
             pass
 
@@ -558,8 +568,9 @@ class TestMcSimulator:
 
         before = threading.active_count()
         mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
-        with pytest.raises(Boom):
-            mc_barrier_price(payoff, lambda t: 0.0, 2.0, 0.0, 1e-9, _REF_MARKET, mc, 139.0)
+        (outcome,) = mc_barrier_price([(payoff, lambda t: 0.0, 2.0, 0.0, 1e-9, None)],
+                                      _REF_MARKET, mc, 139.0)
+        assert isinstance(outcome, Boom) and outcome.args == (20_001,)
         assert threading.active_count() == before
 
 
@@ -612,6 +623,22 @@ class TestMcChecks:
                   callable_bond_price(199.0, 0.0, bond, option, market)]
         for check, cf, (mean, se) in zip(checks, closed, _MC_SHARED_PINS["moving_call"]):
             assert check.measured == abs(float.fromhex(mean) - cf) / float.fromhex(se)
+
+    def test_one_pass_prices_both_claims(self, bond, market, put_spec, monkeypatch):
+        """Both checks read one simulation: mc_checks makes one
+        mc_barrier_price call, with the bond's claim to T and the puttable
+        bond's to T1, both against the bond's barrier anchored at T."""
+        calls = []
+
+        def counted(claims, market, mc, V0):
+            calls.append([claim[2:] for claim in claims])
+            return mc_barrier_price(claims, market, mc, V0)
+
+        monkeypatch.setattr(verification, "mc_barrier_price", counted)
+        checks = mc_checks(bond, market, put_spec, 199.0, self._MC)
+        assert [check.ok for check in checks] == [True, True]
+        assert calls == [[(bond.T, bond.a, bond.b, bond.T),
+                          (put_spec.T1, bond.a, bond.b, bond.T)]]
 
     def test_one_boundary_solve(self, bond, market, put_spec, monkeypatch):
         """With the boundary cache cold, the puttable bond's closed form solves
@@ -837,8 +864,8 @@ class TestThreeWayBondAgreement:
     def test_mc(self, bond, market):
         mc = McSpec(n_paths=20_000, n_steps=100, seed=17)
         rebate = lambda t: bond.R * math.exp(-market.r * (bond.T - t))
-        mean, se = mc_barrier_price(lambda v: 1.0, rebate, bond.T, bond.a,
-                                    bond.b, market, mc, 139.0)
+        ((mean, se),) = mc_barrier_price([(lambda v: 1.0, rebate, bond.T, bond.a, bond.b, None)],
+                                         market, mc, 139.0)
         cf = bond_price(139.0, 0.0, bond, market)
         assert abs(mean - cf) <= 3.0 * se, f"MC {mean:.6f} +- {se:.6f} vs {cf:.6f}"
 
