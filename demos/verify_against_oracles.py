@@ -27,10 +27,10 @@ bond = BondSpec(T=2.0, a=0.0, b=100.0, R=0.7)
 put = OptionSpec(T1=1.0, E=0.9, kind=OptionKind.PUT)
 V0 = 199.0
 
-# PDE: the bond up to maturity, and the put up to its own expiry with the
-# exercise value as terminal data, in barrier-normalized coordinates out to
-# a far field the solver sizes from each horizon; Rannacher's implicit start
-# damps the payoff's kink
+# PDE: the bond up to maturity, and the put up to its own expiry from
+# (E - B)^+ with B the PDE bond at the expiry, in barrier-normalized
+# coordinates out to a far field the solver sizes from each horizon;
+# Rannacher's implicit start damps the payoff's kink
 surfaces = verification.pde_surfaces(bond, market, put, GridSpec(n_space=801, n_time=800))
 for name, closed in (("bond", bond_price(V0, 0.0, bond, market)),
                      ("put", bond_option_price(V0, 0.0, bond, put, market))):

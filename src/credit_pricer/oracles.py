@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bs_closed_form import IndicatorDirection, PowerBinaryParams
 from .errors import DomainError, InvalidParamsError, NumericalError
@@ -83,23 +85,25 @@ class PdeSurface:
     t: np.ndarray
     values: np.ndarray  # shape (len(t), len(x))
 
-    def value(self, x: float, t: float) -> float:
+    @cached_property
+    def _axes(self) -> tuple[list[float], list[float]]:
+        """ln x and t as Python lists, taken once per surface for bisect."""
         import numpy as np
+        return np.log(self.x).tolist(), self.t.tolist()
+
+    def value(self, x: float, t: float) -> float:
+        ys, ts = self._axes
         y = math.log(x) if x > 0.0 else -math.inf
-        ys = np.log(self.x)
         if not (ys[0] - 1e-12 <= y <= ys[-1] + 1e-12):
             raise DomainError(f"x={x} outside the solved domain")
-        if not (self.t[0] - 1e-12 <= t <= self.t[-1] + 1e-12):
+        if not (ts[0] - 1e-12 <= t <= ts[-1] + 1e-12):
             raise DomainError(f"t={t} outside the solved domain")
-        j = max(min(int(np.searchsorted(ys, y, side="right")) - 1, len(ys) - 2), 0)
-        m = max(min(int(np.searchsorted(self.t, t, side="right")) - 1, len(self.t) - 2), 0)
+        j = max(min(bisect_right(ys, y) - 1, len(ys) - 2), 0)
+        m = max(min(bisect_right(ts, t) - 1, len(ts) - 2), 0)
         wy = (y - ys[j]) / (ys[j + 1] - ys[j])
-        wt = (t - self.t[m]) / (self.t[m + 1] - self.t[m])
-        v = self.values
-        return float(
-            (1 - wt) * ((1 - wy) * v[m, j] + wy * v[m, j + 1])
-            + wt * ((1 - wy) * v[m + 1, j] + wy * v[m + 1, j + 1])
-        )
+        wt = (t - ts[m]) / (ts[m + 1] - ts[m])
+        (v00, v01), (v10, v11) = self.values[m:m + 2, j:j + 2].tolist()
+        return float((1 - wt) * ((1 - wy) * v00 + wy * v01) + wt * ((1 - wy) * v10 + wy * v11))
 
 
 def _theta_step(n, dt, theta, lower, diag, upper):

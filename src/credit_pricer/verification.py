@@ -7,10 +7,9 @@ passes when the measured quantity does not exceed the tolerance, and a
 worst gap that is NaN fails it (_worst). The PDE and Monte Carlo checks come
 in groups (pde_checks, mc_checks), each solved or simulated once, before its
 checks; a failed solve, or a grid short of a probe, fails only the checks
-that need it. The PDE grid takes nothing from the closed forms: its far
-field comes from each problem's own terms. The `verify` command and the
-acceptance suite run these same functions, so both use one set of probes,
-draw counts and tolerances.
+that need it. The PDE surfaces call no closed form (pde_surfaces). The
+`verify` command and the acceptance suite run these same functions, so
+both use one set of probes, draw counts and tolerances.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .credit_instruments import (BondSpec, OptionKind, OptionSpec, barrier_level
                                  bond_option_price, bond_price, callable_bond_price,
                                  option_price_paths, puttable_bond_price,
                                  survival_probability)
-from .errors import DomainError, NumericalError
+from .errors import DomainError, InvalidOptionError, NumericalError
 from .oracles import (GridSpec, McSpec, draw_verification_case,
                       mc_barrier_price, pde_solve_tbvp, quadrature_green)
 from .special_functions import MarketParams, norm_cdf, norm_pdf
@@ -101,9 +100,10 @@ def _value(outcome):
 def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
                  grid: GridSpec) -> dict:
     """The bond and survival problems on one grid and, when an option is
-    given, the put and call at its T1 and E on one sized for T1, in flattened
-    coordinates with the barrier at 1; no grid takes anything from the
-    closed forms. Keys: bond, survival, put, call."""
+    given, the put and call at its T1 <= T and E on one sized for T1, from
+    (E - B)^+ and (B - E)^+ with B the PDE bond at T1: a compound problem
+    that calls no closed form. Flattened coordinates, barrier at 1; the
+    bond's grid reaches past theirs. Keys: bond, survival, put, call."""
     c = market.r - market.q - bond.a
     if not math.isfinite(c):
         raise NumericalError("carry r - q - a overflows a float")
@@ -116,17 +116,13 @@ def pde_surfaces(bond: BondSpec, market: MarketParams, option: OptionSpec | None
         "survival": solve(lambda x: 1.0, lambda t: 0.0, 0.0, bond.T),
     }
     if option is not None:
-        lvl_t1 = barrier_level(bond, option.T1)
-        for kind in OptionKind:
-            spec = replace(option, kind=kind)
-
-            def payoff(x, spec=spec):
-                v = lvl_t1 * x
-                if not math.isfinite(v):
-                    raise NumericalError(f"firm value at grid node x={x} leaves the float range")
-                return bond_option_price(v, option.T1, bond, spec, market)
-
-            surfaces[kind.value] = solve(payoff, lambda t: 0.0, market.r, option.T1)
+        if option.T1 > bond.T:
+            raise InvalidOptionError(f"option maturity {option.T1} follows bond maturity {bond.T}")
+        bond_pde, t1 = surfaces["bond"].value, option.T1
+        surfaces["put"] = solve(lambda x: max(option.E - bond_pde(x, t1), 0.0), lambda t: 0.0,
+                                market.r, t1)
+        surfaces["call"] = solve(lambda x: max(bond_pde(x, t1) - option.E, 0.0), lambda t: 0.0,
+                                 market.r, t1)
     return surfaces
 
 
@@ -135,8 +131,8 @@ def pde_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
     """Bond and survival and, when an option is given, the put and the call
     at its T1 and E against their pde_surfaces at the probe firm values and
     t in {0, T1/2, T1} (T1 = T/2 without an option; the options stop at
-    T1/2); worst relative gap, tolerance 1e-3. A probe beyond the grid's
-    far field fails its check numerically."""
+    T1/2); worst relative gap, tolerance 1e-3, the options' including the
+    PDE bond's error at T1. A probe beyond the far field fails numerically."""
     surfaces = _held(lambda: pde_surfaces(bond, market, option, grid))
     t1 = option.T1 if option is not None else bond.T / 2.0
     probe_t = [0.0, t1 / 2.0, t1]

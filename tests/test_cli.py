@@ -68,6 +68,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: option maturity 3.0 must precede bond maturity 2.0\n"
 
+    def test_pde_suite_rejects_option_after_bond(self, tmp_path, capsys):
+        """The put and call start from the PDE bond at T1, which exists only
+        over the bond's life: an option expiring after it is invalid input."""
+        doc = _with("option.T1", 3.0)
+        assert main(["verify", "--suite", "pde", "--config", _write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == "error: option maturity 3.0 follows bond maturity 2.0\n"
+
     @pytest.mark.parametrize("with_option", [True, False], ids=["option", "no_option"])
     def test_mc_suite_rejects_firm_value_below_barrier_before_drawing(
             self, tmp_path, capsys, monkeypatch, with_option):
@@ -511,13 +518,6 @@ def test_extreme_value_is_numerical_failure(doc, command, message, tmp_path, cap
 _PDE_FAILURES = {
     "pde_sigma_squared_overflow": (_with("market.sigma", 1e200),
                                    "finite-difference coefficients leave the float range"),
-    # the firm value of a grid node, barrier level times x, overflows a float
-    "pde_boundary_bracket_overflow": (_with("bond.b", 1e308),
-                                      "firm value at grid node x=1.7980568397909666 "
-                                      "leaves the float range"),
-    "pde_far_field_overflow": (
-        dict(_with("bond.b", 1e307), curves={"series_V": [2e307]}),
-        "firm value at grid node x=18.011632054145025 leaves the float range"),
 }
 
 
@@ -534,6 +534,15 @@ def test_failed_pde_solve_fails_each_pde_check(doc, message, tmp_path, capsys):
         ["FAIL", "pde_put_agreement"], ["FAIL", "pde_call_agreement"]]
     assert all(line.split(None, 2)[2] == f"numerical failure: {message}" for line in lines[:-1])
     assert lines[-1] == "4 checks, 4 failed"
+
+
+def test_pde_probe_below_the_barrier_is_invalid_config(tmp_path, capsys):
+    """A barrier of 1e308 lies above the default probes 139, 199 and 300:
+    the bond's closed form rejects the first with the pricer's message."""
+    doc = _with("bond.b", 1e308)
+    assert main(["verify", "--suite", "pde", "--config", _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: firm value 139.0 below default barrier 1e+308 at t=0.0\n"
 
 
 def test_failed_pde_solve_leaves_the_battery_running(tmp_path, capsys):
@@ -657,23 +666,33 @@ def test_boundary_near_the_barrier_leaves_the_grid_whole(tmp_path, capsys):
         "PASS  pde_bond_agreement                 measured=2.288128e-07  tol=1.000000e-03",
         "PASS  pde_survival_agreement             measured=7.627093e-07  tol=1.000000e-03",
         "PASS  pde_put_agreement                  measured=0.000000e+00  tol=1.000000e-03",
-        "PASS  pde_call_agreement                 measured=6.171686e-08  tol=1.000000e-03",
+        "PASS  pde_call_agreement                 measured=2.189031e-06  tol=1.000000e-03",
         "4 checks, 0 failed"]
 
 
-# A volatile, long-dated bond: over its 5 years one standard deviation of
-# ln x is 0.8 sqrt(5) = 1.79, so a far field of 30 barriers lies 1.9 of them
-# out, and a grid that stopped there failed the bond, survival and call
-# checks on closed forms that are right.
-_VOLATILE = dict(_BASE, market={"r": 0.04, "q": 0.0, "sigma": 0.8},
-                 bond=dict(_BASE["bond"], T=5.0, R=0.4),
-                 option={"T1": 2.5, "E": 0.6, "kind": "put"})
+# Valid configs on which every PDE check passes on the default grid.
+_PDE_PASSES = {
+    # A volatile, long-dated bond: over its 5 years one standard deviation of
+    # ln x is 0.8 sqrt(5) = 1.79, so a far field of 30 barriers lies 1.9 of
+    # them out, and a grid that stopped there failed the bond, survival and
+    # call checks on closed forms that are right.
+    "volatile_bond": dict(_BASE, market={"r": 0.04, "q": 0.0, "sigma": 0.8},
+                          bond=dict(_BASE["bond"], T=5.0, R=0.4),
+                          option={"T1": 2.5, "E": 0.6, "kind": "put"}),
+    # A barrier of 1e307 probed at twice it: the firm value of a far-field
+    # node overflows a float, so the PDE surfaces must never form it.
+    "huge_barrier": dict(_with("bond.b", 1e307), curves={"series_V": [2e307]}),
+}
 
 
-def test_volatile_bond_passes_its_pde_checks(tmp_path, capsys):
+@pytest.mark.parametrize("doc", _PDE_PASSES.values(), ids=_PDE_PASSES.keys())
+def test_pde_checks_pass(doc, tmp_path, capsys):
     """The grid reaches 4 standard deviations of ln x over each problem's
-    horizon, so on the default grid every PDE check passes."""
-    code = main(["verify", "--suite", "pde", "--config", _write_config(tmp_path, _VOLATILE)])
+    horizon, and the put and call start from the PDE bond in flattened
+    coordinates, so every PDE check passes, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--suite", "pde", "--config", _write_config(tmp_path, doc)])
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     lines = out.splitlines()[1:]

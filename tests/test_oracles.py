@@ -178,13 +178,13 @@ def _hexes(outcomes):
 # sha256 of each PdeSurface.values (float64, little-endian) of the reference
 # bond, put and call on the default 801 x 800 grid. The bond's and the
 # survival's were recorded from the solver that rebuilt its banded matrix at
-# every time step; the put's and the call's from the grid that runs to the
-# far field 30 with no node placed on the early redemption boundary.
+# every time step; the put's and the call's from terminal data read off the
+# PDE bond surface at T1.
 _PDE_PINS = {
     "bond": "7f02b2ad5c5f3b525b687c71ff944040f1e98daa2227aa3fef4c983cbf264ff7",
     "survival": "53ce093279e60842e01779687740a721b9de9cf71d15040b797e3f63c516db7c",
-    "put": "137fb1f27d11bd395bcec62f531354317fccb605b8ce0826785c74a42df43dc3",
-    "call": "ea237f3966ab7040f0a3074cca4970bd0c82a8a8932e0a23ef135f0cd97d5181",
+    "put": "0ea3c0178ace0f71969d1fa32e6df20e3a0540d96450c71f6bc16aaf4e1eefb7",
+    "call": "68419963a03f5b917efb66836e18ac1a330e2b03535d06352c3970d44e81d3d1",
 }
 
 # The same digests on two coarse grids, where the two Rannacher steps are a
@@ -197,14 +197,14 @@ _PDE_COARSE_PINS = {
     (101, 50): {
         "bond": "087f8935202b87c3db55a8a008d82e4cedffd6e3b908c6cfedb843daea4860a5",
         "survival": "1b8c1c25fd125dbdc307f14dfb034f4d858c9d4874e121d72f3dbcaca62f703e",
-        "put": "7a2acca7abb5735d675d4d9d51c6d7d32ae56e9b64b9d93fc32e41a5d2534b16",
-        "call": "c8f96d198b5f8df0ae2db58e17c7823cc7863f4eea3e3ae5441684de7d840486",
+        "put": "a752c3e776ffc6e079f359ff66d2350f209c541cb0b7b10b396b5cce7d17b523",
+        "call": "c5e4ecea78974e3cdd0469eca22beef1cf3b64dc5f558011a3e02ca5bd22d92b",
     },
     (201, 150): {
         "bond": "6aee5391aba3903af184ee5025c4d40c0562c621b6918671f3138d1d4c7de6cb",
         "survival": "57aa83079b2a6d8a0f78380233bd1d2106948ab8514e80c507bae648567e6112",
-        "put": "1d840a36d111f03d9512105e775469a4116489f1f6830167cc126af35d91ecac",
-        "call": "91ddda1f61a5ed280654913c6d1e1fa039bba9cc25dded43d3c216d7f087c23e",
+        "put": "2895029388b96a1f5df9f0d193b34bebe457cbed087c17eea0dd4f266712a5f8",
+        "call": "2d3f8b4e69eb2d267b84e3998d6b17506b49194d744165ad241c422c0d1eb883",
     },
 }
 
@@ -369,6 +369,29 @@ class TestPdeSolver:
         with pytest.raises(NumericalError) as info:
             pde_surfaces(bond, wild, put_spec, grid)
         assert str(info.value) == "finite-difference coefficients leave the float range"
+
+    def test_surfaces_call_no_closed_form(self, bond, market, put_spec, monkeypatch):
+        """The put and call start from the PDE bond at T1, so the surfaces
+        are solved with verification's closed-form option, bond, survival
+        and barrier level made to raise."""
+        def closed_form(*args):
+            raise AssertionError("pde_surfaces called a closed form")
+
+        for name in ("bond_option_price", "bond_price", "survival_probability",
+                     "barrier_level"):
+            monkeypatch.setattr(verification, name, closed_form)
+        surfaces = pde_surfaces(bond, market, put_spec, GridSpec(n_space=101, n_time=100))
+        assert list(surfaces) == ["bond", "survival", "put", "call"]
+
+    def test_put_minus_call_starts_from_the_pde_bond(self, bond, market, put_spec):
+        """On the reference put the put/call grid is the bond's and T1 a node
+        of its time grid, so at T1 put - call = E - B_pde at every node."""
+        surfaces = pde_surfaces(bond, market, put_spec, GridSpec(n_space=101, n_time=100))
+        bond_surface, put, call = surfaces["bond"], surfaces["put"], surfaces["call"]
+        assert np.array_equal(put.x, bond_surface.x)
+        (node,) = np.flatnonzero(bond_surface.t == put_spec.T1)
+        np.testing.assert_allclose(put.values[-1] - call.values[-1],
+                                   put_spec.E - bond_surface.values[node], rtol=0, atol=1e-15)
 
     def test_pde_checks_solve_each_boundary_once(self, bond, market, put_spec, call_spec,
                                                  monkeypatch):

@@ -284,7 +284,8 @@ def test_pde_surfaces_share_one_grid_to_the_far_field(position, n_space):
     surfaces another, wherever the option's early redemption boundary lies.
     Each runs from the barrier at 1 to a far field of at least 30 and of at
     least exp(min(700, 4 sigma sqrt(h) + max(nu, 0) h)) over its horizon h,
-    nu = r - q - a - sigma^2 / 2, to rounding."""
+    nu = r - q - a - sigma^2 / 2, to rounding. The put's, which starts from
+    the PDE bond at T1, ends inside the bond's."""
     _, _, bond, option, market = position
     grid = GridSpec(n_space=n_space, n_time=50)
     surfaces = _finite(pde_surfaces, bond, market, option, grid)
@@ -297,6 +298,7 @@ def test_pde_surfaces_share_one_grid_to_the_far_field(position, n_space):
         assert x == other, pair
         reach = math.exp(min(700.0, 4.0 * market.sigma * math.sqrt(h) + max(nu, 0.0) * h))
         assert x[0] == 1.0 and x[-1] >= max(30.0, reach) * (1.0 - 1e-13), (pair, x[-1])
+    assert surfaces["put"].x[-1] <= surfaces["bond"].x[-1]
 
 
 # tbvp_w forms N(d+) - image from two terms near 1.8e-319, whose difference
