@@ -3,11 +3,14 @@ one-factor structural model: the firm value follows a lognormal process and
 default is triggered at an exponential barrier, paying a recovery fraction
 of the discounted face.
 
-Option prices before the option expiry are computed twice on every call,
+Option prices before the option expiry are computed twice at every point,
 through a literal closed form and through an independent compositional
 construction (power binaries plus the image transform), and the two must
-agree; a disagreement raises rather than returning a silently wrong number.
-At the expiry the option is its exercise value, and after it 0.
+agree on every call; a disagreement raises rather than returning a silently
+wrong number. At the expiry the option is its exercise value, and after it
+0. The two paths of the last point priced are kept, so a puttable or
+callable bond priced right after its option, as a table row does, reuses
+them instead of evaluating both paths again.
 """
 
 from __future__ import annotations
@@ -395,6 +398,12 @@ def _solved(bond: BondSpec, option: OptionSpec, market: MarketParams):
     return K, _option_price_composed(bond, option, market, K)
 
 
+# (V, t, bond, option, market, paths) of the last point before the option
+# expiry that option_price_paths priced by both paths. V and t are compared
+# first: points of one curve differ there, so a miss compares no spec.
+_last_point = None
+
+
 def option_price_paths(
     V: float,
     t: float,
@@ -410,8 +419,15 @@ def option_price_paths(
     Past those checks, either path raises only NumericalError.
     The boundary and the composed path's legs of the last two (bond,
     option, market) triples priced are kept, keyed by value, so equal
-    specs share them.
+    specs share them. The pair of the last (V, t, bond, option, market)
+    priced before T1 is kept too, compared by value: pricing the same point
+    again, as the puttable or callable bond does right after its option,
+    returns it with no path evaluated. A call that raises keeps nothing.
     """
+    global _last_point
+    last = _last_point
+    if last is not None and last[0] == V and last[1] == t and last[2:5] == (bond, option, market):
+        return last[5]
     _validate_option(bond, option, market)
     lvl = _check_time_and_barrier(V, t, bond)
     if V == lvl or t > option.T1:
@@ -422,13 +438,15 @@ def option_price_paths(
         return max(payoff, 0.0), max(payoff, 0.0)
     try:
         K, composed = _solved(bond, option, market)
-        return _option_price_formula(V, t, lvl, bond, option, market, K), composed(V, t)
+        paths = _option_price_formula(V, t, lvl, bond, option, market, K), composed(V, t)
     except OverflowError as exc:
         raise NumericalError("option price overflows a float") from exc
     except NumericalError:
         raise
     except (ArithmeticError, ValueError) as exc:  # a ratio that underflowed to 0, an inf
         raise NumericalError(f"option price leaves the float range: {exc}") from exc
+    _last_point = (V, t, bond, option, market, paths)
+    return paths
 
 
 def bond_option_price(

@@ -146,8 +146,9 @@ def pde_solve_tbvp(
 ) -> PdeSurface:
     """Solve u_t + (sigma^2/2) x^2 u_xx + c x u_x - r_discount u = 0 on
     x in [1, x_max], t in [0, T], with terminal data u(x, T) =
-    payoff(x), lower Dirichlet u(1, t) = boundary_value(t), and far-field
-    Dirichlet u(x_max, t) = payoff(x_max) e^{-r_discount (T - t)}.
+    payoff(x) for x > 1, lower Dirichlet u(1, t) = boundary_value(t) (at
+    t = T too), and far-field Dirichlet u(x_max, t) = payoff(x_max)
+    e^{-r_discount (T - t)}.
 
     The problem is posed with the barrier normalized to 1; callers with a
     barrier at level b rescale x/b before querying. Uniform grid in y = ln x
@@ -157,7 +158,8 @@ def pde_solve_tbvp(
     distance (Kangro & Nicolaides 2000), and at least 30 barriers.
     Crank-Nicolson, started as Rannacher (1984): the first two steps are
     four implicit half-steps, which damp terminal kinks and jumps. The
-    terminal data is payoff evaluated on Python floats.
+    terminal data is payoff evaluated on Python floats; the blow-up guard
+    is scaled by it.
     """
     import numpy as np
     if not (math.isfinite(sigma) and sigma > 0.0):
@@ -177,6 +179,7 @@ def pde_solve_tbvp(
     if not np.all(np.isfinite(terminal)):
         raise InvalidParamsError("payoff produced non-finite values on the grid")
     blowup = 1e6 * (1.0 + float(np.max(np.abs(terminal))))
+    terminal[0] = boundary_value(T)  # the barrier node takes the lower boundary's data
 
     lower = 0.5 * sigma * sigma / (h * h) - nu / (2.0 * h)
     diag = -sigma * sigma / (h * h) - r_discount

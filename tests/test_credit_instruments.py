@@ -424,6 +424,9 @@ class TestFormulaAgainstComposition:
 
     @staticmethod
     def _shift_composed_path(monkeypatch, shift):
+        """Shift the composed path, with the paths of the last point priced
+        dropped for the test, so the shift is seen and no shifted pair
+        outlives it."""
         solved = credit_instruments._solved
 
         def shifted(*specs):
@@ -431,6 +434,7 @@ class TestFormulaAgainstComposition:
             return K, lambda V, t: composed(V, t) + shift
 
         monkeypatch.setattr(credit_instruments, "_solved", shifted)
+        monkeypatch.setattr(credit_instruments, "_last_point", None)
 
     def test_disagreeing_paths_raise(self, bond, market, put_spec, monkeypatch):
         self._shift_composed_path(monkeypatch, 1e-6)
@@ -442,6 +446,76 @@ class TestFormulaAgainstComposition:
         value = bond_option_price(139.0, 0.0, bond, put_spec, market)
         self._shift_composed_path(monkeypatch, 1e-12)
         assert bond_option_price(139.0, 0.0, bond, put_spec, market) == value
+
+
+class TestLastPointPaths:
+    """option_price_paths keeps the pair of the last point priced before
+    T1: the composite priced right after its option evaluates neither path
+    again, and any other input is priced afresh."""
+
+    @staticmethod
+    def _counted_orthants(monkeypatch):
+        """The number of binorm_cdf calls from here on, in the literal
+        formula and in the power binaries of the composed path."""
+        from credit_pricer import bs_closed_form, special_functions
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return special_functions.binorm_cdf(*args)
+
+        monkeypatch.setattr(credit_instruments, "binorm_cdf", counted)
+        monkeypatch.setattr(bs_closed_form, "binorm_cdf", counted)
+        return calls
+
+    @staticmethod
+    def _cold(price, *args):
+        credit_instruments._last_point = None
+        return price(*args).hex()
+
+    def test_composite_after_its_option_evaluates_no_orthant(self, bond, market, put_spec,
+                                                             call_spec, monkeypatch):
+        calls = self._counted_orthants(monkeypatch)
+        for spec, composite in ((put_spec, puttable_bond_price), (call_spec, callable_bond_price)):
+            credit_instruments._last_point = None
+            calls[0] = 0
+            bond_option_price(139.0, 0.0, bond, spec, market)
+            assert calls[0] > 0
+            calls[0] = 0
+            composite(139.0, 0.0, bond, spec, market)
+            bond_option_price(139.0, 0.0, bond, spec, market)
+            assert calls[0] == 0, spec.kind
+
+    def test_other_inputs_are_priced_afresh(self, bond, market, put_spec, call_spec):
+        point = (139.0, 0.0)
+        other_recovery = BondSpec(T=bond.T, a=bond.a, b=bond.b, R=0.6)
+        followers = [
+            (bond_option_price, point, bond, call_spec),  # the call at the put's point
+            (bond_option_price, (139.0, 0.25), bond, put_spec),  # the put at another t
+            (bond_option_price, point, other_recovery, put_spec),  # another R
+            (callable_bond_price, point, bond, call_spec),
+        ]
+        for price, (V, t), bnd, spec in followers:
+            cold = self._cold(price, V, t, bnd, spec, market)
+            bond_option_price(*point, bond, put_spec, market)
+            assert price(V, t, bnd, spec, market).hex() == cold, (price.__name__, t, bnd, spec)
+
+    def test_book_position_99_raises_on_both(self, bond, market, put_spec):
+        """Book position 99: the option and its puttable bond both raise,
+        after a priced point as from a cold memo."""
+        overflow = MarketParams(**OVERFLOW_CONFIG["market"])
+        overflow_bond = BondSpec(**OVERFLOW_CONFIG["bond"])
+        terms = OVERFLOW_CONFIG["option"]
+        option = OptionSpec(T1=terms["T1"], E=terms["E"], kind=OptionKind(terms["kind"]))
+        (v,), (t,) = OVERFLOW_CONFIG["points"]["V"], OVERFLOW_CONFIG["points"]["t"]
+        credit_instruments._last_point = None
+        messages = []
+        for price in (bond_option_price, puttable_bond_price, bond_option_price):
+            with pytest.raises(NumericalError) as info:
+                price(v, t, overflow_bond, option, overflow)
+            messages.append(str(info.value))
+            bond_option_price(139.0, 0.0, bond, put_spec, market)
+        assert len(set(messages)) == 1
 
 
 class TestIndicatorSplit:

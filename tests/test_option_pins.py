@@ -144,6 +144,7 @@ def _fresh(bond, option, market):
     """Equal specs that are new objects, with the shared work emptied, so
     nothing priced before is reused."""
     credit_instruments._solved.cache_clear()
+    credit_instruments._last_point = None
     special_functions._dw_nodes.cache_clear()
     return dataclasses.replace(bond), dataclasses.replace(option), dataclasses.replace(market)
 

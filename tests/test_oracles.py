@@ -27,6 +27,7 @@ from credit_pricer import (
     OptionSpec,
     PowerBinaryParams,
     barrier_level,
+    bond_option_price,
     bond_price,
     callable_bond_price,
     credit_instruments,
@@ -177,33 +178,35 @@ def _hexes(outcomes):
 
 # sha256 of each PdeSurface.values (float64, little-endian) of the reference
 # bond, put and call on the default 801 x 800 grid. The bond's and the
-# survival's were recorded from the solver that rebuilt its banded matrix at
-# every time step; the put's and the call's from terminal data read off the
-# PDE bond surface at T1.
+# survival's interior was recorded from the solver that rebuilt its banded
+# matrix at every time step; the put's and the call's from terminal data
+# read off the PDE bond surface at T1. The bond's, the survival's and the
+# put's digests were re-recorded when the barrier node of the terminal row
+# took the lower boundary's value, the only element that moved.
 _PDE_PINS = {
-    "bond": "7f02b2ad5c5f3b525b687c71ff944040f1e98daa2227aa3fef4c983cbf264ff7",
-    "survival": "53ce093279e60842e01779687740a721b9de9cf71d15040b797e3f63c516db7c",
-    "put": "0ea3c0178ace0f71969d1fa32e6df20e3a0540d96450c71f6bc16aaf4e1eefb7",
+    "bond": "0d93c0061e80131c1c071bac2242e4876f2f51a067d5eb633be4c5a6080d3515",
+    "survival": "5fbc3226ae4f75e12417b7887c64007b6e363a9bb55eb251f5b226e01e159f97",
+    "put": "a3acfa77a1e149414790b46c538ba648dab0990a96896d1ee75ed6ce488c861b",
     "call": "68419963a03f5b917efb66836e18ac1a330e2b03535d06352c3970d44e81d3d1",
 }
 
 # The same digests on two coarse grids, where the two Rannacher steps are a
-# larger share of the march. The bond's and the survival's were recorded at
-# 101 x 50 from the solver that wrote the Rannacher half-steps out apart from
-# the main step, and at 201 x 150 from the solver that still offered implicit
-# Euler beside Crank-Nicolson; the put's and the call's as on the default
-# grid.
+# larger share of the march. The bond's and the survival's interior was
+# recorded at 101 x 50 from the solver that wrote the Rannacher half-steps
+# out apart from the main step, and at 201 x 150 from the solver that still
+# offered implicit Euler beside Crank-Nicolson; the put's and the call's, and
+# the barrier node of the terminal row, as on the default grid.
 _PDE_COARSE_PINS = {
     (101, 50): {
-        "bond": "087f8935202b87c3db55a8a008d82e4cedffd6e3b908c6cfedb843daea4860a5",
-        "survival": "1b8c1c25fd125dbdc307f14dfb034f4d858c9d4874e121d72f3dbcaca62f703e",
-        "put": "a752c3e776ffc6e079f359ff66d2350f209c541cb0b7b10b396b5cce7d17b523",
+        "bond": "3fad86309a76f285f16742dd7d3b845e2a2a2797eba80c185b5571a6e9adca6b",
+        "survival": "a61cd0428ed251fd6ae3caeed093283a6bd7fba37097015f53d412445b7aa0c3",
+        "put": "5df4a9574439b911bee0e3e273f91b53c69da24afcfe98376dedb7b113a785e9",
         "call": "c5e4ecea78974e3cdd0469eca22beef1cf3b64dc5f558011a3e02ca5bd22d92b",
     },
     (201, 150): {
-        "bond": "6aee5391aba3903af184ee5025c4d40c0562c621b6918671f3138d1d4c7de6cb",
-        "survival": "57aa83079b2a6d8a0f78380233bd1d2106948ab8514e80c507bae648567e6112",
-        "put": "2895029388b96a1f5df9f0d193b34bebe457cbed087c17eea0dd4f266712a5f8",
+        "bond": "d6d3de6da8ea46562d68e89c43f95629caf043e29abe8e256cd2bd31e4e2dfc1",
+        "survival": "0f983aa3c821a31305c508932d77f3b9388b4e61180fe3b582233b51452b7486",
+        "put": "1138105ed7536b898c15d29d37aae84c6c0ebc1aa73f0375ea35f0c88a18a39d",
         "call": "2d3f8b4e69eb2d267b84e3998d6b17506b49194d744165ad241c422c0d1eb883",
     },
 }
@@ -220,7 +223,8 @@ def _surface_digests(surfaces):
 
 def _counted_boundary_solves(monkeypatch):
     """The (bond, option, market) of each early redemption boundary solve
-    from here on, with the boundary cache cleared."""
+    from here on, with the boundary cache and the paths of the last point
+    priced cleared."""
     calls = []
 
     def counted(*args):
@@ -229,6 +233,7 @@ def _counted_boundary_solves(monkeypatch):
 
     monkeypatch.setattr(credit_instruments, "early_redemption_boundary", counted)
     credit_instruments._solved.cache_clear()
+    credit_instruments._last_point = None
     return calls
 
 
@@ -385,13 +390,32 @@ class TestPdeSolver:
 
     def test_put_minus_call_starts_from_the_pde_bond(self, bond, market, put_spec):
         """On the reference put the put/call grid is the bond's and T1 a node
-        of its time grid, so at T1 put - call = E - B_pde at every node."""
+        of its time grid, so at T1 put - call = E - B_pde at every node above
+        the barrier; on the barrier both are knocked out."""
         surfaces = pde_surfaces(bond, market, put_spec, GridSpec(n_space=101, n_time=100))
         bond_surface, put, call = surfaces["bond"], surfaces["put"], surfaces["call"]
         assert np.array_equal(put.x, bond_surface.x)
         (node,) = np.flatnonzero(bond_surface.t == put_spec.T1)
-        np.testing.assert_allclose(put.values[-1] - call.values[-1],
-                                   put_spec.E - bond_surface.values[node], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(put.values[-1, 1:] - call.values[-1, 1:],
+                                   put_spec.E - bond_surface.values[node, 1:], rtol=0, atol=1e-15)
+        assert put.values[-1, 0] == call.values[-1, 0] == 0.0
+
+    def test_terminal_row_on_the_barrier_is_the_closed_forms(self, bond, market, put_spec,
+                                                             call_spec):
+        """Each surface's value on the barrier at its horizon is the closed
+        form's terminal data there: bond R, survival 0, put and call 0."""
+        surfaces = pde_surfaces(bond, market, put_spec, GridSpec(n_space=101, n_time=100))
+        lvl_T, lvl_T1 = barrier_level(bond, bond.T), barrier_level(bond, put_spec.T1)
+        closed_forms = {
+            "bond": bond_price(lvl_T, bond.T, bond, market),
+            "survival": survival_probability(lvl_T, bond.T, bond, market),
+            "put": bond_option_price(lvl_T1, put_spec.T1, bond, put_spec, market),
+            "call": bond_option_price(lvl_T1, put_spec.T1, bond, call_spec, market),
+        }
+        assert closed_forms == {"bond": bond.R, "survival": 0.0, "put": 0.0, "call": 0.0}
+        for name, value in closed_forms.items():
+            surface = surfaces[name]
+            assert surface.value(1.0, surface.t[-1]) == value, name
 
     def test_pde_checks_solve_each_boundary_once(self, bond, market, put_spec, call_spec,
                                                  monkeypatch):

@@ -105,6 +105,7 @@ def _within(lo, price, hi):
 
 def _cold(*specs):
     credit_instruments._solved.cache_clear()
+    credit_instruments._last_point = None
     special_functions._dw_nodes.cache_clear()
     return specs
 
@@ -143,6 +144,23 @@ def test_warm_price_has_the_cold_bits(position):
     _outcome(option_price_paths, V, t, bond, other, market)  # the second of the two slots
     rebuilt = (dataclasses.replace(spec) for spec in (bond, option, market))
     assert _outcome(option_price_paths, V, t, *rebuilt) == cold
+
+
+@_SETTINGS
+@given(positions())
+def test_composite_is_the_bond_with_its_option(position):
+    """The puttable bond is B + P and the callable B - C to the bit, whether
+    its option's paths are priced cold or were just priced at the point."""
+    V, t, bond, option, market = position
+    composite, sign = ((puttable_bond_price, 1.0) if option.kind is OptionKind.PUT
+                       else (callable_bond_price, -1.0))
+
+    def bond_with_option(*args):
+        return bond_price(V, t, bond, market) + sign * bond_option_price(*args)
+
+    cold = _outcome(composite, V, t, *_cold(bond, option, market))
+    assert _outcome(bond_with_option, V, t, bond, option, market) == cold
+    assert _outcome(composite, V, t, bond, option, market) == cold
 
 
 @_SETTINGS
