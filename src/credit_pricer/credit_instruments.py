@@ -8,15 +8,15 @@ through a literal closed form and through an independent compositional
 construction (power binaries plus the image transform), and the two must
 agree on every call; a disagreement raises rather than returning a silently
 wrong number. At the expiry the option is its exercise value, and after it
-0. The two paths of the last point priced are kept, so a puttable or
-callable bond priced right after its option, as a table row does, reuses
-them instead of evaluating both paths again.
+0. One record of the last option priced is kept: its boundary and
+composed path, so a curve solves the boundary once, and its last point's
+two paths, so a puttable or callable bond priced right after its option,
+as a table row does, reuses them instead of evaluating both again.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -389,19 +389,10 @@ def _option_price_composed(
     return lambda V, t: knocked_out(V * math.exp(a * (bond.T - t)), t)
 
 
-@functools.lru_cache(maxsize=2)
-def _solved(bond: BondSpec, option: OptionSpec, market: MarketParams):
-    """The boundary K of a (bond, option, market) triple and its composed
-    price function. A curve prices one triple at hundreds of points; the
-    second slot keeps a put and its call from evicting each other."""
-    K = early_redemption_boundary(bond, option, market).K
-    return K, _option_price_composed(bond, option, market, K)
-
-
-# (V, t, bond, option, market, paths) of the last point before the option
-# expiry that option_price_paths priced by both paths. V and t are compared
-# first: points of one curve differ there, so a miss compares no spec.
-_last_point = None
+# (bond, option, market, K, composed, V, t, paths) of the last point before
+# the option expiry that option_price_paths priced by both paths: the
+# triple, its boundary K and composed path, the point and its two paths.
+_last = None
 
 
 def option_price_paths(
@@ -417,17 +408,18 @@ def option_price_paths(
     Domain: V >= barrier, 0 <= t <= T. Both paths are (0, 0) on the
     knockout boundary and after T1, and the exercise value at T1.
     Past those checks, either path raises only NumericalError.
-    The boundary and the composed path's legs of the last two (bond,
-    option, market) triples priced are kept, keyed by value, so equal
-    specs share them. The pair of the last (V, t, bond, option, market)
-    priced before T1 is kept too, compared by value: pricing the same point
-    again, as the puttable or callable bond does right after its option,
-    returns it with no path evaluated. A call that raises keeps nothing.
+    The last triple (bond, option, market) priced before T1 is kept with
+    its boundary K, its composed path and the point (V, t) with its pair,
+    all compared by value, so a curve over one triple solves the boundary
+    once, and so do equal specs built anew. Pricing the same point again,
+    as the puttable or callable bond does right after its option, returns
+    the pair with no path evaluated. V and t are compared first: points of
+    one curve differ there. A call that raises keeps nothing.
     """
-    global _last_point
-    last = _last_point
-    if last is not None and last[0] == V and last[1] == t and last[2:5] == (bond, option, market):
-        return last[5]
+    global _last
+    last = _last  # one read, so concurrent callers each see one record
+    if last is not None and last[5] == V and last[6] == t and last[:3] == (bond, option, market):
+        return last[7]
     _validate_option(bond, option, market)
     lvl = _check_time_and_barrier(V, t, bond)
     if V == lvl or t > option.T1:
@@ -437,7 +429,11 @@ def option_price_paths(
         payoff = option.E - b_t1 if option.kind is OptionKind.PUT else b_t1 - option.E
         return max(payoff, 0.0), max(payoff, 0.0)
     try:
-        K, composed = _solved(bond, option, market)
+        if last is not None and last[:3] == (bond, option, market):
+            K, composed = last[3:5]
+        else:
+            K = early_redemption_boundary(bond, option, market).K
+            composed = _option_price_composed(bond, option, market, K)
         paths = _option_price_formula(V, t, lvl, bond, option, market, K), composed(V, t)
     except OverflowError as exc:
         raise NumericalError("option price overflows a float") from exc
@@ -445,7 +441,7 @@ def option_price_paths(
         raise
     except (ArithmeticError, ValueError) as exc:  # a ratio that underflowed to 0, an inf
         raise NumericalError(f"option price leaves the float range: {exc}") from exc
-    _last_point = (V, t, bond, option, market, paths)
+    _last = (bond, option, market, K, composed, V, t, paths)
     return paths
 
 

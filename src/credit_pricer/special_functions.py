@@ -244,9 +244,11 @@ def binorm_cdf(a1: float, a2: float, rho: float) -> float:
     not cancel, its few-point rules keep only the absolute spec on small
     orthants: off the grid, orthants up to about 1e-4 miss 1e-12 relative
     (4.3e-10 at 2.2e-10, rho = 0.30), and deep tails lose all relative
-    accuracy. Sending those to the tail form too would cost about 20 us a
-    call (the main scheme takes about 5) on about half of the orthants that
-    pricing a book of bond options evaluates.
+    accuracy. Those below 1e-4 are 13 243 of the 30 244 orthants (44%) of
+    one pass over the benchmark's book of 2048 bond options. Timed on them
+    (best of five passes, 2-core x86-64 host), _orthant_tail takes 13.5-14.1
+    us a call and this function 3.6-4.0 us, so sending them to the tail form
+    too would cost about 0.13 s a pass.
     """
     if not -1.0 <= rho <= 1.0:  # NaN too
         raise InvalidParamsError(f"correlation must lie in [-1, 1], got {rho}")

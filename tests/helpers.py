@@ -4,6 +4,8 @@ import math
 
 from hypothesis import settings
 
+from credit_pricer import credit_instruments, special_functions
+
 _EPS = 2.220446049250313e-16
 
 # A put from the benchmark's book pool (index 99) at which the option price
@@ -16,6 +18,19 @@ OVERFLOW_CONFIG = {
     "option": {"T1": 0.6309661865234375, "E": 0.727081384612381, "kind": "put"},
     "points": {"V": [172552.95928396392], "t": [0.2109222412109375]},
 }
+
+
+def forget_shared_work(monkeypatch=None):
+    """Empty the work that prices share: the instruments' record of the
+    last option priced (its boundary, composed path and last point's two
+    paths) and the cached Drezner-Wesolowsky nodes, so the next price
+    starts cold. Given a monkeypatch, the record that was there comes back
+    when the test ends, so nothing priced under a patch outlives it."""
+    if monkeypatch is None:
+        credit_instruments._last = None
+    else:
+        monkeypatch.setattr(credit_instruments, "_last", None)
+    special_functions._dw_nodes.cache_clear()
 
 
 def draws(n: int) -> int:

@@ -36,7 +36,7 @@ from credit_pricer import (
     credit_instruments,
     verification,
 )
-from helpers import OVERFLOW_CONFIG, bisect, pricing_residual
+from helpers import OVERFLOW_CONFIG, bisect, forget_shared_work, pricing_residual
 
 # Crank-Nicolson 801x800 oracle values at the reference parameter set
 _BOND_PDE_139 = 0.7261652861044696
@@ -424,17 +424,17 @@ class TestFormulaAgainstComposition:
 
     @staticmethod
     def _shift_composed_path(monkeypatch, shift):
-        """Shift the composed path, with the paths of the last point priced
-        dropped for the test, so the shift is seen and no shifted pair
-        outlives it."""
-        solved = credit_instruments._solved
+        """Shift the composed path, with the record of the last option
+        priced dropped for the test, so the shift is seen and nothing
+        shifted outlives it."""
+        compose = credit_instruments._option_price_composed
 
-        def shifted(*specs):
-            K, composed = solved(*specs)
-            return K, lambda V, t: composed(V, t) + shift
+        def shifted(*args):
+            composed = compose(*args)
+            return lambda V, t: composed(V, t) + shift
 
-        monkeypatch.setattr(credit_instruments, "_solved", shifted)
-        monkeypatch.setattr(credit_instruments, "_last_point", None)
+        monkeypatch.setattr(credit_instruments, "_option_price_composed", shifted)
+        forget_shared_work(monkeypatch)
 
     def test_disagreeing_paths_raise(self, bond, market, put_spec, monkeypatch):
         self._shift_composed_path(monkeypatch, 1e-6)
@@ -470,14 +470,14 @@ class TestLastPointPaths:
 
     @staticmethod
     def _cold(price, *args):
-        credit_instruments._last_point = None
+        forget_shared_work()
         return price(*args).hex()
 
     def test_composite_after_its_option_evaluates_no_orthant(self, bond, market, put_spec,
                                                              call_spec, monkeypatch):
         calls = self._counted_orthants(monkeypatch)
         for spec, composite in ((put_spec, puttable_bond_price), (call_spec, callable_bond_price)):
-            credit_instruments._last_point = None
+            forget_shared_work()
             calls[0] = 0
             bond_option_price(139.0, 0.0, bond, spec, market)
             assert calls[0] > 0
@@ -508,7 +508,7 @@ class TestLastPointPaths:
         terms = OVERFLOW_CONFIG["option"]
         option = OptionSpec(T1=terms["T1"], E=terms["E"], kind=OptionKind(terms["kind"]))
         (v,), (t,) = OVERFLOW_CONFIG["points"]["V"], OVERFLOW_CONFIG["points"]["t"]
-        credit_instruments._last_point = None
+        forget_shared_work()
         messages = []
         for price in (bond_option_price, puttable_bond_price, bond_option_price):
             with pytest.raises(NumericalError) as info:
@@ -516,6 +516,48 @@ class TestLastPointPaths:
             messages.append(str(info.value))
             bond_option_price(139.0, 0.0, bond, put_spec, market)
         assert len(set(messages)) == 1
+
+    def test_one_boundary_solve_across_points_that_keep_no_record(self, bond, market, put_spec,
+                                                                   monkeypatch):
+        """The reference put's boundary outlives the points that price no
+        path (on the barrier, at and after T1) and a triple that raises
+        (book position 99): its later points solve it no more, and every
+        price has the bits of a cold call."""
+        terms = OVERFLOW_CONFIG["option"]
+        overflow = (BondSpec(**OVERFLOW_CONFIG["bond"]),
+                    OptionSpec(T1=terms["T1"], E=terms["E"], kind=OptionKind(terms["kind"])),
+                    MarketParams(**OVERFLOW_CONFIG["market"]))
+        (v99,), (t99,) = OVERFLOW_CONFIG["points"]["V"], OVERFLOW_CONFIG["points"]["t"]
+        reference = (bond, put_spec, market)
+        row = [
+            (bond_option_price, 139.0, 0.0, reference),
+            (bond_option_price, 100.0, 0.25, reference),  # on the barrier
+            (bond_option_price, 139.0, put_spec.T1, reference),
+            (bond_option_price, 139.0, 1.5, reference),  # after T1
+            (bond_option_price, v99, t99, overflow),
+            (puttable_bond_price, 139.0, 0.0, reference),
+            (bond_option_price, 199.0, 0.3, reference),
+        ]
+
+        def outcome(price, V, t, specs):
+            try:
+                return price(V, t, *specs).hex()
+            except NumericalError as exc:
+                return str(exc)
+
+        cold = []
+        for entry in row:
+            forget_shared_work()
+            cold.append(outcome(*entry))
+        assert cold[4] == "option price overflows a float"
+
+        solve = credit_instruments.early_redemption_boundary
+        solves = []
+        monkeypatch.setattr(credit_instruments, "early_redemption_boundary",
+                            lambda *args: solves.append(args) or solve(*args))
+        forget_shared_work()
+        assert [outcome(*entry) for entry in row] == cold
+        assert solves.count(reference) == 1
 
 
 class TestIndicatorSplit:

@@ -1,7 +1,8 @@
 """Bit pins of both option-pricing paths, and checks that the work shared
-between prices changes no result: the early redemption boundary and the
-composed path's legs of the last two (bond, option, market) triples priced,
-kept by value, so equal specs built anew share them.
+between prices changes no result: the early redemption boundary, the
+composed path's legs and the last point's two paths of the last (bond,
+option, market) triple priced, kept by value, so equal specs built anew
+share them.
 
 The float.hex pins were recorded before that sharing was introduced, over
 puts and calls at the reference parameters, the corners of the figure 3-5
@@ -22,7 +23,8 @@ from credit_pricer import (
     bond_option_price,
     option_price_paths,
 )
-from credit_pricer import credit_instruments, special_functions
+from credit_pricer import credit_instruments
+from helpers import forget_shared_work
 
 # (id, (r, q, sigma), (T, a, b, R), (T1, E, kind), t, V, formula, composition)
 _PINS = [
@@ -143,9 +145,7 @@ def _outcome(V, t, bond, option, market):
 def _fresh(bond, option, market):
     """Equal specs that are new objects, with the shared work emptied, so
     nothing priced before is reused."""
-    credit_instruments._solved.cache_clear()
-    credit_instruments._last_point = None
-    special_functions._dw_nodes.cache_clear()
+    forget_shared_work()
     return dataclasses.replace(bond), dataclasses.replace(option), dataclasses.replace(market)
 
 
@@ -168,15 +168,16 @@ def _pin(name):
 
 
 class TestSharedWork:
-    """The boundary and the composed legs of the last two triples are kept,
-    keyed by value, and never change a price."""
+    """The boundary, the composed legs and the last point's two paths of
+    the last triple priced are kept, compared by value, and never change a
+    price."""
 
     def test_alternating_triples_match_fresh_calls(self):
         put = _specs(*_PINS[0][1:4])
         call = _specs(*_pin("q_above_r_call")[1:4])
         third = _specs(*_pin("growing_barrier_put")[1:4])
         points = [(0.0, 139.0), (0.3, 199.0), (0.9, 300.0), (0.5, 101.0)]
-        order = (put, call, call, put, third, call)  # the third evicts one of two
+        order = (put, call, call, put, third, call)  # each switch replaces the record
         got = []
         for t, V in points:  # each call switches triple, then repeats it
             for specs in order:

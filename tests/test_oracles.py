@@ -45,6 +45,7 @@ from credit_pricer import (
 )
 from credit_pricer.oracles import _bridge_crossed
 from credit_pricer.verification import mc_checks, pde_checks, pde_surfaces
+from helpers import forget_shared_work
 
 _REF_MARKET = MarketParams(r=0.04, q=0.0, sigma=0.5)
 _LOW_VOL = MarketParams(r=0.04, q=0.0, sigma=0.05)
@@ -223,8 +224,7 @@ def _surface_digests(surfaces):
 
 def _counted_boundary_solves(monkeypatch):
     """The (bond, option, market) of each early redemption boundary solve
-    from here on, with the boundary cache and the paths of the last point
-    priced cleared."""
+    from here on, with the work shared between prices forgotten."""
     calls = []
 
     def counted(*args):
@@ -232,8 +232,7 @@ def _counted_boundary_solves(monkeypatch):
         return early_redemption_boundary(*args)
 
     monkeypatch.setattr(credit_instruments, "early_redemption_boundary", counted)
-    credit_instruments._solved.cache_clear()
-    credit_instruments._last_point = None
+    forget_shared_work()
     return calls
 
 

@@ -38,9 +38,8 @@ from credit_pricer import (
     survival_probability,
     tbvp_w,
 )
-from credit_pricer import credit_instruments, special_functions
 from credit_pricer.verification import pde_surfaces
-from helpers import draws
+from helpers import draws, forget_shared_work
 
 _SETTINGS = settings(max_examples=draws(150), deadline=None, derandomize=True,
                      database=None)
@@ -104,9 +103,7 @@ def _within(lo, price, hi):
 
 
 def _cold(*specs):
-    credit_instruments._solved.cache_clear()
-    credit_instruments._last_point = None
-    special_functions._dw_nodes.cache_clear()
+    forget_shared_work()
     return specs
 
 
