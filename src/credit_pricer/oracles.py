@@ -19,26 +19,21 @@ from .bs_closed_form import IndicatorDirection, PowerBinaryParams
 from .errors import DomainError, InvalidParamsError, NumericalError
 from .special_functions import MarketParams
 
-__all__ = [
-    "GridSpec",
-    "McSpec",
-    "PdeSurface",
-    "pde_solve_tbvp",
-    "mc_barrier_price",
-    "quadrature_green",
-    "draw_verification_case",
-]
+__all__ = ["GridSpec", "McSpec", "PdeSurface", "pde_solve_tbvp", "mc_barrier_price",
+           "quadrature_green", "draw_verification_case"]
 
 
-def _check_integer(spec, *names):
-    """Raise InvalidParamsError unless each named field of spec is an
-    integer: a float count or seed fails later, as a bare TypeError."""
-    for name in names:
+def _check_counts(spec, **floors):
+    """Raise InvalidParamsError unless each named field of spec is an integer
+    at or above its floor: a float count or seed fails later, as a TypeError."""
+    for name, floor in floors.items():
         value = getattr(spec, name)
         try:
             operator.index(value)
         except TypeError:
             raise InvalidParamsError(f"{name} must be an integer, got {value!r}") from None
+        if value < floor:
+            raise InvalidParamsError(f"{name} must be >= {floor}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -50,28 +45,21 @@ class GridSpec:
     n_time: int = 800
 
     def __post_init__(self):
-        _check_integer(self, "n_space", "n_time")
-        if self.n_space < 50:
-            raise InvalidParamsError(f"n_space must be >= 50, got {self.n_space}")
-        if self.n_time < 50:
-            raise InvalidParamsError(f"n_time must be >= 50, got {self.n_time}")
+        _check_counts(self, n_space=50, n_time=50)
 
 
 @dataclass(frozen=True)
 class McSpec:
-    """Monte Carlo controls. The seed feeds a counter-based Philox
-    generator, so results are reproducible across platforms."""
+    """Monte Carlo controls: n_paths paths of n_steps intervals of [0, anchor]
+    on each barrier of a pass (mc_barrier_price). The seed feeds a
+    counter-based Philox generator, so results are reproducible anywhere."""
 
     n_paths: int = 100_000
     n_steps: int = 200
     seed: int = 0
 
     def __post_init__(self):
-        _check_integer(self, "n_paths", "n_steps", "seed")
-        if self.n_paths < 1000:
-            raise InvalidParamsError(f"n_paths must be >= 1000, got {self.n_paths}")
-        if self.n_steps < 50:
-            raise InvalidParamsError(f"n_steps must be >= 50, got {self.n_steps}")
+        _check_counts(self, n_paths=1000, n_steps=50, seed=-math.inf)  # any seed: see below
         if not (0 <= self.seed < 2**64):
             raise InvalidParamsError("seed must be a 64-bit unsigned integer")
 
@@ -135,15 +123,8 @@ def _theta_step(n, dt, theta, lower, diag, upper):
     return step
 
 
-def pde_solve_tbvp(
-    payoff,
-    boundary_value,
-    c: float,
-    sigma: float,
-    r_discount: float,
-    T: float,
-    grid: GridSpec,
-) -> PdeSurface:
+def pde_solve_tbvp(payoff, boundary_value, c: float, sigma: float, r_discount: float, T: float,
+                   grid: GridSpec) -> PdeSurface:
     """Solve u_t + (sigma^2/2) x^2 u_xx + c x u_x - r_discount u = 0 on
     x in [1, x_max], t in [0, T], with terminal data u(x, T) =
     payoff(x) for x > 1, lower Dirichlet u(1, t) = boundary_value(t) (at
@@ -247,15 +228,20 @@ def _bridge_crossed(u, exponent, out=None):
     return np.less(u, exponent, out=need)
 
 
+def _step_terms(market, h):
+    """Drift, volatility and bridge variance of ln V over a step of length h."""
+    sig = market.sigma
+    return (market.r - market.q - 0.5 * sig * sig) * h, sig * math.sqrt(h), sig * sig * h
+
+
 class _Claim:
-    """One claim of a shared Monte Carlo pass: its terms, validated as
-    mc_barrier_price documents them, the first passage and terminal log
-    value of each path of the current chunk, and the running sums of its
-    path values. error holds the exception its payoff or rebate raised, or
-    the NumericalError of a path value or sum that overflows a float."""
+    """One claim of a Monte Carlo pass: its terms, validated as
+    mc_barrier_price documents them, each path's first hit and log value at
+    T in the current chunk, and the running sums of its path values. error
+    holds the exception its payoff or rebate raised, or the NumericalError
+    of a path value that is not finite or a sum that overflows a float."""
 
     def __init__(self, payoff, rebate_at_hit, T, a, b, anchor, market, n_steps, V0):
-        import numpy as np
         if not (math.isfinite(T) and T > 0.0):
             raise InvalidParamsError(f"horizon must be positive, got {T}")
         if not (math.isfinite(b) and b > 0.0):
@@ -271,65 +257,46 @@ class _Claim:
         if not (math.isfinite(V0) and V0 > 0.0) or math.log(V0) <= log_b0:
             raise DomainError(f"V0 must start above the barrier {math.exp(log_b0)}")
 
-        r, q, sig = market.r, market.q, market.sigma
-        self.payoff, self.rebate_at_hit = payoff, rebate_at_hit
-        self.r, self.n_steps = r, n_steps
-        self.dt = dt = T / n_steps
-        self.drift = (r - q - 0.5 * sig * sig) * dt
-        self.vol = sig * math.sqrt(dt)
-        self.bar_var = sig * sig * dt
-        self.disc_T = math.exp(-r * T)
-        self.log_v0 = math.log(V0)
+        self.payoff, self.rebate_at_hit, self.T, self.r = payoff, rebate_at_hit, T, market.r
+        self.barrier, self.log_v0 = (a, b, anchor), math.log(V0)
         self.start_exponent = -2.0 * (self.log_v0 - log_b0)
-        self.log_barrier = log_b0 + a * (np.arange(1, n_steps + 1) * dt)
-        self.error = None
-        self.n, self.total, self.m2 = 0, 0.0, 0.0
+        self.log_barrier = lambda t: log_b0 + a * t
+        self.dt = dt = anchor / n_steps
+        # full steps of the anchor's grid; a horizon off it adds a shorter
+        # one: its drift, volatility and bridge variance
+        full, self.short = round(T / dt), None
+        if not math.isclose(full * dt, T, rel_tol=1e-9):
+            full = math.floor(T / dt)
+            self.short = _step_terms(market, T - full * dt)
+        self.full, self.cols = full, full + (self.short is not None)
+        self.disc_T = math.exp(-market.r * T)
+        self.error, self.n, self.total, self.m2 = None, 0, 0.0, 0.0
 
-    def new_chunk(self, m):
+    def stop(self, rows, step, gap, z, u):
+        """Record each path's first hit before T from its barrier's first hits
+        step and log gaps; a short last step goes on from the column before
+        with its own column's normals z, and tests the bridge with its u."""
         import numpy as np
-        self.first = np.empty(m, dtype=np.intp)  # step of the first hit; n_steps if none
-        self.logv_T = np.empty(m)
-
-    def first_passage(self, rows, z, u, logv, exponent, event, crossed):
-        """Build the log paths of a block of the chunk from its normals z
-        and record each path's first hit, on the grid or within a step by
-        the bridge test against the block's uniforms u. logv, exponent,
-        event and crossed are work arrays of the block's shape, overwritten."""
-        import numpy as np
-        # the running sum adds log(V0) and then one increment per step, in
-        # the order of a step-by-step simulation, so paths are reproducible
-        # to the bit
-        np.multiply(z, self.vol, out=logv)
-        logv += self.drift
-        logv[:, 0] += self.log_v0
-        np.cumsum(logv, axis=1, out=logv)
-        self.logv_T[rows] = logv[:, -1]
-        gap_next = logv  # reused in place: log distance to the barrier
-        gap_next -= self.log_barrier
-        np.less_equal(gap_next, 0.0, out=event)
-        exponent[:, 0] = self.start_exponent
-        # past a path's first hit the gaps change sign and the exponent may
-        # overflow; those steps are never read
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(gap_next[:, :-1], -2.0, out=exponent[:, 1:])
-            exponent *= gap_next
-            exponent /= self.bar_var
-            event |= _bridge_crossed(u, exponent, crossed)
-        step = event.argmax(axis=1)
-        step[~event[np.arange(step.size), step]] = self.n_steps
-        self.first[rows] = step
+        full = self.full
+        if self.short is None:
+            self.first[rows] = np.minimum(step, full)
+            return
+        drift, vol, var = self.short
+        self.logv_T[rows] += z[:, full] * vol + drift
+        gap_T = self.logv_T[rows] - self.log_barrier(self.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _first_passage
+            exponent = (gap[:, full - 1] * -2.0 if full else self.start_exponent) * gap_T / var
+            crossed = _bridge_crossed(u[:, full], exponent) | (gap_T <= 0.0)
+        self.first[rows] = np.where(step < full, step, np.where(crossed, full, full + 1))
 
     def values(self):
         """Discounted value of each path of the chunk: the rebate at its
         first hit, else the payoff at T."""
         import numpy as np
-        first, dt = self.first, self.dt
-        hit = first < self.n_steps
-        value = np.empty(first.size)
-        steps = first[hit]
-        paid = np.empty(self.n_steps)
+        hit = self.first < self.cols
+        value, steps, paid = np.empty(hit.size), self.first[hit], np.empty(self.cols)
         for k in np.unique(steps).tolist():
-            t = (k + 1) * dt
+            t = (k + 1) * self.dt if k < self.full else self.T  # a short last step ends at T
             paid[k] = math.exp(-self.r * t) * self.rebate_at_hit(t)
         value[hit] = paid[steps]
         alive = ~hit
@@ -346,6 +313,8 @@ class _Claim:
         pairwise update of Chan, Golub & LeVeque (1983), so the variance
         does not cancel when the SE is small against the mean."""
         import numpy as np
+        if not np.isfinite(value).all():
+            raise NumericalError("a path value is not finite")
         m, total = value.size, float(value.sum())
         dev = value - total / m
         m2 = float(np.square(dev, out=dev).sum())
@@ -361,48 +330,87 @@ class _Claim:
         return self.total / n, math.sqrt(self.m2 / (n - 1) / n)
 
 
+def _first_passage(claims, market, rows, z, u, logv, exponent, event, crossed):
+    """Build a block's log paths for the live claims on one barrier from its
+    normals z, in steps of anchor / n_steps to the step that holds their
+    longest horizon, and find each path's first hit, on the grid or by the
+    bridge test against its uniforms u; then each claim reads its own.
+    logv, exponent, event and crossed are work arrays, overwritten."""
+    import numpy as np
+    live = [claim for claim in claims if claim.error is None]
+    if not live:
+        return
+    lead, cols = live[0], max(claim.cols for claim in live)
+    drift, vol, bar_var = _step_terms(market, lead.dt)
+    z, u, logv, exponent, event, crossed = (
+        w[:, :cols] for w in (z, u, logv, exponent, event, crossed))
+    # the running sum adds log(V0) and then one increment per step, in the
+    # order of a step-by-step simulation, so paths are reproducible to the bit
+    np.multiply(z, vol, out=logv)
+    logv += drift
+    logv[:, 0] += lead.log_v0
+    np.cumsum(logv, axis=1, out=logv)
+    for claim in live:  # the log value at T, or where a short last step starts
+        claim.logv_T[rows] = logv[:, claim.full - 1] if claim.full else claim.log_v0
+    gap_next = logv  # reused in place: log distance to the barrier
+    gap_next -= lead.log_barrier(np.arange(1, cols + 1) * lead.dt)
+    np.less_equal(gap_next, 0.0, out=event)
+    exponent[:, 0] = lead.start_exponent
+    # past a path's first hit the gaps change sign and the exponent may
+    # overflow; those steps are never read
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(gap_next[:, :-1], -2.0, out=exponent[:, 1:])
+        exponent *= gap_next
+        exponent /= bar_var
+        event |= _bridge_crossed(u, exponent, crossed)
+    step = event.argmax(axis=1)
+    step[~event[np.arange(step.size), step]] = cols
+    for claim in live:
+        claim.stop(rows, step, gap_next, z, u)
+
+
 def mc_barrier_price(claims, market: MarketParams, mc: McSpec,
                      V0: float) -> list[tuple[float, float] | Exception]:
     """Simulate dV/V = (r - q) dt + sigma dW exactly from V0 and price each
     of the claims on that one simulation. A claim is (payoff, rebate_at_hit,
     T, a, b, anchor): it pays rebate_at_hit(t) the first time V touches the
     barrier b e^{-a (anchor - t)} and payoff(V_T) at its horizon T
-    otherwise, both discounted at r; anchor None is the horizon T (pass the
-    bond maturity to price an option-horizon claim against the bond's
-    barrier).
+    otherwise, both discounted at r; anchor None is T (pass the bond
+    maturity to price an option-horizon claim against the bond's barrier).
 
-    Claims may differ in every term: each builds its own log paths of
-    n_steps intervals of [0, T] from the same normals and tests its own
-    barrier with the same uniforms, so a claim gets the same bits alone as
-    beside others. The within-step crossing probability of the linear
-    log-barrier is always added, exactly (its Brownian bridge is Gaussian),
-    removing the discrete-monitoring bias. A within-step hit pays at the
-    step's right endpoint: exact whenever e^{-r t} times the rebate is
-    constant, as it is for the recovery payment. The crossing probability is
-    exponentiated only where its exponent exceeds -40 or the uniform is 0;
-    elsewhere no uniform can fall below it (_bridge_crossed), so the
-    estimate is the one an exp at every step gives, to the bit. The SE is
-    the sample standard deviation over sqrt(n_paths).
+    Claims on one barrier (a, b, anchor) share its log paths, n_steps
+    intervals of [0, anchor] built and tested once per block up to their
+    longest horizon (_first_passage). Each reads its first hit before its
+    horizon and its log value there; a horizon off the grid ends in one
+    shorter step, with that column's normal and uniform. So a claim gets
+    the same bits alone as beside others. The within-step crossing
+    probability of the linear log-barrier is always tested, exactly (its
+    Brownian bridge is Gaussian; _bridge_crossed), so no step size biases
+    the monitoring. A within-step hit pays at the step's right endpoint:
+    exact whenever e^{-r t} times the rebate is constant, as for the
+    recovery payment. The SE is the sample deviation over sqrt(n_paths).
 
     Every claim is validated before any draw, in order. Returns one slot per
     claim: (estimate, standard error), or the Exception its payoff or rebate
-    raised, or a NumericalError where one of its path values or their sums
-    overflows a float. Such a claim is simulated no further, and the others
-    run on; when none is left the pass stops.
+    raised, or a NumericalError where one of its path values is not finite
+    or their sums overflow a float. Such a claim is simulated no further,
+    and the others run on; when none is left the pass stops.
 
-    One Philox stream feeds the pass, chunk by chunk: a chunk's normals,
-    then its m * n_steps uniforms for the bridge test, then the next
-    chunk's normals. The normals are drawn one chunk ahead on a second
-    thread while this one builds the current chunk's paths and payoffs; the
-    second thread keeps the stream state after a chunk's normals, for this
-    thread's uniforms, and skips their words (random_raw with output=False).
-    The uniforms are drawn block by block and each block serves every claim.
-    Every number keeps its place in the stream, so the result has the same
-    bits as a single-threaded draw however the two threads are scheduled.
-    The thread has ended when the call returns or raises.
+    One Philox stream feeds the pass, chunk by chunk: a chunk's m * n_steps
+    normals, then as many uniforms, then the next chunk's normals. The
+    normals are drawn one chunk ahead on a second thread while this one
+    builds the current chunk's paths and payoffs; that thread keeps the
+    stream state after a chunk's normals, for this thread's uniforms, and
+    skips their words (random_raw with output=False). The uniforms are
+    drawn block by block, and each block serves every claim. Every number
+    keeps its place in the stream, so the result has the same bits however
+    the two threads are scheduled; the thread has ended on return or raise.
     """
     n_steps = mc.n_steps
     sims = [_Claim(*claim, market, n_steps, V0) for claim in claims]
+    barriers = {}  # the claims on each barrier (a, b, anchor)
+    for sim in sims:
+        barriers.setdefault(sim.barrier, []).append(sim)
 
     from concurrent.futures import ThreadPoolExecutor  # loads only when an oracle runs
     import numpy as np
@@ -423,8 +431,8 @@ def mc_barrier_price(claims, market: MarketParams, mc: McSpec,
     # two buffers of normals: the thread fills one while this one reads the
     # other, so a buffer is refilled only after its chunk is done
     buffers = [np.empty((m, n_steps)) for m in chunks[:2]]
-    # a block's uniforms and the work arrays of first_passage, reused by
-    # every block and claim: fresh arrays of this size cost page faults
+    # a block's uniforms and the work arrays of _first_passage, reused by
+    # every block and barrier: fresh arrays of this size cost page faults
     shape = (min(_MC_BLOCK, chunks[0]), n_steps)
     u_work = np.empty(shape)
     work = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
@@ -437,8 +445,8 @@ def mc_barrier_price(claims, market: MarketParams, mc: McSpec,
                 pending = ahead.submit(draw, buffers[(k + 1) % 2][:chunks[k + 1]])
             z = buffers[k % 2][:m]
             live = [sim for sim in sims if sim.error is None]
-            for sim in live:
-                sim.new_chunk(m)
+            for sim in live:  # each path's first hit, cols if none, and log value at T
+                sim.first, sim.logv_T = np.empty(m, dtype=np.intp), np.empty(m)
             for lo in range(0, m, _MC_BLOCK):
                 rows = slice(lo, min(lo + _MC_BLOCK, m))
                 width = rows.stop - lo
@@ -446,8 +454,8 @@ def mc_barrier_price(claims, market: MarketParams, mc: McSpec,
                 # (m, n_steps) draw
                 u = uniforms.random(out=u_work[:width])
                 block_work = [w[:width] for w in work]
-                for sim in live:
-                    sim.first_passage(rows, z[rows], u, *block_work)
+                for group in barriers.values():
+                    _first_passage(group, market, rows, z[rows], u, *block_work)
             for sim in live:
                 try:
                     with np.errstate(over="raise"):
@@ -461,12 +469,8 @@ def mc_barrier_price(claims, market: MarketParams, mc: McSpec,
     return [sim.result() for sim in sims]
 
 
-def quadrature_green(
-    X: float,
-    tau: float,
-    params: PowerBinaryParams,
-    market: MarketParams,
-) -> float:
+def quadrature_green(X: float, tau: float, params: PowerBinaryParams,
+                     market: MarketParams) -> float:
     """Price the power-binary payoff by adaptive quadrature of the
     discounted lognormal transition density against the terminal payoff
 

@@ -167,9 +167,10 @@ def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
     measured is each gap in standard errors, tolerance 3.
 
     The closed forms are priced first, so a firm value below the barrier or
-    an ill-fitting option raises before any draw; then both claims share one
-    pass over the random stream (mc_barrier_price). A closed form or claim
-    that fails numerically fails only its own check; other errors propagate."""
+    an ill-fitting option raises before any draw. Both claims then read one
+    path set on the bond's barrier, mc.n_steps steps to T (mc_barrier_price).
+    A closed form or claim that fails numerically fails only its own check;
+    other errors propagate."""
     rebate = _rebate(bond, market)
     entries = [("mc_bond_within_3se", lambda: bond_price(v0, 0.0, bond, market),
              (lambda v: 1.0, rebate, bond.T, bond.a, bond.b, bond.T))]

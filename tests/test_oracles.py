@@ -2,6 +2,7 @@
 the barrier-monitored Monte Carlo simulator, and the adaptive quadrature of
 the lognormal transition integral."""
 
+import collections
 import hashlib
 import math
 import os
@@ -35,6 +36,7 @@ from credit_pricer import (
     early_redemption_boundary,
     mc_barrier_price,
     norm_cdf,
+    oracles,
     pde_solve_tbvp,
     power_binary_price,
     puttable_bond_price,
@@ -92,7 +94,8 @@ _MC_PIN_RUNS = {
 # exact rational arithmetic to 5e-16 relative.
 _MC_PINS = {
     "flat_bond": ("0x1.73f504bce8213p-1", "0x1.d1da8858554b8p-11"),
-    "moving_composite": ("0x1.8850a4037b6e8p-1", "0x1.ac4b00a6ba07bp-11"),
+    # re-recorded when a claim came to step anchor / n_steps: T/64 to T1
+    "moving_composite": ("0x1.87a7ed9c047bep-1", "0x1.ac9618fc78734p-11"),
     "near_barrier": ("0x1.4ada1be405c8ep-1", "0x1.d09ea2b3031aep-17"),
     "unreachable": ("0x1.241ddc94f2e9bp+0", "0x1.efaf9cf14172fp-9"),
     # recorded from the simulation that exponentiated every bridge exponent
@@ -128,7 +131,8 @@ _MC_PIN_CLOSED_FORMS = {
 # (re-recorded with them).
 _MC_CHUNKED_PINS = {
     "flat_bond": ("0x1.73fcec1e1bc5cp-1", "0x1.4979217c9b875p-11"),
-    "moving_composite": ("0x1.87f94d1aeccf8p-1", "0x1.2f537ce0f0556p-11"),
+    # re-recorded as in _MC_PINS: T/50 to T1
+    "moving_composite": ("0x1.87de88281382fp-1", "0x1.2f37b2367125dp-11"),
 }
 
 # The two claims of verify's MC checks on one shared pass, for the default
@@ -164,12 +168,14 @@ def _shared_pass(config, mc, composite_payoff=None):
 # ((estimate, SE) of the bond claim, the same of the composite claim) as
 # float.hex per config, at 40 001 paths x 50 steps,
 # seed 5: three chunks, the last one partial. Each estimate is the one two
-# separate one-claim runs gave before the claims shared a pass.
+# separate one-claim runs gave before the claims shared a pass; the
+# composite's was re-recorded when it came to read the bond claim's paths,
+# in steps of T/50 up to T1.
 _MC_SHARED_PINS = {
     "reference": (("0x1.9e518ad03944cp-1", "0x1.6539b51692387p-11"),
-                  ("0x1.ab70fd2a17709p-1", "0x1.040881592bd36p-11")),
+                  ("0x1.ab5c7f5a79b35p-1", "0x1.048dc758506cfp-11")),
     "moving_call": (("0x1.7df3c7ff36c6dp-1", "0x1.4b4acc77053cdp-10"),
-                    ("0x1.5ee4ec894a0eap-1", "0x1.5a1d926c2e48ep-11")),
+                    ("0x1.5f24443017ebep-1", "0x1.5a480c11a6674p-11")),
 }
 
 
@@ -567,6 +573,48 @@ class TestMcSimulator:
                  for claim in _shared_claims(config)]
         assert _hexes(_shared_pass(config, mc)) == _hexes(alone)
 
+    @pytest.mark.parametrize("T1, V0", [(0.7, 139.0), (0.01, 92.0)],
+                             ids=["short_last_step", "shorter_than_one_step"])
+    def test_horizon_off_the_grid(self, T1, V0):
+        """The barrier anchored at T = 2 sets steps of T/64, so a composite to
+        T1 = 0.7 ends in a step of 0.4 T/64 (to T1 = 0.01, it takes only that
+        one short step). Alone it gets the same bits as beside the bond
+        claim, whose paths run on to T, and it lands within 3 SE of the
+        closed form; no floating-point warning escapes."""
+        option = OptionSpec(T1=T1, E=0.9, kind=OptionKind.PUT)
+        composite = (lambda v: max(bond_price(v, T1, _MOVING, _REF_MARKET), 0.9),
+                     _recovery(_MOVING), T1, 0.05, 100.0, 2.0)
+        bond_claim = (lambda v: 1.0, _recovery(_MOVING), 2.0, 0.05, 100.0, 2.0)
+        mc = McSpec(n_paths=20_000, n_steps=64, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (alone,) = mc_barrier_price([composite], _REF_MARKET, mc, V0)
+            shared = mc_barrier_price([bond_claim, composite], _REF_MARKET, mc, V0)
+        assert _hexes(shared[1:]) == _hexes([alone])
+        mean, se = alone
+        assert abs(mean - puttable_bond_price(V0, 0.0, _MOVING, option, _REF_MARKET)) <= 3.0 * se
+
+    @pytest.mark.parametrize("payoff, rebate", [
+        (lambda v: math.inf, lambda t: 0.0),
+        (lambda v: -math.inf, lambda t: 0.0),
+        (lambda v: math.nan, lambda t: 0.0),
+        (lambda v: 1.0, lambda t: math.nan),
+    ], ids=["payoff_inf", "payoff_minus_inf", "payoff_nan", "rebate_nan"])
+    def test_non_finite_path_value_fails_only_its_claim(self, payoff, rebate):
+        """A payoff or rebate of inf or NaN fills its claim's slot with a
+        NumericalError, as an overflow does, and warns of nothing; the other
+        claim of the pass runs on to the bits it gets alone."""
+        mc = McSpec(n_paths=1000, n_steps=50, seed=1)
+        other = (lambda v: 1.0, lambda t: 0.5, 1.0, 0.0, 100.0, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            failed, priced = mc_barrier_price([(payoff, rebate, 1.0, 0.0, 100.0, None), other],
+                                              _REF_MARKET, mc, 199.0)
+            alone = mc_barrier_price([other], _REF_MARKET, mc, 199.0)
+        assert isinstance(failed, NumericalError)
+        assert str(failed) == "a path value is not finite"
+        assert _hexes([priced]) == _hexes(alone)
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_pinned_bits_on_one_cpu(self):
         """The same bits from a process that may run on one CPU only, where
@@ -685,6 +733,30 @@ class TestMcChecks:
         assert [check.ok for check in checks] == [True, True]
         assert calls == [[(bond.T, bond.a, bond.b, bond.T),
                           (put_spec.T1, bond.a, bond.b, bond.T)]]
+
+    def test_composite_adds_no_path_build(self, bond, market, put_spec, monkeypatch):
+        """The composite claim reads the bond claim's paths: with it, the pass
+        builds the paths of a block and tests them against the barrier as
+        often as for the bond claim alone, once per block (40 blocks of at
+        most 1024 paths in 16 384, 16 384 and 7233)."""
+        counts = collections.Counter()
+
+        def counted(name, function):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(oracles, "_first_passage",
+                            counted("path builds", oracles._first_passage))
+        monkeypatch.setattr(oracles, "_bridge_crossed",
+                            counted("crossing tests", oracles._bridge_crossed))
+        mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
+        mc_checks(bond, market, None, 199.0, mc)
+        bond_alone = dict(counts)
+        counts.clear()
+        mc_checks(bond, market, put_spec, 199.0, mc)
+        assert dict(counts) == bond_alone == {"path builds": 40, "crossing tests": 40}
 
     def test_one_boundary_solve(self, bond, market, put_spec, monkeypatch):
         """With the boundary cache cold, the puttable bond's closed form solves
