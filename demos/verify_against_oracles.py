@@ -39,12 +39,12 @@ for name, closed in (("bond", bond_price(V0, 0.0, bond, market)),
           f"rel {abs(numeric - closed) / closed:.1e}")
 
 # Monte Carlo: simulate to maturity, pay the recovery on a barrier hit; a
-# claim is (payoff, rebate_at_hit, T, a, b, anchor), and the simulator
-# prices a list of them, here one
+# claim is (payoff, rebate_at_hit, T), and the simulator prices a list of
+# them, here one, against one barrier (a, b, anchor)
 mc = McSpec(n_paths=200_000, n_steps=200, seed=7)
 recovery = lambda t: bond.R * math.exp(-market.r * (bond.T - t))
-((est, se),) = mc_barrier_price([(lambda v: 1.0, recovery, bond.T, bond.a, bond.b, None)],
-                                market, mc, V0)
+((est, se),) = mc_barrier_price([(lambda v: 1.0, recovery, bond.T)],
+                                (bond.a, bond.b, bond.T), market, mc, V0)
 closed = bond_price(V0, 0.0, bond, market)
 print(f"MC      bond at V={V0:.0f}: closed {closed:.8f}  "
       f"sim {est:.8f} +- {se:.8f}  ({abs(est - closed) / se:.2f} se)")

@@ -51,7 +51,7 @@ class GridSpec:
 @dataclass(frozen=True)
 class McSpec:
     """Monte Carlo controls: n_paths paths of n_steps intervals of [0, anchor]
-    on each barrier of a pass (mc_barrier_price). The seed feeds a
+    of the pass's barrier (mc_barrier_price). The seed feeds a
     counter-based Philox generator, so results are reproducible anywhere."""
 
     n_paths: int = 100_000
@@ -241,27 +241,15 @@ class _Claim:
     holds the exception its payoff or rebate raised, or the NumericalError
     of a path value that is not finite or a sum that overflows a float."""
 
-    def __init__(self, payoff, rebate_at_hit, T, a, b, anchor, market, n_steps, V0):
-        if not (math.isfinite(T) and T > 0.0):
-            raise InvalidParamsError(f"horizon must be positive, got {T}")
-        if not (math.isfinite(b) and b > 0.0):
-            raise InvalidParamsError(f"barrier level must be positive, got {b}")
-        if not math.isfinite(a):
-            raise InvalidParamsError("barrier growth rate must be finite")
-        anchor = T if anchor is None else anchor
-        if not (math.isfinite(anchor) and anchor >= T):
-            raise InvalidParamsError(f"barrier anchor must be >= horizon, got {anchor}")
-        log_b0 = math.log(b) - a * anchor  # log barrier at t=0
-        if not math.isfinite(log_b0):
-            raise NumericalError("log barrier at t=0 leaves the float range")
-        if not (math.isfinite(V0) and V0 > 0.0) or math.log(V0) <= log_b0:
-            raise DomainError(f"V0 must start above the barrier {math.exp(log_b0)}")
-
+    def __init__(self, payoff, rebate_at_hit, T, anchor, dt, log_barrier, market):
+        if not (0.0 < T <= anchor):
+            raise InvalidParamsError(f"horizon must be in (0, {anchor}], got {T}")
+        try:  # e^{-r t} for t <= T is at most max(this, 1): every discount is finite
+            self.disc_T = math.exp(-market.r * T)
+        except OverflowError:
+            raise NumericalError(f"discount factor to T={T} overflows a float") from None
         self.payoff, self.rebate_at_hit, self.T, self.r = payoff, rebate_at_hit, T, market.r
-        self.barrier, self.log_v0 = (a, b, anchor), math.log(V0)
-        self.start_exponent = -2.0 * (self.log_v0 - log_b0)
-        self.log_barrier = lambda t: log_b0 + a * t
-        self.dt = dt = anchor / n_steps
+        self.dt, self.log_barrier_T = dt, log_barrier(T)
         # full steps of the anchor's grid; a horizon off it adds a shorter
         # one: its drift, volatility and bridge variance
         full, self.short = round(T / dt), None
@@ -269,11 +257,10 @@ class _Claim:
             full = math.floor(T / dt)
             self.short = _step_terms(market, T - full * dt)
         self.full, self.cols = full, full + (self.short is not None)
-        self.disc_T = math.exp(-market.r * T)
         self.error, self.n, self.total, self.m2 = None, 0, 0.0, 0.0
 
-    def stop(self, rows, step, gap, z, u):
-        """Record each path's first hit before T from its barrier's first hits
+    def stop(self, rows, step, gap, z, u, start_exponent):
+        """Record each path's first hit before T from the pass's first hits
         step and log gaps; a short last step goes on from the column before
         with its own column's normals z, and tests the bridge with its u."""
         import numpy as np
@@ -283,9 +270,9 @@ class _Claim:
             return
         drift, vol, var = self.short
         self.logv_T[rows] += z[:, full] * vol + drift
-        gap_T = self.logv_T[rows] - self.log_barrier(self.T)
+        gap_T = self.logv_T[rows] - self.log_barrier_T
         with np.errstate(over="ignore", invalid="ignore"):  # as in _first_passage
-            exponent = (gap[:, full - 1] * -2.0 if full else self.start_exponent) * gap_T / var
+            exponent = (gap[:, full - 1] * -2.0 if full else start_exponent) * gap_T / var
             crossed = _bridge_crossed(u[:, full], exponent) | (gap_T <= 0.0)
         self.first[rows] = np.where(step < full, step, np.where(crossed, full, full + 1))
 
@@ -330,32 +317,31 @@ class _Claim:
         return self.total / n, math.sqrt(self.m2 / (n - 1) / n)
 
 
-def _first_passage(claims, market, rows, z, u, logv, exponent, event, crossed):
-    """Build a block's log paths for the live claims on one barrier from its
-    normals z, in steps of anchor / n_steps to the step that holds their
-    longest horizon, and find each path's first hit, on the grid or by the
-    bridge test against its uniforms u; then each claim reads its own.
-    logv, exponent, event and crossed are work arrays, overwritten."""
+def _first_passage(live, path, rows, z, u, logv, exponent, event, crossed):
+    """Build a block's log paths for the live claims from its normals z, in
+    steps of anchor / n_steps to the step that holds their longest horizon,
+    and find each path's first hit, on the grid or by the bridge test
+    against its uniforms u; then each claim reads its own. path is the
+    pass's (log V0, first bridge exponent, step terms, log barrier at each
+    step's end); logv, exponent, event and crossed are work arrays,
+    overwritten."""
     import numpy as np
-    live = [claim for claim in claims if claim.error is None]
-    if not live:
-        return
-    lead, cols = live[0], max(claim.cols for claim in live)
-    drift, vol, bar_var = _step_terms(market, lead.dt)
+    log_v0, start_exponent, (drift, vol, bar_var), log_barrier = path
+    cols = max(claim.cols for claim in live)
     z, u, logv, exponent, event, crossed = (
         w[:, :cols] for w in (z, u, logv, exponent, event, crossed))
     # the running sum adds log(V0) and then one increment per step, in the
     # order of a step-by-step simulation, so paths are reproducible to the bit
     np.multiply(z, vol, out=logv)
     logv += drift
-    logv[:, 0] += lead.log_v0
+    logv[:, 0] += log_v0
     np.cumsum(logv, axis=1, out=logv)
     for claim in live:  # the log value at T, or where a short last step starts
-        claim.logv_T[rows] = logv[:, claim.full - 1] if claim.full else claim.log_v0
+        claim.logv_T[rows] = logv[:, claim.full - 1] if claim.full else log_v0
     gap_next = logv  # reused in place: log distance to the barrier
-    gap_next -= lead.log_barrier(np.arange(1, cols + 1) * lead.dt)
+    gap_next -= log_barrier[:cols]
     np.less_equal(gap_next, 0.0, out=event)
-    exponent[:, 0] = lead.start_exponent
+    exponent[:, 0] = start_exponent
     # past a path's first hit the gaps change sign and the exponent may
     # overflow; those steps are never read
     with np.errstate(over="ignore", invalid="ignore"):
@@ -366,35 +352,35 @@ def _first_passage(claims, market, rows, z, u, logv, exponent, event, crossed):
     step = event.argmax(axis=1)
     step[~event[np.arange(step.size), step]] = cols
     for claim in live:
-        claim.stop(rows, step, gap_next, z, u)
+        claim.stop(rows, step, gap_next, z, u, start_exponent)
 
 
-def mc_barrier_price(claims, market: MarketParams, mc: McSpec,
+def mc_barrier_price(claims, barrier, market: MarketParams, mc: McSpec,
                      V0: float) -> list[tuple[float, float] | Exception]:
     """Simulate dV/V = (r - q) dt + sigma dW exactly from V0 and price each
-    of the claims on that one simulation. A claim is (payoff, rebate_at_hit,
-    T, a, b, anchor): it pays rebate_at_hit(t) the first time V touches the
-    barrier b e^{-a (anchor - t)} and payoff(V_T) at its horizon T
-    otherwise, both discounted at r; anchor None is T (pass the bond
-    maturity to price an option-horizon claim against the bond's barrier).
+    of the claims on that one simulation against barrier = (a, b, anchor),
+    the level b e^{-a (anchor - t)}. A claim (payoff, rebate_at_hit, T),
+    0 < T <= anchor, pays rebate_at_hit(t) the first time V touches the
+    barrier and payoff(V_T) at T otherwise, both discounted at r.
 
-    Claims on one barrier (a, b, anchor) share its log paths, n_steps
-    intervals of [0, anchor] built and tested once per block up to their
-    longest horizon (_first_passage). Each reads its first hit before its
-    horizon and its log value there; a horizon off the grid ends in one
-    shorter step, with that column's normal and uniform. So a claim gets
-    the same bits alone as beside others. The within-step crossing
-    probability of the linear log-barrier is always tested, exactly (its
-    Brownian bridge is Gaussian; _bridge_crossed), so no step size biases
-    the monitoring. A within-step hit pays at the step's right endpoint:
-    exact whenever e^{-r t} times the rebate is constant, as for the
-    recovery payment. The SE is the sample deviation over sqrt(n_paths).
+    The claims share one set of log paths, n_steps intervals of [0, anchor]
+    built and tested once per block up to their longest horizon
+    (_first_passage). Each reads its first hit before its horizon and its
+    log value there; a horizon off the grid ends in one shorter step, with
+    that column's normal and uniform. So a claim gets the same bits alone as
+    beside others. The within-step crossing probability of the linear
+    log-barrier is always tested, exactly (its Brownian bridge is Gaussian;
+    _bridge_crossed), so no step size biases the monitoring. A within-step
+    hit pays at the step's right endpoint: exact whenever e^{-r t} times the
+    rebate is constant, as for the recovery payment. The SE is the sample
+    deviation over sqrt(n_paths).
 
-    Every claim is validated before any draw, in order. Returns one slot per
-    claim: (estimate, standard error), or the Exception its payoff or rebate
-    raised, or a NumericalError where one of its path values is not finite
-    or their sums overflow a float. Such a claim is simulated no further,
-    and the others run on; when none is left the pass stops.
+    The barrier and V0, then each claim, are validated before any draw; no
+    claims give []. Returns one slot per claim: (estimate, standard error),
+    or the Exception its payoff or rebate raised, or a NumericalError where
+    one of its path values is not finite or their sums overflow a float.
+    Such a claim is simulated no further, and the others run on; when none
+    is left the pass stops.
 
     One Philox stream feeds the pass, chunk by chunk: a chunk's m * n_steps
     normals, then as many uniforms, then the next chunk's normals. The
@@ -406,15 +392,29 @@ def mc_barrier_price(claims, market: MarketParams, mc: McSpec,
     keeps its place in the stream, so the result has the same bits however
     the two threads are scheduled; the thread has ended on return or raise.
     """
-    n_steps = mc.n_steps
-    sims = [_Claim(*claim, market, n_steps, V0) for claim in claims]
-    barriers = {}  # the claims on each barrier (a, b, anchor)
-    for sim in sims:
-        barriers.setdefault(sim.barrier, []).append(sim)
+    a, b, anchor = barrier
+    if not (math.isfinite(b) and b > 0.0):
+        raise InvalidParamsError(f"barrier level must be positive, got {b}")
+    if not math.isfinite(a):
+        raise InvalidParamsError("barrier growth rate must be finite")
+    if not (math.isfinite(anchor) and anchor > 0.0):
+        raise InvalidParamsError(f"barrier anchor must be positive, got {anchor}")
+    log_b0 = math.log(b) - a * anchor  # log barrier at t=0
+    if not math.isfinite(log_b0):
+        raise NumericalError("log barrier at t=0 leaves the float range")
+    if not (math.isfinite(V0) and V0 > 0.0) or math.log(V0) <= log_b0:
+        raise DomainError(f"firm value {V0} at or below default barrier e^{log_b0} at t=0")
+    n_steps, log_v0 = mc.n_steps, math.log(V0)
+    dt, log_barrier = anchor / n_steps, lambda t: log_b0 + a * t
+    sims = [_Claim(*claim, anchor, dt, log_barrier, market) for claim in claims]
+    if not sims:
+        return []
 
     from concurrent.futures import ThreadPoolExecutor  # loads only when an oracle runs
     import numpy as np
 
+    path = (log_v0, -2.0 * (log_v0 - log_b0), _step_terms(market, dt),
+            log_barrier(np.arange(1, n_steps + 1) * dt))
     bits = np.random.Philox(mc.seed)
     normals = np.random.Generator(bits)
     uniforms = np.random.Generator(np.random.Philox(mc.seed))
@@ -432,7 +432,7 @@ def mc_barrier_price(claims, market: MarketParams, mc: McSpec,
     # other, so a buffer is refilled only after its chunk is done
     buffers = [np.empty((m, n_steps)) for m in chunks[:2]]
     # a block's uniforms and the work arrays of _first_passage, reused by
-    # every block and barrier: fresh arrays of this size cost page faults
+    # every block: fresh arrays of this size cost page faults
     shape = (min(_MC_BLOCK, chunks[0]), n_steps)
     u_work = np.empty(shape)
     work = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
@@ -453,9 +453,7 @@ def mc_barrier_price(claims, market: MarketParams, mc: McSpec,
                 # drawn block by block, these are the same numbers as one
                 # (m, n_steps) draw
                 u = uniforms.random(out=u_work[:width])
-                block_work = [w[:width] for w in work]
-                for group in barriers.values():
-                    _first_passage(group, market, rows, z[rows], u, *block_work)
+                _first_passage(live, path, rows, z[rows], u, *(w[:width] for w in work))
             for sim in live:
                 try:
                     with np.errstate(over="raise"):

@@ -168,12 +168,12 @@ def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
 
     The closed forms are priced first, so a firm value below the barrier or
     an ill-fitting option raises before any draw. Both claims then read one
-    path set on the bond's barrier, mc.n_steps steps to T (mc_barrier_price).
+    pass against the bond's barrier, mc.n_steps steps to T (mc_barrier_price).
     A closed form or claim that fails numerically fails only its own check;
     other errors propagate."""
     rebate = _rebate(bond, market)
     entries = [("mc_bond_within_3se", lambda: bond_price(v0, 0.0, bond, market),
-             (lambda v: 1.0, rebate, bond.T, bond.a, bond.b, bond.T))]
+                (lambda v: 1.0, rebate, bond.T))]
     if option is not None:
         if option.kind is OptionKind.PUT:
             name, composite, exercise = "mc_puttable_within_3se", puttable_bond_price, max
@@ -181,9 +181,10 @@ def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
             name, composite, exercise = "mc_callable_within_3se", callable_bond_price, min
         entries.append((name, lambda: composite(v0, 0.0, bond, option, market), (
             lambda v: exercise(bond_price(v, option.T1, bond, market), option.E),
-            rebate, option.T1, bond.a, bond.b, bond.T)))
+            rebate, option.T1)))
     closed = [_held(price) for _, price, _ in entries]
-    simulated = _held(lambda: mc_barrier_price([claim for *_, claim in entries], market, mc, v0))
+    simulated = _held(lambda: mc_barrier_price([claim for *_, claim in entries],
+                                               (bond.a, bond.b, bond.T), market, mc, v0))
 
     def gap(k):
         if k:  # the composite reports a failed closed form first, the bond a failed pass

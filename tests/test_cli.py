@@ -629,6 +629,16 @@ def test_overflowing_path_fails_its_mc_check(doc, lines, tmp_path, capsys):
     assert out.splitlines()[1:] == lines
 
 
+def test_mc_start_below_a_barrier_past_the_float_range_is_invalid_config(tmp_path, capsys):
+    """At a = -353 the barrier at t = 0 is e^710.6, past the float range: the
+    bond's closed form fails numerically, and the simulator, which works in
+    logs, rejects V0 = 199 below it as invalid input."""
+    doc = dict(_NO_OPTION, bond=dict(_BASE["bond"], a=-353.0), numerics=_SMALL_NUMERICS)
+    assert main(["verify", "--suite", "mc", "--config", _write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == (
+        "error: firm value 199.0 at or below default barrier e^710.6051701859881 at t=0\n")
+
+
 # Valid markets, each parameter finite, in which the carry r - q - a overflows
 # (r = -q = 1e308) or a barrier growth a = 1e308 overflows the default barrier
 # and the log barrier of the Monte Carlo claim.

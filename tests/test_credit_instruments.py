@@ -159,7 +159,7 @@ class TestSurvivalProbability:
         so the per-step crossing probability is exact."""
         mc = McSpec(n_paths=20_000, n_steps=100, seed=20240814)
         ((mean, se),) = mc_barrier_price(
-            [(lambda v: 1.0, lambda t: 0.0, bond.T, bond.a, bond.b, None)], market, mc, 139.0)
+            [(lambda v: 1.0, lambda t: 0.0, bond.T)], (bond.a, bond.b, bond.T), market, mc, 139.0)
         grow = math.exp(market.r * bond.T)
         w_mc = mean * grow
         w_cf = survival_probability(139.0, 0.0, bond, market)

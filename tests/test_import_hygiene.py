@@ -79,7 +79,7 @@ def _first_oracle_calls():
     interpolation on a surface of numpy arrays; in a fresh process, the
     first oracle calls, which load numpy."""
     ((mean, se),) = mc_barrier_price(
-        [(lambda v: min(v, 150.0) / 100.0, lambda t: 0.7, 2.0, 0.05, 100.0, None)],
+        [(lambda v: min(v, 150.0) / 100.0, lambda t: 0.7, 2.0)], (0.05, 100.0, 2.0),
         MarketParams(r=0.04, q=0.01, sigma=0.5), McSpec(n_paths=1000, n_steps=50, seed=3),
         139.0)
     import numpy as np

@@ -27,6 +27,7 @@ from credit_pricer import (
     OptionKind,
     OptionSpec,
     PowerBinaryParams,
+    PricerError,
     barrier_level,
     bond_option_price,
     bond_price,
@@ -62,28 +63,28 @@ def _recovery(bond):
 # One Monte Carlo run per case, given its McSpec: the slot of its one claim.
 _MC_PIN_RUNS = {
     "flat_bond": lambda mc: mc_barrier_price(
-        [(lambda v: 1.0, _recovery(_FLAT), 2.0, 0.0, 100.0, None)], _REF_MARKET, mc,
+        [(lambda v: 1.0, _recovery(_FLAT), 2.0)], (0.0, 100.0, 2.0), _REF_MARKET, mc,
         139.0)[0],
     # option horizon T1 = 1 against the bond's moving barrier, anchored at T = 2
     "moving_composite": lambda mc: mc_barrier_price(
         [(lambda v: max(bond_price(v, 1.0, _MOVING, _REF_MARKET), 0.9), _recovery(_MOVING),
-          1.0, 0.05, 100.0, 2.0)], _REF_MARKET, mc, 139.0)[0],
+          1.0)], (0.05, 100.0, 2.0), _REF_MARKET, mc, 139.0)[0],
     # most paths die at the first step
     "near_barrier": lambda mc: mc_barrier_price(
-        [(lambda v: 1.0, _recovery(_FLAT), 2.0, 0.0, 100.0, None)], _REF_MARKET, mc,
+        [(lambda v: 1.0, _recovery(_FLAT), 2.0)], (0.0, 100.0, 2.0), _REF_MARKET, mc,
         1.0001 * 100.0)[0],
     # no path hits
     "unreachable": lambda mc: mc_barrier_price(
-        [(lambda v: min(v, 200.0) / 100.0, lambda t: 0.0, 2.0, 0.0, 1e-9, None)],
+        [(lambda v: min(v, 200.0) / 100.0, lambda t: 0.0, 2.0)], (0.0, 1e-9, 2.0),
         _REF_MARKET, mc, 139.0)[0],
     # bridge exponents on both sides of the -40 cut, some below exp's
     # underflow at about -745
     "low_vol_near": lambda mc: mc_barrier_price(
-        [(lambda v: 1.0, _recovery(_FLAT), 2.0, 0.0, 100.0, None)], _LOW_VOL, mc,
+        [(lambda v: 1.0, _recovery(_FLAT), 2.0)], (0.0, 100.0, 2.0), _LOW_VOL, mc,
         1.02 * 100.0)[0],
     # every bridge exponent below -745
     "low_vol_far": lambda mc: mc_barrier_price(
-        [(lambda v: v / 1e6, _recovery(_FLAT), 2.0, 0.0, 100.0, None)], _LOW_VOL, mc,
+        [(lambda v: v / 1e6, _recovery(_FLAT), 2.0)], (0.0, 100.0, 2.0), _LOW_VOL, mc,
         1e4 * 100.0)[0],
 }
 
@@ -155,13 +156,17 @@ def _shared_claims(config, composite_payoff=None):
         return exercise(bond_price(v, option.T1, bond, market), option.E)
 
     rebate = lambda t: bond.R * math.exp(-market.r * (bond.T - t))
-    return [(lambda v: 1.0, rebate, bond.T, bond.a, bond.b, bond.T),
-            (composite_payoff(payoff) if composite_payoff else payoff, rebate, option.T1,
-             bond.a, bond.b, bond.T)]
+    return [(lambda v: 1.0, rebate, bond.T),
+            (composite_payoff(payoff) if composite_payoff else payoff, rebate, option.T1)]
+
+
+def _shared_barrier(config):
+    bond = _SHARED_CONFIGS[config][1]
+    return bond.a, bond.b, bond.T
 
 
 def _shared_pass(config, mc, composite_payoff=None):
-    return mc_barrier_price(_shared_claims(config, composite_payoff),
+    return mc_barrier_price(_shared_claims(config, composite_payoff), _shared_barrier(config),
                             _SHARED_CONFIGS[config][0], mc, 199.0)
 
 
@@ -446,15 +451,15 @@ class TestMcSimulator:
     def test_unreachable_barrier_prices_discount_bond(self):
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
         mc = McSpec(n_paths=1000, n_steps=50, seed=3)
-        ((mean, se),) = mc_barrier_price([(lambda v: 1.0, lambda t: 0.0, 2.0, 0.0, 1e-9, None)],
-                                         market, mc, 100.0)
+        ((mean, se),) = mc_barrier_price([(lambda v: 1.0, lambda t: 0.0, 2.0)],
+                                         (0.0, 1e-9, 2.0), market, mc, 100.0)
         # constant payoff and no hits: zero variance, exact discounting
         assert abs(mean - math.exp(-0.08)) <= max(3.0 * se, 1e-12)
 
     def test_same_seed_bit_identical(self):
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
         mc = McSpec(n_paths=4000, n_steps=64, seed=99)
-        args = ([(lambda v: max(v - 100.0, 0.0), lambda t: 0.1, 2.0, 0.0, 100.0, None)],
+        args = ([(lambda v: max(v - 100.0, 0.0), lambda t: 0.1, 2.0)], (0.0, 100.0, 2.0),
                 market, mc, 139.0)
         first = mc_barrier_price(*args)
         second = mc_barrier_price(*args)
@@ -462,9 +467,11 @@ class TestMcSimulator:
 
     def test_seed_actually_matters(self):
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
-        claims = [(lambda v: 1.0, lambda t: 0.0, 2.0, 0.0, 100.0, None)]
-        a = mc_barrier_price(claims, market, McSpec(n_paths=4000, n_steps=64, seed=1), 139.0)
-        b = mc_barrier_price(claims, market, McSpec(n_paths=4000, n_steps=64, seed=2), 139.0)
+        claims, barrier = [(lambda v: 1.0, lambda t: 0.0, 2.0)], (0.0, 100.0, 2.0)
+        a = mc_barrier_price(claims, barrier, market, McSpec(n_paths=4000, n_steps=64, seed=1),
+                             139.0)
+        b = mc_barrier_price(claims, barrier, market, McSpec(n_paths=4000, n_steps=64, seed=2),
+                             139.0)
         assert a != b
 
     def test_standard_error_scaling(self):
@@ -475,39 +482,78 @@ class TestMcSimulator:
         ses = {}
         for n in (2000, 20000):
             mc = McSpec(n_paths=n, n_steps=64, seed=7)
-            ((_, ses[n]),) = mc_barrier_price([(lambda v: 1.0, rebate, 2.0, 0.0, 100.0, None)],
+            ((_, ses[n]),) = mc_barrier_price([(lambda v: 1.0, rebate, 2.0)], (0.0, 100.0, 2.0),
                                               market, mc, 139.0)
         ratio = ses[2000] / ses[20000]
         assert abs(ratio - math.sqrt(10.0)) <= 0.2 * math.sqrt(10.0), f"ratio {ratio:.3f}"
 
-    def test_start_at_or_below_barrier_rejected(self):
-        market = MarketParams(r=0.04, q=0.0, sigma=0.5)
-        mc = McSpec(n_paths=1000, n_steps=50)
-        for v0 in (100.0, 60.0):
-            with pytest.raises(DomainError):
-                mc_barrier_price([(lambda v: 1.0, lambda t: 0.0, 2.0, 0.0, 100.0, None)],
-                                 market, mc, v0)
+    @pytest.mark.parametrize("V0, barrier", [
+        (100.0, (0.0, 100.0, 2.0)),
+        (60.0, (0.0, 100.0, 2.0)),
+        # the log barrier at t = 0 is about 1491: its exp overflows a float
+        (139.0, (-400.0, 1e300, 2.0)),
+    ], ids=["at", "below", "barrier_beyond_float_range"])
+    def test_start_at_or_below_barrier_rejected(self, V0, barrier):
+        log_b0 = math.log(barrier[1]) - barrier[0] * barrier[2]
+        with pytest.raises(DomainError) as info:
+            mc_barrier_price([(lambda v: 1.0, lambda t: 0.0, 2.0)], barrier, _REF_MARKET,
+                             McSpec(n_paths=1000, n_steps=50), V0)
+        message = f"firm value {V0} at or below default barrier e^{log_b0} at t=0"
+        assert str(info.value) == message
+
+    @staticmethod
+    def _rejected_before_any_draw(claims, barrier, market=_REF_MARKET):
+        """The exception mc_barrier_price raises; no thread is left running."""
+        before = threading.active_count()
+        with pytest.raises(PricerError) as info:
+            mc_barrier_price(claims, barrier, market, McSpec(n_paths=1000, n_steps=50), 139.0)
+        assert threading.active_count() == before
+        return info.value
 
     @pytest.mark.parametrize("change, message", [
-        (dict(T=0.0), "horizon must be positive, got 0.0"),
-        (dict(T=math.inf), "horizon must be positive, got inf"),
         (dict(b=-1.0), "barrier level must be positive, got -1.0"),
+        (dict(b=0.0), "barrier level must be positive, got 0.0"),
         (dict(b=math.nan), "barrier level must be positive, got nan"),
         (dict(a=math.inf), "barrier growth rate must be finite"),
-        (dict(anchor=1.0), "barrier anchor must be >= horizon, got 1.0"),
-        (dict(anchor=math.nan), "barrier anchor must be >= horizon, got nan"),
-    ], ids=["T_zero", "T_inf", "b_negative", "b_nan", "a_inf", "anchor_before_T",
-            "anchor_nan"])
-    def test_invalid_claim_rejected(self, change, message):
-        """A claim is checked before any draw: no thread is left running."""
-        claim = dict(payoff=lambda v: 1.0, rebate_at_hit=lambda t: 0.0, T=2.0, a=0.0,
-                     b=100.0, anchor=None)
+        (dict(anchor=0.0), "barrier anchor must be positive, got 0.0"),
+        (dict(anchor=-1.0), "barrier anchor must be positive, got -1.0"),
+        (dict(anchor=math.nan), "barrier anchor must be positive, got nan"),
+        (dict(anchor=math.inf), "barrier anchor must be positive, got inf"),
+    ], ids=["b_negative", "b_zero", "b_nan", "a_inf", "anchor_zero", "anchor_negative",
+            "anchor_nan", "anchor_inf"])
+    def test_invalid_barrier_rejected(self, change, message):
+        barrier = {**dict(a=0.0, b=100.0, anchor=2.0), **change}
+        error = self._rejected_before_any_draw([(lambda v: 1.0, lambda t: 0.0, 1.0)],
+                                               tuple(barrier.values()))
+        assert isinstance(error, InvalidParamsError) and str(error) == message
+
+    @pytest.mark.parametrize("T", [0.0, math.inf, 2.5], ids=["T_zero", "T_inf", "T_past_anchor"])
+    def test_invalid_claim_rejected(self, T):
+        """A claim's horizon lies in (0, anchor]; the first claim is valid."""
+        claims = [(lambda v: 1.0, lambda t: 0.0, 1.0), (lambda v: 1.0, lambda t: 0.0, T)]
+        error = self._rejected_before_any_draw(claims, (0.0, 100.0, 2.0))
+        assert isinstance(error, InvalidParamsError)
+        assert str(error) == f"horizon must be in (0, 2.0], got {T}"
+
+    def test_overflowing_discount_rejected(self):
+        """At r = -1000, e^{-r T} overflows a float for T = 2: a NumericalError
+        before any draw, not a bare OverflowError."""
+        error = self._rejected_before_any_draw([(lambda v: 1.0, lambda t: 0.7, 2.0)],
+                                               (0.0, 100.0, 2.0),
+                                               MarketParams(r=-1000.0, q=0.0, sigma=0.5))
+        assert isinstance(error, NumericalError)
+        assert str(error) == "discount factor to T=2.0 overflows a float"
+
+    def test_no_claims_draw_nothing(self, monkeypatch):
+        """No claims return [] once the barrier and V0 pass their checks,
+        without a generator or a thread; an invalid barrier still raises."""
+        monkeypatch.setattr(np.random, "Philox", lambda seed: pytest.fail("a stream was made"))
         before = threading.active_count()
-        with pytest.raises(InvalidParamsError) as info:
-            mc_barrier_price([tuple({**claim, **change}.values())], _REF_MARKET,
-                             McSpec(n_paths=1000, n_steps=50), 139.0)
-        assert str(info.value) == message
+        mc = McSpec(n_paths=1000, n_steps=50)
+        assert mc_barrier_price([], (0.0, 100.0, 2.0), _REF_MARKET, mc, 139.0) == []
         assert threading.active_count() == before
+        with pytest.raises(DomainError):
+            mc_barrier_price([], (0.0, 100.0, 2.0), _REF_MARKET, mc, 99.0)
 
     @pytest.mark.parametrize("a", [0.0, 0.05])
     @pytest.mark.parametrize("V0", [105.0, 139.0, 199.0])
@@ -520,7 +566,7 @@ class TestMcSimulator:
         bond = BondSpec(T=2.0, a=a, b=100.0, R=0.7)
         mc = McSpec(n_paths=20_000, n_steps=50, seed=11)
         ((mean, se),) = mc_barrier_price(
-            [(lambda v: 1.0, lambda t: 0.0, bond.T, bond.a, bond.b, None)], market, mc, V0)
+            [(lambda v: 1.0, lambda t: 0.0, bond.T)], (bond.a, bond.b, bond.T), market, mc, V0)
         exact = math.exp(-market.r * bond.T) * survival_probability(V0, 0.0, bond, market)
         assert abs(mean - exact) <= 3.0 * se
 
@@ -569,7 +615,7 @@ class TestMcSimulator:
     def test_shared_pass_equals_separate_runs(self, config):
         mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
         market = _SHARED_CONFIGS[config][0]
-        alone = [mc_barrier_price([claim], market, mc, 199.0)[0]
+        alone = [mc_barrier_price([claim], _shared_barrier(config), market, mc, 199.0)[0]
                  for claim in _shared_claims(config)]
         assert _hexes(_shared_pass(config, mc)) == _hexes(alone)
 
@@ -583,13 +629,14 @@ class TestMcSimulator:
         closed form; no floating-point warning escapes."""
         option = OptionSpec(T1=T1, E=0.9, kind=OptionKind.PUT)
         composite = (lambda v: max(bond_price(v, T1, _MOVING, _REF_MARKET), 0.9),
-                     _recovery(_MOVING), T1, 0.05, 100.0, 2.0)
-        bond_claim = (lambda v: 1.0, _recovery(_MOVING), 2.0, 0.05, 100.0, 2.0)
+                     _recovery(_MOVING), T1)
+        bond_claim = (lambda v: 1.0, _recovery(_MOVING), 2.0)
+        barrier = (0.05, 100.0, 2.0)
         mc = McSpec(n_paths=20_000, n_steps=64, seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (alone,) = mc_barrier_price([composite], _REF_MARKET, mc, V0)
-            shared = mc_barrier_price([bond_claim, composite], _REF_MARKET, mc, V0)
+            (alone,) = mc_barrier_price([composite], barrier, _REF_MARKET, mc, V0)
+            shared = mc_barrier_price([bond_claim, composite], barrier, _REF_MARKET, mc, V0)
         assert _hexes(shared[1:]) == _hexes([alone])
         mean, se = alone
         assert abs(mean - puttable_bond_price(V0, 0.0, _MOVING, option, _REF_MARKET)) <= 3.0 * se
@@ -605,12 +652,12 @@ class TestMcSimulator:
         NumericalError, as an overflow does, and warns of nothing; the other
         claim of the pass runs on to the bits it gets alone."""
         mc = McSpec(n_paths=1000, n_steps=50, seed=1)
-        other = (lambda v: 1.0, lambda t: 0.5, 1.0, 0.0, 100.0, None)
+        other, barrier = (lambda v: 1.0, lambda t: 0.5, 1.0), (0.0, 100.0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            failed, priced = mc_barrier_price([(payoff, rebate, 1.0, 0.0, 100.0, None), other],
+            failed, priced = mc_barrier_price([(payoff, rebate, 1.0), other], barrier,
                                               _REF_MARKET, mc, 199.0)
-            alone = mc_barrier_price([other], _REF_MARKET, mc, 199.0)
+            alone = mc_barrier_price([other], barrier, _REF_MARKET, mc, 199.0)
         assert isinstance(failed, NumericalError)
         assert str(failed) == "a path value is not finite"
         assert _hexes([priced]) == _hexes(alone)
@@ -662,7 +709,7 @@ class TestMcSimulator:
 
         before = threading.active_count()
         mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
-        (outcome,) = mc_barrier_price([(payoff, lambda t: 0.0, 2.0, 0.0, 1e-9, None)],
+        (outcome,) = mc_barrier_price([(payoff, lambda t: 0.0, 2.0)], (0.0, 1e-9, 2.0),
                                       _REF_MARKET, mc, 139.0)
         assert isinstance(outcome, Boom) and outcome.args == (20_001,)
         assert threading.active_count() == before
@@ -724,15 +771,14 @@ class TestMcChecks:
         bond's to T1, both against the bond's barrier anchored at T."""
         calls = []
 
-        def counted(claims, market, mc, V0):
-            calls.append([claim[2:] for claim in claims])
-            return mc_barrier_price(claims, market, mc, V0)
+        def counted(claims, barrier, market, mc, V0):
+            calls.append(([claim[2] for claim in claims], barrier))
+            return mc_barrier_price(claims, barrier, market, mc, V0)
 
         monkeypatch.setattr(verification, "mc_barrier_price", counted)
         checks = mc_checks(bond, market, put_spec, 199.0, self._MC)
         assert [check.ok for check in checks] == [True, True]
-        assert calls == [[(bond.T, bond.a, bond.b, bond.T),
-                          (put_spec.T1, bond.a, bond.b, bond.T)]]
+        assert calls == [([bond.T, put_spec.T1], (bond.a, bond.b, bond.T))]
 
     def test_composite_adds_no_path_build(self, bond, market, put_spec, monkeypatch):
         """The composite claim reads the bond claim's paths: with it, the pass
@@ -770,7 +816,7 @@ class TestMcChecks:
         reports the failed pass, the puttable check its closed form."""
         market = MarketParams(r=-1000.0, q=0.0, sigma=0.5)
         bond_check, puttable_check = mc_checks(bond, market, put_spec, 199.0, self._MC)
-        assert bond_check.error == "math range error"
+        assert bond_check.error == "discount factor to T=2.0 overflows a float"
         assert puttable_check.error == "discount factor overflows a float"
 
     def test_failing_composite_payoff_fails_only_its_check(self, bond, market, put_spec,
@@ -982,8 +1028,8 @@ class TestThreeWayBondAgreement:
     def test_mc(self, bond, market):
         mc = McSpec(n_paths=20_000, n_steps=100, seed=17)
         rebate = lambda t: bond.R * math.exp(-market.r * (bond.T - t))
-        ((mean, se),) = mc_barrier_price([(lambda v: 1.0, rebate, bond.T, bond.a, bond.b, None)],
-                                         market, mc, 139.0)
+        ((mean, se),) = mc_barrier_price([(lambda v: 1.0, rebate, bond.T)],
+                                         (bond.a, bond.b, bond.T), market, mc, 139.0)
         cf = bond_price(139.0, 0.0, bond, market)
         assert abs(mean - cf) <= 3.0 * se, f"MC {mean:.6f} +- {se:.6f} vs {cf:.6f}"
 
