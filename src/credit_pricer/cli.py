@@ -47,8 +47,8 @@ _DEFAULT_CONFIG = {
                "series_t": [0.0, 0.5]},
     "numerics": {
         "seed": 1729,
-        "grid": {"n_space": 801, "n_time": 800},
-        "mc": {"n_paths": 100000, "n_steps": 200},
+        "grid": {"n_space": GridSpec.n_space, "n_time": GridSpec.n_time},
+        "mc": {"n_paths": McSpec.n_paths, "n_steps": McSpec.n_steps},
     },
     "out": None,
 }

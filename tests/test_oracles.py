@@ -6,12 +6,16 @@ import collections
 import hashlib
 import math
 import os
+import pathlib
 import random
 import subprocess
 import sys
 import threading
 import warnings
+from dataclasses import replace
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -46,6 +50,7 @@ from credit_pricer import (
     tbvp_w,
     verification,
 )
+from credit_pricer.cli import load_config
 from credit_pricer.oracles import _bridge_crossed
 from credit_pricer.verification import mc_checks, pde_checks, pde_surfaces
 from helpers import forget_shared_work
@@ -88,20 +93,21 @@ _MC_PIN_RUNS = {
         1e4 * 100.0)[0],
 }
 
-# (estimate, SE) as float.hex per case, at 20 000 paths x 64 steps, seed 5. The estimates were recorded from the step-by-step
-# simulation loop that the whole-path first passage replaced; the SEs from
-# each chunk's squared deviations about its own mean, merged by Chan, Golub
-# & LeVeque's update, which agree with the SE of the same path values in
-# exact rational arithmetic to 5e-16 relative.
+# (estimate, SE) as float.hex per case, at 20 000 paths x 64 steps, seed 5:
+# the control-variate estimate and its residual SE, re-recorded when each
+# claim took its control (the plain means they replaced had been recorded
+# from the step-by-step simulation loop that the whole-path first passage
+# replaced, and from the simulation that exponentiated every bridge
+# exponent). The streamed sums agree with exact rational arithmetic on the
+# same path values (test_streamed_sums_match_exact_arithmetic).
 _MC_PINS = {
-    "flat_bond": ("0x1.73f504bce8213p-1", "0x1.d1da8858554b8p-11"),
-    # re-recorded when a claim came to step anchor / n_steps: T/64 to T1
-    "moving_composite": ("0x1.87a7ed9c047bep-1", "0x1.ac9618fc78734p-11"),
-    "near_barrier": ("0x1.4ada1be405c8ep-1", "0x1.d09ea2b3031aep-17"),
-    "unreachable": ("0x1.241ddc94f2e9bp+0", "0x1.efaf9cf14172fp-9"),
-    # recorded from the simulation that exponentiated every bridge exponent
-    "low_vol_near": ("0x1.8f890f412c466p-1", "0x1.008d007833c7fp-10"),
-    "low_vol_far": ("0x1.0020613353e68p+0", "0x1.05eba124a2337p-11"),
+    "flat_bond": ("0x1.73b2c8970b84ep-1", "0x1.833171146fd5dp-11"),
+    # the composite steps anchor / n_steps: T/64 to T1
+    "moving_composite": ("0x1.8790c645373cfp-1", "0x1.2644264006dc9p-11"),
+    "near_barrier": ("0x1.4ada18ce36e3dp-1", "0x1.d09c20f6f8a95p-17"),
+    "unreachable": ("0x1.232f583d16216p+0", "0x1.4fa9930f4ad55p-10"),
+    "low_vol_near": ("0x1.8f6d5b5ba0833p-1", "0x1.ebd1d788ad473p-11"),
+    "low_vol_far": ("0x1.0012c6229f6efp+0", "0x1.b6079915fa8a2p-12"),
 }
 
 
@@ -127,13 +133,13 @@ _MC_PIN_CLOSED_FORMS = {
 
 # (estimate, SE) as float.hex at 40 001 paths x 50 steps, seed 5: two full
 # 16 384-path chunks and a partial third, so the next chunk's normals are
-# drawn while a chunk is processed. The estimates were recorded from the
-# single-threaded simulation that drew every chunk in turn, the SEs as above
-# (re-recorded with them).
+# drawn while a chunk is processed. Re-recorded as in _MC_PINS; the plain
+# means before them had been recorded from the single-threaded simulation
+# that drew every chunk in turn.
 _MC_CHUNKED_PINS = {
-    "flat_bond": ("0x1.73fcec1e1bc5cp-1", "0x1.4979217c9b875p-11"),
-    # re-recorded as in _MC_PINS: T/50 to T1
-    "moving_composite": ("0x1.87de88281382fp-1", "0x1.2f37b2367125dp-11"),
+    "flat_bond": ("0x1.73fbdb11874cep-1", "0x1.111600362de0cp-11"),
+    # T/50 to T1
+    "moving_composite": ("0x1.87b17c6b0529cp-1", "0x1.9f87fdad26314p-12"),
 }
 
 # The two claims of verify's MC checks on one shared pass, for the default
@@ -172,15 +178,14 @@ def _shared_pass(config, mc, composite_payoff=None):
 
 # ((estimate, SE) of the bond claim, the same of the composite claim) as
 # float.hex per config, at 40 001 paths x 50 steps,
-# seed 5: three chunks, the last one partial. Each estimate is the one two
-# separate one-claim runs gave before the claims shared a pass; the
-# composite's was re-recorded when it came to read the bond claim's paths,
-# in steps of T/50 up to T1.
+# seed 5: three chunks, the last one partial. The composite reads the bond
+# claim's paths in steps of T/50 up to T1; both were re-recorded as in
+# _MC_PINS.
 _MC_SHARED_PINS = {
-    "reference": (("0x1.9e518ad03944cp-1", "0x1.6539b51692387p-11"),
-                  ("0x1.ab5c7f5a79b35p-1", "0x1.048dc758506cfp-11")),
-    "moving_call": (("0x1.7df3c7ff36c6dp-1", "0x1.4b4acc77053cdp-10"),
-                    ("0x1.5f24443017ebep-1", "0x1.5a480c11a6674p-11")),
+    "reference": (("0x1.9e4ff1feb5e53p-1", "0x1.c5a065d66e78ap-12"),
+                  ("0x1.ab3156067e8a9p-1", "0x1.30090e3239a99p-12")),
+    "moving_call": (("0x1.7df1e21e1ef7ap-1", "0x1.8d29a7c3f528fp-11"),
+                    ("0x1.5ee4758db315fp-1", "0x1.0c239219e12bap-12")),
 }
 
 
@@ -282,6 +287,54 @@ class TestMcSpecValidation:
             McSpec(n_paths=1000, n_steps=50, seed=-1)
         with pytest.raises(InvalidParamsError, match="seed must be an integer, got 1.5"):
             McSpec(n_paths=1000, n_steps=50, seed=1.5)
+
+    def test_defaults(self):
+        """McSpec holds the one default path and step count; the CLI's
+        default config reads them."""
+        assert McSpec() == McSpec(n_paths=45_000, n_steps=200, seed=0)
+        assert load_config(None).mc == McSpec(seed=1729)
+
+
+def _capped_growth_reference(r, q, sigma, H):
+    """E[min(V_H / V0, 1)] at 30 digits, from the formula and from
+    quadrature of min(e^{m + s z}, 1) against the normal density, split at
+    the kink; the two must agree to 25 digits."""
+    with mpmath.workdps(30):
+        r, q, sigma, H = map(mpmath.mpf, (r, q, sigma, H))
+        s = sigma * mpmath.sqrt(H)
+        d1 = ((r - q) * H + s * s / 2) / s
+        formula = mpmath.exp((r - q) * H) * mpmath.ncdf(-d1) + mpmath.ncdf(d1 - s)
+        m = (r - q - sigma * sigma / 2) * H
+        kink = -m / s
+        integral = (mpmath.quad(lambda z: mpmath.exp(m + s * z) * mpmath.npdf(z),
+                                [-mpmath.inf, kink])
+                    + mpmath.ncdf(-kink))
+        assert abs(formula - integral) <= mpmath.mpf(10) ** -25 * formula
+        return formula
+
+
+class TestControlMean:
+    """The exact mean of each claim's control against mpmath."""
+
+    @pytest.mark.parametrize("r, q", [(0.04, 0.0), (0.0, 0.03), (0.01, 0.2), (-0.02, 0.05),
+                                      (0.3, 0.0)])
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, 1.5])
+    @pytest.mark.parametrize("H", [1e-3, 0.1, 1.0, 5.0])
+    def test_matches_30_digits(self, r, q, sigma, H):
+        got = oracles._capped_growth(MarketParams(r=r, q=q, sigma=sigma), H)
+        exact = _capped_growth_reference(r, q, sigma, H)
+        assert math.isfinite(got)
+        assert abs(got - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("r, q", [(140.0, 0.0), (0.0, -140.0), (70.0, -70.0)])
+    def test_growth_near_the_float_range(self, r, q):
+        """(r - q) H = 700 at H = 5: e^{(r-q)H} is near the largest float, and
+        N(-d1) underflows, so the first term reads 0 and the mean is N(d2)."""
+        market = MarketParams(r=r, q=q, sigma=1.5)
+        got = oracles._capped_growth(market, 5.0)
+        assert math.isfinite(got)
+        exact = _capped_growth_reference(r, q, 1.5, 5.0)
+        assert abs(got - exact) <= 1e-13 * exact
 
 
 class TestPdeSolver:
@@ -448,13 +501,24 @@ class TestPdeSolver:
 
 
 class TestMcSimulator:
-    def test_unreachable_barrier_prices_discount_bond(self):
+    def test_unreachable_barrier_prices_discount_bond(self, monkeypatch):
+        """A constant payoff and no hits: every path value is the discount,
+        so the cross products with the (varying) control are 0, beta is 0,
+        and the estimate is the discount exactly, with SE 0."""
+        claims, plain = [], oracles._Claim.result
+
+        def result(claim):
+            claims.append(claim)
+            return plain(claim)
+
+        monkeypatch.setattr(oracles._Claim, "result", result)
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
-        mc = McSpec(n_paths=1000, n_steps=50, seed=3)
+        mc = McSpec(n_paths=20_000, n_steps=50, seed=3)
         ((mean, se),) = mc_barrier_price([(lambda v: 1.0, lambda t: 0.0, 2.0)],
                                          (0.0, 1e-9, 2.0), market, mc, 100.0)
-        # constant payoff and no hits: zero variance, exact discounting
-        assert abs(mean - math.exp(-0.08)) <= max(3.0 * se, 1e-12)
+        ((yy, xy, xx),) = [claim.sums for claim in claims]
+        assert (yy, xy) == (0.0, 0.0) and xx > 0.0
+        assert (mean, se) == (math.exp(-0.08), 0.0)
 
     def test_same_seed_bit_identical(self):
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
@@ -618,6 +682,35 @@ class TestMcSimulator:
         alone = [mc_barrier_price([claim], _shared_barrier(config), market, mc, 199.0)[0]
                  for claim in _shared_claims(config)]
         assert _hexes(_shared_pass(config, mc)) == _hexes(alone)
+
+    def test_streamed_sums_match_exact_arithmetic(self, monkeypatch):
+        """The estimate and SE of a shared pass over three chunks, streamed,
+        against the same regression on the same path values and controls in
+        exact rational arithmetic."""
+        chunks, plain = collections.defaultdict(list), oracles._Claim.add
+
+        def add(claim, value, control):
+            chunks[claim].append((value.copy(), control.copy()))
+            return plain(claim, value, control)
+
+        monkeypatch.setattr(oracles._Claim, "add", add)
+        outcomes = _shared_pass("reference", McSpec(n_paths=40_001, n_steps=50, seed=5))
+        scale = 2**1074  # every float times this is an integer
+
+        def exact(column):
+            return [num * (scale // den) for num, den in map(float.as_integer_ratio, column)]
+
+        for claim, (mean, se) in zip(chunks, outcomes):
+            ys = exact(np.concatenate([value for value, _ in chunks[claim]]).tolist())
+            xs = exact(np.concatenate([control for _, control in chunks[claim]]).tolist())
+            n, sy, sx = len(ys), Fraction(sum(ys), scale), Fraction(sum(xs), scale)
+            syy = Fraction(sum(y * y for y in ys), scale * scale) - sy * sy / n
+            sxy = Fraction(sum(x * y for x, y in zip(xs, ys)), scale * scale) - sx * sy / n
+            sxx = Fraction(sum(x * x for x in xs), scale * scale) - sx * sx / n
+            beta = sxy / sxx
+            estimate = sy / n - beta * (sx / n - Fraction(claim.control_mean))
+            assert abs(Fraction(mean) - estimate) <= Fraction(1, 10**15) * estimate
+            assert se == pytest.approx(math.sqrt((syy - beta * sxy) / (n - 1) / n), rel=1e-14)
 
     @pytest.mark.parametrize("T1, V0", [(0.7, 139.0), (0.01, 92.0)],
                              ids=["short_last_step", "shorter_than_one_step"])
@@ -803,6 +896,30 @@ class TestMcChecks:
         counts.clear()
         mc_checks(bond, market, put_spec, 199.0, mc)
         assert dict(counts) == bond_alone == {"path builds": 40, "crossing tests": 40}
+
+    # plain_ses: the SE of each claim, bond first, at seed 1 and 100 000 x 200
+    # paths, with the plain estimator that the control variate replaced
+    @pytest.mark.parametrize("path, plain_ses", [
+        (None, (4.307e-4, 3.140e-4)),
+        (pathlib.Path(__file__).parent.parent / "perfbench" / "reference" / "moving_call.json",
+         (8.003e-4, 4.175e-4))], ids=["reference", "moving_call"])
+    def test_default_paths_keep_the_plain_power(self, path, plain_ses, monkeypatch):
+        """At the default path count and seed 1, each check of the default
+        config and of the moving-barrier call passes with an SE at or below
+        the plain estimator's at 100 000 paths."""
+        ses = []
+
+        def recorded(*args):
+            outcomes = mc_barrier_price(*args)
+            ses.extend(se for _, se in outcomes)
+            return outcomes
+
+        monkeypatch.setattr(verification, "mc_barrier_price", recorded)
+        cfg = load_config(path and str(path))
+        checks = mc_checks(cfg.bond, cfg.market, cfg.option, 199.0, replace(cfg.mc, seed=1))
+        assert [check.ok for check in checks] == [True, True]
+        assert len(ses) == 2
+        assert all(se <= plain for se, plain in zip(ses, plain_ses))
 
     def test_one_boundary_solve(self, bond, market, put_spec, monkeypatch):
         """With the boundary cache cold, the puttable bond's closed form solves
