@@ -296,9 +296,13 @@ class _Claim:
             crossed = _bridge_crossed(u[:, full], exponent) | (gap_T <= 0.0)
         self.first[rows] = np.where(step < full, step, np.where(crossed, full, full + 1))
 
-    def values(self):
-        """Discounted value of each path of the chunk: the rebate at its
-        first hit, else the payoff at T."""
+    def values(self, log_v0):
+        """Discounted value of each path of the chunk, the rebate at its
+        first hit, else the payoff at T; and each path's control
+        e^{-r T} min(V_T / V0, 1), from its log value at T whether or not it
+        hit (fmin reads a NaN one as V_T >= V0). The controls overwrite the
+        log values once the payoffs have read them: no new array at the
+        pass's peak."""
         import numpy as np
         hit = self.first < self.cols
         value, steps, paid = np.empty(hit.size), self.first[hit], np.empty(self.cols)
@@ -312,20 +316,14 @@ class _Claim:
         # numpy scalars; map converts one value at a time, as a list of them
         # all (tolist) kept a freed chunk of z resident between runs
         value[alive] = self.disc_T * np.array([self.payoff(v) for v in map(float, vt)])
-        return value
-
-    def controls(self, log_v0):
-        """Each path's control e^{-r T} min(V_T / V0, 1), from its log value
-        at T whether or not it hit (fmin reads a NaN one as V_T >= V0), in
-        place of those log values: no new array at the pass's peak."""
-        import numpy as np
         ratio = np.subtract(self.logv_T, log_v0, out=self.logv_T)
         np.exp(np.fmin(ratio, 0.0, out=ratio), out=ratio)
-        return np.multiply(ratio, self.disc_T, out=ratio)
+        return value, np.multiply(ratio, self.disc_T, out=ratio)
 
     def add(self, value, control):
         """Merge a chunk's path values and controls, both overwritten, into
-        the running means and sums. Each column's squares and cross products
+        the running means and sums; the squares of the values take the one
+        new chunk-sized array. Each column's squares and cross products
         are taken about the chunk's own means, each mean about the column's
         first element (so a constant column is exact), and the chunks are
         merged by the pairwise update of Chan, Golub & LeVeque (1983), so no
@@ -517,7 +515,7 @@ def mc_barrier_price(claims, barrier, market: MarketParams, mc: McSpec,
             for sim in live:
                 try:
                     with np.errstate(over="raise"):
-                        sim.add(sim.values(), sim.controls(log_v0))
+                        sim.add(*sim.values(log_v0))
                 except FloatingPointError as exc:
                     sim.error = NumericalError(f"path values overflow a float: {exc}")
                 except Exception as exc:

@@ -164,7 +164,9 @@ def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
     """The bond price at (v0, 0) and, when an option is given, the puttable
     (put) or callable (call) bond against one barrier-monitored simulation;
     the composite's claim runs to T1 and pays max or min of B(V, T1) and E.
-    measured is each gap in standard errors, tolerance 3.
+    measured is each gap in standard errors, tolerance 3. A zero SE (every
+    path paid the same) measures 0 where the estimate equals the closed form
+    and fails numerically where it does not.
 
     The closed forms are priced first, so a firm value below the barrier or
     an ill-fitting option raises before any draw. Both claims then read one
@@ -190,7 +192,13 @@ def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
         if k:  # the composite reports a failed closed form first, the bond a failed pass
             _value(closed[k])
         est, se = _value(_value(simulated)[k])
-        return abs(est - _value(closed[k])) / se
+        price = _value(closed[k])
+        if se == 0.0:  # every path paid the same: no band to test within
+            if est == price:
+                return 0.0
+            raise NumericalError(f"estimate {est!r} has zero standard error "
+                                 f"and differs from the closed form {price!r}")
+        return abs(est - price) / se
 
     return [_run(name, 3.0, lambda k=k: gap(k)) for k, (name, _, _) in enumerate(entries)]
 

@@ -594,10 +594,11 @@ _NO_OPTION = {key: value for key, value in _BASE.items() if key != "option"}
 # Markets in which a simulated path's terminal firm value (r = 800, q = -1000)
 # or the sum of the squared path values (r = q = -306, where the survivors
 # pay e^{612} and the defaulted 0.7 e^{612}) overflows a float, and the Monte
-# Carlo check lines each run must print. At q = 0 every path defaults in its
-# first step and pays the same, so the sum is exactly 0. Before the mend,
-# numpy's warning escaped main, or went to stderr while the bond check passed
-# on an infinite standard error.
+# Carlo check lines each run must print. Before the mend, numpy's warning
+# escaped main, or went to stderr while the bond check passed on an infinite
+# standard error. At r = -306, q = 0 every path defaults in its first step and
+# pays the same 0.7 e^{612}: the SE is exactly 0, and the estimate, some ulps
+# off the closed form, fails with both values instead of a division by zero.
 _MC_OVERFLOW = {
     "r_800_no_option": (
         dict(_NO_OPTION, market={"r": 800.0, "q": 0.0, "sigma": 0.5}, numerics=_SMALL_NUMERICS),
@@ -612,6 +613,12 @@ _MC_OVERFLOW = {
          "option price overflows a float",
          "2 checks, 2 failed"]),
     "r_minus_306_no_option": (
+        dict(_NO_OPTION, market={"r": -306.0, "q": 0.0, "sigma": 1.0}, numerics=_SMALL_NUMERICS),
+        ["FAIL  mc_bond_within_3se                 numerical failure: "
+         "estimate 4.2985399246826e+265 has zero standard error "
+         "and differs from the closed form 4.2985399246826376e+265",
+         "1 checks, 1 failed"]),
+    "r_q_minus_306_no_option": (
         dict(_NO_OPTION, market={"r": -306.0, "q": -306.0, "sigma": 1.0},
              numerics=_SMALL_NUMERICS),
         ["FAIL  mc_bond_within_3se                 numerical failure: "

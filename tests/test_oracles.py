@@ -873,6 +873,23 @@ class TestMcChecks:
         assert [check.ok for check in checks] == [True, True]
         assert calls == [([bond.T, put_spec.T1], (bond.a, bond.b, bond.T))]
 
+    @pytest.mark.parametrize("ulps", [0, 1])
+    def test_zero_standard_error(self, bond, market, ulps, monkeypatch):
+        """A claim whose paths all paid the same has SE 0: its gap is 0 where
+        the estimate is the closed form, and a numerical failure, not a
+        division by zero, where it is one ulp off."""
+        price = bond_price(199.0, 0.0, bond, market)
+        estimate = price if ulps == 0 else math.nextafter(price, math.inf)
+        monkeypatch.setattr(verification, "mc_barrier_price",
+                            lambda claims, barrier, market, mc, V0: [(estimate, 0.0)])
+        [check] = mc_checks(bond, market, None, 199.0, self._MC)
+        if ulps == 0:
+            assert (check.ok, check.measured) == (True, 0.0)
+        else:
+            assert not check.ok and math.isnan(check.measured)
+            assert check.error == (f"estimate {estimate!r} has zero standard error "
+                                   f"and differs from the closed form {price!r}")
+
     def test_composite_adds_no_path_build(self, bond, market, put_spec, monkeypatch):
         """The composite claim reads the bond claim's paths: with it, the pass
         builds the paths of a block and tests them against the barrier as
