@@ -202,11 +202,8 @@ def pde_solve_tbvp(payoff, boundary_value, c: float, sigma: float, r_discount: f
     return PdeSurface(x=x, t=times, values=surface)
 
 
-# Path chunk width; fixed so the random stream layout, and therefore the
-# estimate, depends only on (seed, n_paths, n_steps).
-_MC_CHUNK = 1 << 14
-# Paths of a chunk simulated together; sized for the cache, it changes no
-# result.
+# Paths drawn and simulated together; fixed so the random stream layout,
+# and therefore the estimate, depends only on (seed, n_paths, n_steps).
 _MC_BLOCK = 1 << 10
 # Bridge crossing exponents at or below this lose to every nonzero uniform.
 _BRIDGE_EXP_CUT = -40.0
@@ -253,7 +250,7 @@ def _capped_growth(market, H):
 class _Claim:
     """One claim of a Monte Carlo pass: its terms, validated as
     mc_barrier_price documents them, each path's first hit and log value at
-    T in the current chunk, and the running sums of its path values and
+    T in the current block, and the running sums of its path values and
     controls. error holds the exception its payoff or rebate raised, or the
     NumericalError of a path value that is not finite or a sum that
     overflows a float."""
@@ -279,30 +276,29 @@ class _Claim:
         # squared deviations and of cross products (yy, xy, xx)
         self.error, self.n, self.means, self.sums = None, 0, None, None
 
-    def stop(self, rows, step, gap, z, u, start_exponent):
+    def stop(self, step, gap, z, u, start_exponent):
         """Record each path's first hit before T from the pass's first hits
         step and log gaps; a short last step goes on from the column before
         with its own column's normals z, and tests the bridge with its u."""
         import numpy as np
         full = self.full
         if self.short is None:
-            self.first[rows] = np.minimum(step, full)
+            self.first = np.minimum(step, full)
             return
         drift, vol, var = self.short
-        self.logv_T[rows] += z[:, full] * vol + drift
-        gap_T = self.logv_T[rows] - self.log_barrier_T
+        self.logv_T += z[:, full] * vol + drift
+        gap_T = self.logv_T - self.log_barrier_T
         with np.errstate(over="ignore", invalid="ignore"):  # as in _first_passage
             exponent = (gap[:, full - 1] * -2.0 if full else start_exponent) * gap_T / var
             crossed = _bridge_crossed(u[:, full], exponent) | (gap_T <= 0.0)
-        self.first[rows] = np.where(step < full, step, np.where(crossed, full, full + 1))
+        self.first = np.where(step < full, step, np.where(crossed, full, full + 1))
 
     def values(self, log_v0):
-        """Discounted value of each path of the chunk, the rebate at its
+        """Discounted value of each path of the block, the rebate at its
         first hit, else the payoff at T; and each path's control
         e^{-r T} min(V_T / V0, 1), from its log value at T whether or not it
         hit (fmin reads a NaN one as V_T >= V0). The controls overwrite the
-        log values once the payoffs have read them: no new array at the
-        pass's peak."""
+        log values once the payoffs have read them."""
         import numpy as np
         hit = self.first < self.cols
         value, steps, paid = np.empty(hit.size), self.first[hit], np.empty(self.cols)
@@ -313,19 +309,18 @@ class _Claim:
         alive = ~hit
         vt = np.exp(self.logv_T[alive])
         # the payoffs' scalar arithmetic is faster on Python floats than on
-        # numpy scalars; map converts one value at a time, as a list of them
-        # all (tolist) kept a freed chunk of z resident between runs
-        value[alive] = self.disc_T * np.array([self.payoff(v) for v in map(float, vt)])
+        # numpy scalars
+        value[alive] = self.disc_T * np.array([self.payoff(v) for v in vt.tolist()])
         ratio = np.subtract(self.logv_T, log_v0, out=self.logv_T)
         np.exp(np.fmin(ratio, 0.0, out=ratio), out=ratio)
         return value, np.multiply(ratio, self.disc_T, out=ratio)
 
     def add(self, value, control):
-        """Merge a chunk's path values and controls, both overwritten, into
+        """Merge a block's path values and controls, both overwritten, into
         the running means and sums; the squares of the values take the one
-        new chunk-sized array. Each column's squares and cross products
-        are taken about the chunk's own means, each mean about the column's
-        first element (so a constant column is exact), and the chunks are
+        new block-sized array. Each column's squares and cross products
+        are taken about the block's own means, each mean about the column's
+        first element (so a constant column is exact), and the blocks are
         merged by the pairwise update of Chan, Golub & LeVeque (1983), so no
         sum cancels when the SE is small against the mean."""
         import numpy as np
@@ -367,14 +362,14 @@ class _Claim:
         return estimate, se
 
 
-def _first_passage(live, path, rows, z, u, logv, exponent, event, crossed):
+def _first_passage(live, path, z, u, logv, exponent, event, crossed):
     """Build a block's log paths for the live claims from its normals z, in
     steps of anchor / n_steps to the step that holds their longest horizon,
     and find each path's first hit, on the grid or by the bridge test
-    against its uniforms u; then each claim reads its own. path is the
-    pass's (log V0, first bridge exponent, step terms, log barrier at each
-    step's end); logv, exponent, event and crossed are work arrays,
-    overwritten."""
+    against its uniforms u; then each claim takes its own first hits and
+    log values at its horizon. path is the pass's (log V0, first bridge
+    exponent, step terms, log barrier at each step's end); logv, exponent,
+    event and crossed are work arrays, overwritten."""
     import numpy as np
     log_v0, start_exponent, (drift, vol, bar_var), log_barrier = path
     cols = max(claim.cols for claim in live)
@@ -387,7 +382,8 @@ def _first_passage(live, path, rows, z, u, logv, exponent, event, crossed):
     logv[:, 0] += log_v0
     np.cumsum(logv, axis=1, out=logv)
     for claim in live:  # the log value at T, or where a short last step starts
-        claim.logv_T[rows] = logv[:, claim.full - 1] if claim.full else log_v0
+        claim.logv_T = (logv[:, claim.full - 1].copy() if claim.full
+                        else np.full(len(logv), log_v0))
     gap_next = logv  # reused in place: log distance to the barrier
     gap_next -= log_barrier[:cols]
     np.less_equal(gap_next, 0.0, out=event)
@@ -402,7 +398,7 @@ def _first_passage(live, path, rows, z, u, logv, exponent, event, crossed):
     step = event.argmax(axis=1)
     step[~event[np.arange(step.size), step]] = cols
     for claim in live:
-        claim.stop(rows, step, gap_next, z, u, start_exponent)
+        claim.stop(step, gap_next, z, u, start_exponent)
 
 
 def mc_barrier_price(claims, barrier, market: MarketParams, mc: McSpec,
@@ -440,15 +436,12 @@ def mc_barrier_price(claims, barrier, market: MarketParams, mc: McSpec,
     Such a claim is simulated no further, and the others run on; when none
     is left the pass stops.
 
-    One Philox stream feeds the pass, chunk by chunk: a chunk's m * n_steps
-    normals, then as many uniforms, then the next chunk's normals. The
-    normals are drawn one chunk ahead on a second thread while this one
-    builds the current chunk's paths and payoffs; that thread keeps the
-    stream state after a chunk's normals, for this thread's uniforms, and
-    skips their words (random_raw with output=False). The uniforms are
-    drawn block by block, and each block serves every claim. Every number
-    keeps its place in the stream, so the result has the same bits however
-    the two threads are scheduled; the thread has ended on return or raise.
+    One Philox stream feeds the pass, block by block: a block's m * n_steps
+    normals, then as many uniforms, then the next block's normals. A second
+    thread, the only user of the stream, draws one block ahead while this
+    one builds the current block's paths and payoffs. Every number keeps
+    its place in the stream, so the result has the same bits however the
+    two threads are scheduled; the thread has ended on return or raise.
     """
     a, b, anchor = barrier
     if not (math.isfinite(b) and b > 0.0):
@@ -473,45 +466,31 @@ def mc_barrier_price(claims, barrier, market: MarketParams, mc: McSpec,
 
     path = (log_v0, -2.0 * (log_v0 - log_b0), _step_terms(market, dt),
             log_barrier(np.arange(1, n_steps + 1) * dt))
-    bits = np.random.Philox(mc.seed)
-    normals = np.random.Generator(bits)
-    uniforms = np.random.Generator(np.random.Philox(mc.seed))
+    stream = np.random.Generator(np.random.Philox(mc.seed))
 
-    def draw(out):
-        """Fill out with a chunk's normals; return the stream state at the
-        chunk's uniforms and skip them."""
-        normals.standard_normal(out=out)
-        state = bits.state
-        bits.random_raw(out.size, output=False)
-        return state
+    def draw(pair, m):
+        """Fill a pair's first m rows with a block's normals, then its uniforms."""
+        z, u = (w[:m] for w in pair)
+        stream.standard_normal(out=z)
+        stream.random(out=u)
+        return z, u
 
-    chunks = [min(_MC_CHUNK, mc.n_paths - lo) for lo in range(0, mc.n_paths, _MC_CHUNK)]
-    # two buffers of normals: the thread fills one while this one reads the
-    # other, so a buffer is refilled only after its chunk is done
-    buffers = [np.empty((m, n_steps)) for m in chunks[:2]]
-    # a block's uniforms and the work arrays of _first_passage, reused by
-    # every block: fresh arrays of this size cost page faults
-    shape = (min(_MC_BLOCK, chunks[0]), n_steps)
-    u_work = np.empty(shape)
+    blocks = [min(_MC_BLOCK, mc.n_paths - lo) for lo in range(0, mc.n_paths, _MC_BLOCK)]
+    shape = (blocks[0], n_steps)
+    # two (normals, uniforms) pairs: the thread fills one while this one
+    # reads the other, which is refilled only after its block is done; they
+    # and _first_passage's work arrays serve every block, sparing page faults
+    buffers = [(np.empty(shape), np.empty(shape)) for _ in blocks[:2]]
     work = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool),
             np.empty(shape, dtype=bool))
     with ThreadPoolExecutor(max_workers=1) as ahead:
-        pending = ahead.submit(draw, buffers[0])
-        for k, m in enumerate(chunks):
-            uniforms.bit_generator.state = pending.result()
-            if k + 1 < len(chunks):
-                pending = ahead.submit(draw, buffers[(k + 1) % 2][:chunks[k + 1]])
-            z = buffers[k % 2][:m]
+        pending = ahead.submit(draw, buffers[0], blocks[0])
+        for k, m in enumerate(blocks):
+            z, u = pending.result()
+            if k + 1 < len(blocks):
+                pending = ahead.submit(draw, buffers[(k + 1) % 2], blocks[k + 1])
             live = [sim for sim in sims if sim.error is None]
-            for sim in live:  # each path's first hit, cols if none, and log value at T
-                sim.first, sim.logv_T = np.empty(m, dtype=np.intp), np.empty(m)
-            for lo in range(0, m, _MC_BLOCK):
-                rows = slice(lo, min(lo + _MC_BLOCK, m))
-                width = rows.stop - lo
-                # drawn block by block, these are the same numbers as one
-                # (m, n_steps) draw
-                u = uniforms.random(out=u_work[:width])
-                _first_passage(live, path, rows, z[rows], u, *(w[:width] for w in work))
+            _first_passage(live, path, z, u, *(w[:m] for w in work))
             for sim in live:
                 try:
                     with np.errstate(over="raise"):

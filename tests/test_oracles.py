@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -94,20 +95,18 @@ _MC_PIN_RUNS = {
 }
 
 # (estimate, SE) as float.hex per case, at 20 000 paths x 64 steps, seed 5:
-# the control-variate estimate and its residual SE, re-recorded when each
-# claim took its control (the plain means they replaced had been recorded
-# from the step-by-step simulation loop that the whole-path first passage
-# replaced, and from the simulation that exponentiated every bridge
-# exponent). The streamed sums agree with exact rational arithmetic on the
-# same path values (test_streamed_sums_match_exact_arithmetic).
+# the control-variate estimate and its residual SE, re-recorded when the
+# stream took its block-by-block layout. The streamed sums agree with exact
+# rational arithmetic on the same path values
+# (test_streamed_sums_match_exact_arithmetic).
 _MC_PINS = {
-    "flat_bond": ("0x1.73b2c8970b84ep-1", "0x1.833171146fd5dp-11"),
+    "flat_bond": ("0x1.73cd86d6d1fa9p-1", "0x1.8417cd9df251ep-11"),
     # the composite steps anchor / n_steps: T/64 to T1
-    "moving_composite": ("0x1.8790c645373cfp-1", "0x1.2644264006dc9p-11"),
-    "near_barrier": ("0x1.4ada18ce36e3dp-1", "0x1.d09c20f6f8a95p-17"),
-    "unreachable": ("0x1.232f583d16216p+0", "0x1.4fa9930f4ad55p-10"),
-    "low_vol_near": ("0x1.8f6d5b5ba0833p-1", "0x1.ebd1d788ad473p-11"),
-    "low_vol_far": ("0x1.0012c6229f6efp+0", "0x1.b6079915fa8a2p-12"),
+    "moving_composite": ("0x1.87a29df195312p-1", "0x1.260c6c598b4f4p-11"),
+    "near_barrier": ("0x1.4ada1746dfb98p-1", "0x1.d09c24f0c2c0fp-17"),
+    "unreachable": ("0x1.2330b250c3139p+0", "0x1.503748a37ac8ap-10"),
+    "low_vol_near": ("0x1.8fcbc2a3b2e23p-1", "0x1.ec2ce083840e9p-11"),
+    "low_vol_far": ("0x1.002fc51a42972p+0", "0x1.b9928f6c242d0p-12"),
 }
 
 
@@ -131,15 +130,13 @@ _MC_PIN_CLOSED_FORMS = {
     "low_vol_far": lambda: 1e4 * 100.0 * math.exp(-_LOW_VOL.q * 2.0) / 1e6,
 }
 
-# (estimate, SE) as float.hex at 40 001 paths x 50 steps, seed 5: two full
-# 16 384-path chunks and a partial third, so the next chunk's normals are
-# drawn while a chunk is processed. Re-recorded as in _MC_PINS; the plain
-# means before them had been recorded from the single-threaded simulation
-# that drew every chunk in turn.
-_MC_CHUNKED_PINS = {
-    "flat_bond": ("0x1.73fbdb11874cep-1", "0x1.111600362de0cp-11"),
+# (estimate, SE) as float.hex at 40 001 paths x 50 steps, seed 5: 39 full
+# 1024-path blocks and a partial fortieth of 65 paths, each block's draws
+# made while the block before is processed. Re-recorded as in _MC_PINS.
+_MC_BLOCKED_PINS = {
+    "flat_bond": ("0x1.73bb3169b8295p-1", "0x1.113e05c764c97p-11"),
     # T/50 to T1
-    "moving_composite": ("0x1.87b17c6b0529cp-1", "0x1.9f87fdad26314p-12"),
+    "moving_composite": ("0x1.878f8cf74ba69p-1", "0x1.9ee0254b0a97ap-12"),
 }
 
 # The two claims of verify's MC checks on one shared pass, for the default
@@ -178,14 +175,14 @@ def _shared_pass(config, mc, composite_payoff=None):
 
 # ((estimate, SE) of the bond claim, the same of the composite claim) as
 # float.hex per config, at 40 001 paths x 50 steps,
-# seed 5: three chunks, the last one partial. The composite reads the bond
+# seed 5: 40 blocks, the last one partial. The composite reads the bond
 # claim's paths in steps of T/50 up to T1; both were re-recorded as in
 # _MC_PINS.
 _MC_SHARED_PINS = {
-    "reference": (("0x1.9e4ff1feb5e53p-1", "0x1.c5a065d66e78ap-12"),
-                  ("0x1.ab3156067e8a9p-1", "0x1.30090e3239a99p-12")),
-    "moving_call": (("0x1.7df1e21e1ef7ap-1", "0x1.8d29a7c3f528fp-11"),
-                    ("0x1.5ee4758db315fp-1", "0x1.0c239219e12bap-12")),
+    "reference": (("0x1.9e0cb98f4bf24p-1", "0x1.c9dab070792f0p-12"),
+                  ("0x1.ab425a6427e18p-1", "0x1.3045bf4c7512dp-12")),
+    "moving_call": (("0x1.7d809745d286fp-1", "0x1.904e6b15defcep-11"),
+                    ("0x1.5eea39902b646p-1", "0x1.0e0266ca63e69p-12")),
 }
 
 
@@ -636,12 +633,12 @@ class TestMcSimulator:
 
     @pytest.mark.parametrize("case, pins", [
         *((case, _MC_PINS[case]) for case in sorted(_MC_PINS)),
-        *((f"{case}_chunked", _MC_CHUNKED_PINS[case]) for case in sorted(_MC_CHUNKED_PINS))])
+        *((f"{case}_blocked", _MC_BLOCKED_PINS[case]) for case in sorted(_MC_BLOCKED_PINS))])
     def test_pinned_estimate_within_3se_of_closed_form(self, case, pins):
         """Each pinned bridged estimate lies within 3 SE of its claim's
         closed form, so the pins record a correct simulation."""
         mean, se = (float.fromhex(h) for h in pins)
-        exact = _MC_PIN_CLOSED_FORMS[case.removesuffix("_chunked")]()
+        exact = _MC_PIN_CLOSED_FORMS[case.removesuffix("_blocked")]()
         assert abs(mean - exact) <= 3.0 * se
 
     @pytest.mark.parametrize("config", sorted(_MC_SHARED_PINS))
@@ -655,8 +652,8 @@ class TestMcSimulator:
 
     @pytest.mark.parametrize("case", sorted(_MC_PINS))
     def test_pinned_bits(self, case):
-        """The estimate and SE to the bit. 20 000 paths fill one 16 384-path
-        chunk and part of a second; no floating-point warning escapes."""
+        """The estimate and SE to the bit. 20 000 paths fill 19 blocks of
+        1024 and part of a twentieth; no floating-point warning escapes."""
         mc = McSpec(n_paths=20_000, n_steps=64, seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -664,11 +661,11 @@ class TestMcSimulator:
         assert (mean.hex(), se.hex()) == _MC_PINS[case]
 
 
-    @pytest.mark.parametrize("case", sorted(_MC_CHUNKED_PINS))
-    def test_pinned_bits_over_three_chunks(self, case):
+    @pytest.mark.parametrize("case", sorted(_MC_BLOCKED_PINS))
+    def test_pinned_bits_over_forty_blocks(self, case):
         mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
         mean, se = _MC_PIN_RUNS[case](mc)
-        assert (mean.hex(), se.hex()) == _MC_CHUNKED_PINS[case]
+        assert (mean.hex(), se.hex()) == _MC_BLOCKED_PINS[case]
 
     @pytest.mark.parametrize("config", sorted(_MC_SHARED_PINS))
     def test_shared_pass_pinned_bits(self, config):
@@ -684,13 +681,13 @@ class TestMcSimulator:
         assert _hexes(_shared_pass(config, mc)) == _hexes(alone)
 
     def test_streamed_sums_match_exact_arithmetic(self, monkeypatch):
-        """The estimate and SE of a shared pass over three chunks, streamed,
+        """The estimate and SE of a shared pass over 40 blocks, streamed,
         against the same regression on the same path values and controls in
         exact rational arithmetic."""
-        chunks, plain = collections.defaultdict(list), oracles._Claim.add
+        blocks, plain = collections.defaultdict(list), oracles._Claim.add
 
         def add(claim, value, control):
-            chunks[claim].append((value.copy(), control.copy()))
+            blocks[claim].append((value.copy(), control.copy()))
             return plain(claim, value, control)
 
         monkeypatch.setattr(oracles._Claim, "add", add)
@@ -700,9 +697,9 @@ class TestMcSimulator:
         def exact(column):
             return [num * (scale // den) for num, den in map(float.as_integer_ratio, column)]
 
-        for claim, (mean, se) in zip(chunks, outcomes):
-            ys = exact(np.concatenate([value for value, _ in chunks[claim]]).tolist())
-            xs = exact(np.concatenate([control for _, control in chunks[claim]]).tolist())
+        for claim, (mean, se) in zip(blocks, outcomes):
+            ys = exact(np.concatenate([value for value, _ in blocks[claim]]).tolist())
+            xs = exact(np.concatenate([control for _, control in blocks[claim]]).tolist())
             n, sy, sx = len(ys), Fraction(sum(ys), scale), Fraction(sum(xs), scale)
             syy = Fraction(sum(y * y for y in ys), scale * scale) - sy * sy / n
             sxy = Fraction(sum(x * y for x, y in zip(xs, ys)), scale * scale) - sx * sy / n
@@ -758,14 +755,14 @@ class TestMcSimulator:
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_pinned_bits_on_one_cpu(self):
         """The same bits from a process that may run on one CPU only, where
-        the thread drawing normals ahead and this one take turns, and from
+        the thread drawing ahead and this one take turns, and from
         one whose OpenBLAS runs one thread."""
         def run(**kwargs):
             script = (
                 "from credit_pricer import McSpec\n"
                 "from test_oracles import _MC_PIN_RUNS as runs, _hexes, _shared_pass\n"
                 "mc = McSpec(n_paths=40_001, n_steps=50, seed=5)\n"
-                "for case in " + repr(sorted(_MC_CHUNKED_PINS)) + ":\n"
+                "for case in " + repr(sorted(_MC_BLOCKED_PINS)) + ":\n"
                 "    print(case, *_hexes([runs[case](mc)])[0])\n"
                 "for config in " + repr(sorted(_MC_SHARED_PINS)) + ":\n"
                 "    print(config, *sum(_hexes(_shared_pass(config, mc)), ()))\n")
@@ -776,7 +773,7 @@ class TestMcSimulator:
             return {case: tuple(hexes)
                     for case, *hexes in (line.split() for line in out.splitlines())}
 
-        expected = dict(_MC_CHUNKED_PINS)
+        expected = dict(_MC_BLOCKED_PINS)
         expected.update((key, sum(pins, ())) for key, pins in _MC_SHARED_PINS.items())
         cpu = min(os.sched_getaffinity(0))
         one_cpu = run(preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
@@ -785,9 +782,9 @@ class TestMcSimulator:
         assert one_blas_thread == expected
 
     def test_raising_payoff_leaves_no_thread(self):
-        """An exception from the payoff in the second chunk, while the third
-        chunk's normals are being drawn, fills the claim's slot unchanged,
-        and the thread that drew them has ended."""
+        """An exception from the payoff in the twentieth block, while the
+        next block is being drawn, fills the claim's slot unchanged, and the
+        thread that drew it has ended."""
         class Boom(Exception):
             pass
 
@@ -809,9 +806,9 @@ class TestMcSimulator:
 
 
     def test_raising_composite_leaves_bond_claim_and_no_thread(self):
-        """A composite payoff that raises in the second chunk fills its own
+        """A composite payoff that raises in the 25th block fills its own
         slot with the exception; the bond claim runs on to its pinned bits,
-        and the thread that drew the normals has ended."""
+        and the thread that drew the blocks has ended."""
         class Boom(Exception):
             pass
 
@@ -821,8 +818,8 @@ class TestMcSimulator:
             def wrapped(v):
                 nonlocal calls
                 calls += 1
-                # the first chunk pays 12 965 payoffs here, the first two
-                # 25 923
+                # the first 24 blocks pay 19 407 payoffs here, the first 25
+                # 20 210
                 if calls > 20_000:
                     raise Boom(calls)
                 return payoff(v)
@@ -893,8 +890,8 @@ class TestMcChecks:
     def test_composite_adds_no_path_build(self, bond, market, put_spec, monkeypatch):
         """The composite claim reads the bond claim's paths: with it, the pass
         builds the paths of a block and tests them against the barrier as
-        often as for the bond claim alone, once per block (40 blocks of at
-        most 1024 paths in 16 384, 16 384 and 7233)."""
+        often as for the bond claim alone, once per block (39 blocks of
+        1024 paths and one of 65)."""
         counts = collections.Counter()
 
         def counted(name, function):
@@ -937,6 +934,20 @@ class TestMcChecks:
         assert [check.ok for check in checks] == [True, True]
         assert len(ses) == 2
         assert all(se <= plain for se, plain in zip(ses, plain_ses))
+
+    @pytest.mark.parametrize("n_paths", [45_000, 200_000])
+    def test_memory_does_not_grow_with_paths(self, n_paths):
+        """One pass of the default config's checks holds at most 16 MB at its
+        traced peak, at the default path count and at 200 000 paths: the
+        pass keeps one block's draws and work arrays, whatever n_paths."""
+        cfg = load_config(None)
+        tracemalloc.start()
+        try:
+            mc_checks(cfg.bond, cfg.market, cfg.option, 199.0, replace(cfg.mc, n_paths=n_paths))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_one_boundary_solve(self, bond, market, put_spec, monkeypatch):
         """With the boundary cache cold, the puttable bond's closed form solves
@@ -991,34 +1002,6 @@ def _bond_price_raising_at(t_fail, exc):
         return bond_price(v, t, *args)
 
     return price
-
-
-class TestStreamSplit:
-    """After a chunk's normals, the Philox state yields the chunk's uniforms,
-    and skipping their words yields the next chunk's normals: the numbers of
-    one sequential Generator, from every position in Philox's 4-word
-    buffer."""
-
-    @pytest.mark.parametrize("buffer_pos", range(5))
-    def test_matches_one_sequential_stream(self, buffer_pos):
-        rng = random.Random(buffer_pos)
-        for _ in range(6):
-            seed, m, n_steps = rng.randrange(2**64), rng.randint(1, 40), rng.randint(1, 300)
-            bits = np.random.Philox(seed)
-            bits.random_raw(rng.randrange(64) * 4 + 4)  # a filled buffer
-            state = bits.state
-            state["buffer_pos"] = buffer_pos
-            sequential = np.random.Philox(seed)
-            sequential.state = state
-            sequential = np.random.Generator(sequential)
-            uniforms, normals = sequential.random((m, n_steps)), sequential.standard_normal(99)
-
-            bits.state = state
-            bits.random_raw(m * n_steps, output=False)
-            snapshot = np.random.Philox(seed)
-            snapshot.state = state
-            assert np.array_equal(np.random.Generator(snapshot).random((m, n_steps)), uniforms)
-            assert np.array_equal(np.random.Generator(bits).standard_normal(99), normals)
 
 
 class TestBridgeCrossing:
