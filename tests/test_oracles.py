@@ -1004,6 +1004,31 @@ def _bond_price_raising_at(t_fail, exc):
     return price
 
 
+class TestStreamSplit:
+    """The blocks split one Philox stream: each reads a full block's normals
+    (a short last block, fewer), then as many uniforms, right after the
+    previous block's, so the thread drawing ahead moves no number."""
+
+    @pytest.mark.parametrize("n_paths", [1000, 1024, 1025, 2048, 3 * 1024 + 65])
+    def test_matches_one_sequential_stream(self, monkeypatch, n_paths):
+        blocks, plain = [], oracles._first_passage
+
+        def first_passage(live, path, z, u, *work):
+            blocks.append((z.copy(), u.copy()))
+            return plain(live, path, z, u, *work)
+
+        monkeypatch.setattr(oracles, "_first_passage", first_passage)
+        mc = McSpec(n_paths=n_paths, n_steps=50, seed=n_paths)
+        mc_barrier_price([(lambda v: 1.0, lambda t: 0.5, 1.0)], (0.0, 100.0, 1.0),
+                         _REF_MARKET, mc, 139.0)
+        full, last = divmod(n_paths, oracles._MC_BLOCK)
+        assert [len(z) for z, _ in blocks] == [oracles._MC_BLOCK] * full + [last] * (last > 0)
+        sequential = np.random.Generator(np.random.Philox(mc.seed))
+        for z, u in blocks:
+            assert np.array_equal(z, sequential.standard_normal((len(z), 50)))
+            assert np.array_equal(u, sequential.random((len(u), 50)))
+
+
 class TestBridgeCrossing:
     """The bridge crossing decision against u < exp(exponent), which it
     must equal to the bit for any uniform Generator.random() can return."""
