@@ -43,6 +43,7 @@ __all__ = [
     "BoundaryResult",
     "barrier_level",
     "bond_price",
+    "bond_prices",
     "survival_probability",
     "early_redemption_boundary",
     "option_price_paths",
@@ -55,6 +56,7 @@ __all__ = [
 _PATH_AGREEMENT_TOL = 1e-9
 # Price residual |B(K, T1) - E| at which the boundary iteration stops.
 _BOUNDARY_TOL = 1e-8
+_SQRT2 = math.sqrt(2.0)
 
 
 class OptionKind(enum.Enum):
@@ -194,6 +196,76 @@ def _bond(V: float, t: float, lvl: float, bond: BondSpec, market: MarketParams) 
     """bond_price at a barrier level lvl already checked at t."""
     w = _survival(V, t, lvl, bond, market)
     return _discount(market.r, bond.T - t) * (bond.R + (1.0 - bond.R) * w)
+
+
+def bond_prices(V, t: float, bond: BondSpec, market: MarketParams):
+    """bond_price over a 1-D array V of firm values at one time t, 0 <= t <
+    T, as a float64 array. The inputs are checked once, and wherever
+    bond_price raises at some element this raises the same PricerError
+    subclass. Each element is within 1e-15 of bond_price's: the arithmetic
+    is bond_price's, with math.log and math.erfc applied element by element
+    (np.frompyfunc), and only x^gamma taken by numpy, within an ulp of
+    math's. numpy loads on the first call; a float overflow inside returns
+    or raises as bond_price does, whatever np.errstate is in force.
+    """
+    import numpy as np
+    V = np.asarray(V, dtype=float)
+    bad = ~(np.isfinite(V) & (V > 0.0))
+    if bad.any():
+        raise DomainError(f"firm value must be positive and finite, got {V[bad][0]}")
+    if math.isnan(t) or t < 0.0 or t >= bond.T:
+        raise DomainError(f"t must lie in [0, {bond.T}), got {t}")
+    lvl = barrier_level(bond, t)
+    below = V < lvl
+    if below.any():
+        raise BelowBarrierError(f"firm value {V[below][0]} below default barrier {lvl} at t={t}")
+    c = market.r - market.q - bond.a
+    if not math.isfinite(c):
+        raise NumericalError("carry r - q - a overflows a float")
+    with np.errstate(all="ignore"):  # Python float arithmetic: inf, no warning
+        w = _survival_weights(V / lvl, bond.T - t, c, market.sigma)
+        return _discount(market.r, bond.T - t) * (bond.R + (1.0 - bond.R) * w)
+
+
+def _survival_weights(x, tau: float, c: float, sigma: float):
+    """tbvp_w(x, T - tau, c, sigma, T) over an array x >= 1, step by step as
+    tbvp_w takes it: 0 at x = 1 and 1 at x = inf before any arithmetic, and
+    x^gamma only where N(d-) is not 0. It raises NumericalError where
+    tbvp_w's arithmetic raises: a division by zero, or an x^gamma that
+    overflows; a NaN argument of N raises DomainError, as in norm_cdf."""
+    import numpy as np
+    erfc = np.frompyfunc(math.erfc, 1, 1)
+    w = (x == math.inf).astype(float)
+    inner = (x > 1.0) & (x < math.inf)
+    if not inner.any():
+        return w
+    xs = x[inner]
+
+    def failed(at):
+        return NumericalError(f"survival weight at x={at[0]} leaves the float range")
+
+    s = sigma * math.sqrt(tau)
+    if s == 0.0:
+        raise failed(xs)
+    lx = np.frompyfunc(math.log, 1, 1)(xs).astype(float)
+    drift = (c - 0.5 * sigma * sigma) * tau
+    d_minus, d_plus = (-lx + drift) / s, (lx + drift) / s
+    if np.isnan(d_minus).any() or np.isnan(d_plus).any():
+        raise DomainError("norm_cdf: NaN argument")
+    n_minus = 0.5 * erfc(-d_minus / _SQRT2).astype(float)
+    image = np.zeros_like(n_minus)
+    live = n_minus != 0.0
+    if live.any():
+        if sigma * sigma == 0.0:
+            raise failed(xs[live])
+        gamma = 1.0 - 2.0 * c / (sigma * sigma)
+        power = np.power(xs[live], gamma)
+        if math.isfinite(gamma) and np.isinf(power).any():
+            raise failed(xs[live][np.isinf(power)])
+        image[live] = power * n_minus[live]
+    # the difference of two nearly equal terms can round below zero
+    w[inner] = np.maximum(0.5 * erfc(-d_plus / _SQRT2).astype(float) - image, 0.0)
+    return w
 
 
 def _validate_option(bond: BondSpec, option: OptionSpec, market: MarketParams) -> None:

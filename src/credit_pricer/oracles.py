@@ -297,8 +297,11 @@ class _Claim:
         """Discounted value of each path of the block, the rebate at its
         first hit, else the payoff at T; and each path's control
         e^{-r T} min(V_T / V0, 1), from its log value at T whether or not it
-        hit (fmin reads a NaN one as V_T >= V0). The controls overwrite the
-        log values once the payoffs have read them."""
+        hit (fmin reads a NaN one as V_T >= V0). The payoff is called once,
+        and only where some path of the block survives to T, on the 1-D
+        float64 array of the survivors' firm values at T; it returns their
+        payoffs as an array of that length, or one number for them all.
+        The controls overwrite the log values once the payoff has read them."""
         import numpy as np
         hit = self.first < self.cols
         value, steps, paid = np.empty(hit.size), self.first[hit], np.empty(self.cols)
@@ -307,10 +310,8 @@ class _Claim:
             paid[k] = math.exp(-self.r * t) * self.rebate_at_hit(t)
         value[hit] = paid[steps]
         alive = ~hit
-        vt = np.exp(self.logv_T[alive])
-        # the payoffs' scalar arithmetic is faster on Python floats than on
-        # numpy scalars
-        value[alive] = self.disc_T * np.array([self.payoff(v) for v in vt.tolist()])
+        if alive.any():
+            value[alive] = np.multiply(self.payoff(np.exp(self.logv_T[alive])), self.disc_T)
         ratio = np.subtract(self.logv_T, log_v0, out=self.logv_T)
         np.exp(np.fmin(ratio, 0.0, out=ratio), out=ratio)
         return value, np.multiply(ratio, self.disc_T, out=ratio)
@@ -407,7 +408,11 @@ def mc_barrier_price(claims, barrier, market: MarketParams, mc: McSpec,
     of the claims on that one simulation against barrier = (a, b, anchor),
     the level b e^{-a (anchor - t)}. A claim (payoff, rebate_at_hit, T),
     0 < T <= anchor, pays rebate_at_hit(t) the first time V touches the
-    barrier and payoff(V_T) at T otherwise, both discounted at r.
+    barrier and payoff(V_T) at T otherwise, both discounted at r. The
+    payoff prices a block at a time: it takes the 1-D float64 array of the
+    firm values at T of a block's surviving paths and returns an array of
+    their payoffs, or one number for them all (_Claim.values); the rebate
+    takes one float t.
 
     The claims share one set of log paths, n_steps intervals of [0, anchor]
     built and tested once per block up to their longest horizon

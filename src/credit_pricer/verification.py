@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 from .bs_closed_form import (IndicatorDirection, PowerBinaryParams, image_transform,
                              power_binary_price)
 from .credit_instruments import (BondSpec, OptionKind, OptionSpec, barrier_level,
-                                 bond_option_price, bond_price, callable_bond_price,
+                                 bond_option_price, bond_price, bond_prices,
+                                 callable_bond_price,
                                  option_price_paths, puttable_bond_price,
                                  survival_probability)
 from .errors import DomainError, InvalidOptionError, NumericalError
@@ -163,7 +164,8 @@ def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
               v0: float, mc: McSpec) -> list[Check]:
     """The bond price at (v0, 0) and, when an option is given, the puttable
     (put) or callable (call) bond against one barrier-monitored simulation;
-    the composite's claim runs to T1 and pays max or min of B(V, T1) and E.
+    the composite's claim runs to T1 and pays max or min of B(V, T1) and E,
+    priced for a block of paths at a time by bond_prices.
     measured is each gap in standard errors, tolerance 3. A zero SE (every
     path paid the same) measures 0 where the estimate equals the closed form
     and fails numerically where it does not.
@@ -177,12 +179,12 @@ def mc_checks(bond: BondSpec, market: MarketParams, option: OptionSpec | None,
     entries = [("mc_bond_within_3se", lambda: bond_price(v0, 0.0, bond, market),
                 (lambda v: 1.0, rebate, bond.T))]
     if option is not None:
-        if option.kind is OptionKind.PUT:
-            name, composite, exercise = "mc_puttable_within_3se", puttable_bond_price, max
+        if option.kind is OptionKind.PUT:  # max(B, E): B clipped from below
+            name, composite, bound = "mc_puttable_within_3se", puttable_bond_price, "min"
         else:
-            name, composite, exercise = "mc_callable_within_3se", callable_bond_price, min
+            name, composite, bound = "mc_callable_within_3se", callable_bond_price, "max"
         entries.append((name, lambda: composite(v0, 0.0, bond, option, market), (
-            lambda v: exercise(bond_price(v, option.T1, bond, market), option.E),
+            lambda v: bond_prices(v, option.T1, bond, market).clip(**{bound: option.E}),
             rebate, option.T1)))
     closed = [_held(price) for _, price, _ in entries]
     simulated = _held(lambda: mc_barrier_price([claim for *_, claim in entries],

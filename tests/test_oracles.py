@@ -36,6 +36,7 @@ from credit_pricer import (
     barrier_level,
     bond_option_price,
     bond_price,
+    bond_prices,
     callable_bond_price,
     credit_instruments,
     draw_verification_case,
@@ -73,15 +74,15 @@ _MC_PIN_RUNS = {
         139.0)[0],
     # option horizon T1 = 1 against the bond's moving barrier, anchored at T = 2
     "moving_composite": lambda mc: mc_barrier_price(
-        [(lambda v: max(bond_price(v, 1.0, _MOVING, _REF_MARKET), 0.9), _recovery(_MOVING),
-          1.0)], (0.05, 100.0, 2.0), _REF_MARKET, mc, 139.0)[0],
+        [(lambda v: bond_prices(v, 1.0, _MOVING, _REF_MARKET).clip(min=0.9),
+          _recovery(_MOVING), 1.0)], (0.05, 100.0, 2.0), _REF_MARKET, mc, 139.0)[0],
     # most paths die at the first step
     "near_barrier": lambda mc: mc_barrier_price(
         [(lambda v: 1.0, _recovery(_FLAT), 2.0)], (0.0, 100.0, 2.0), _REF_MARKET, mc,
         1.0001 * 100.0)[0],
     # no path hits
     "unreachable": lambda mc: mc_barrier_price(
-        [(lambda v: min(v, 200.0) / 100.0, lambda t: 0.0, 2.0)], (0.0, 1e-9, 2.0),
+        [(lambda v: v.clip(max=200.0) / 100.0, lambda t: 0.0, 2.0)], (0.0, 1e-9, 2.0),
         _REF_MARKET, mc, 139.0)[0],
     # bridge exponents on both sides of the -40 cut, some below exp's
     # underflow at about -745
@@ -141,22 +142,22 @@ _MC_BLOCKED_PINS = {
 
 # The two claims of verify's MC checks on one shared pass, for the default
 # config (a put) and perfbench's moving-call config: (market, bond, option,
-# exercise), V0 = 199.
+# the bound that clips B(V, T1) to the exercise value), V0 = 199.
 _SHARED_CONFIGS = {
-    "reference": (_REF_MARKET, _FLAT, OptionSpec(T1=1.0, E=0.9, kind=OptionKind.PUT), max),
+    "reference": (_REF_MARKET, _FLAT, OptionSpec(T1=1.0, E=0.9, kind=OptionKind.PUT), "min"),
     "moving_call": (MarketParams(r=0.03, q=0.02, sigma=0.35),
                     BondSpec(T=3.0, a=0.05, b=100.0, R=0.4),
-                    OptionSpec(T1=1.5, E=0.8, kind=OptionKind.CALL), min),
+                    OptionSpec(T1=1.5, E=0.8, kind=OptionKind.CALL), "max"),
 }
 
 
 def _shared_claims(config, composite_payoff=None):
     """The bond claim and the composite claim of a config; composite_payoff
     wraps the composite's payoff when given."""
-    market, bond, option, exercise = _SHARED_CONFIGS[config]
+    market, bond, option, bound = _SHARED_CONFIGS[config]
 
     def payoff(v):
-        return exercise(bond_price(v, option.T1, bond, market), option.E)
+        return bond_prices(v, option.T1, bond, market).clip(**{bound: option.E})
 
     rebate = lambda t: bond.R * math.exp(-market.r * (bond.T - t))
     return [(lambda v: 1.0, rebate, bond.T),
@@ -437,12 +438,12 @@ class TestPdeSolver:
 
     def test_surfaces_call_no_closed_form(self, bond, market, put_spec, monkeypatch):
         """The put and call start from the PDE bond at T1, so the surfaces
-        are solved with verification's closed-form option, bond, survival
-        and barrier level made to raise."""
+        are solved with verification's closed-form option, bond (scalar and
+        array), survival and barrier level made to raise."""
         def closed_form(*args):
             raise AssertionError("pde_surfaces called a closed form")
 
-        for name in ("bond_option_price", "bond_price", "survival_probability",
+        for name in ("bond_option_price", "bond_price", "bond_prices", "survival_probability",
                      "barrier_level"):
             monkeypatch.setattr(verification, name, closed_form)
         surfaces = pde_surfaces(bond, market, put_spec, GridSpec(n_space=101, n_time=100))
@@ -520,11 +521,42 @@ class TestMcSimulator:
     def test_same_seed_bit_identical(self):
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
         mc = McSpec(n_paths=4000, n_steps=64, seed=99)
-        args = ([(lambda v: max(v - 100.0, 0.0), lambda t: 0.1, 2.0)], (0.0, 100.0, 2.0),
+        args = ([(lambda v: (v - 100.0).clip(min=0.0), lambda t: 0.1, 2.0)], (0.0, 100.0, 2.0),
                 market, mc, 139.0)
         first = mc_barrier_price(*args)
         second = mc_barrier_price(*args)
         assert first == second
+
+    def test_payoff_takes_each_block_of_survivors_once(self, monkeypatch):
+        """The payoff is called once per block in which some path survives
+        to T, on exactly the firm values at T of that block's survivors, as
+        one 1-D float64 array, and not for a block without survivors; one
+        number returned for them all pays each survivor, to the bit, as the
+        same number repeated does. From V0 = 101 about 1% of the paths
+        survive the barrier at 100 to T = 2: here each full block of 1024
+        has survivors, and the last block, one path, has none."""
+        survivors, plain = [], oracles._Claim.values
+
+        def values(claim, log_v0):
+            survivors.append(np.exp(claim.logv_T[claim.first >= claim.cols]))
+            return plain(claim, log_v0)
+
+        monkeypatch.setattr(oracles._Claim, "values", values)
+        calls = []
+
+        def payoff(v):
+            calls.append(v.copy())
+            return 2.0
+
+        args = ((0.0, 100.0, 2.0), _REF_MARKET, McSpec(n_paths=2049, n_steps=50, seed=5), 101.0)
+        (scalar,) = mc_barrier_price([(payoff, lambda t: 0.5, 2.0)], *args)
+        assert [len(v) > 0 for v in survivors] == [True, True, False]
+        assert len(calls) == 2
+        for v, alive in zip(calls, survivors):
+            assert v.dtype == np.float64 and v.ndim == 1 and np.array_equal(v, alive)
+        (repeated,) = mc_barrier_price([(lambda v: np.full(len(v), 2.0), lambda t: 0.5, 2.0)],
+                                       *args)
+        assert _hexes([scalar]) == _hexes([repeated])
 
     def test_seed_actually_matters(self):
         market = MarketParams(r=0.04, q=0.0, sigma=0.5)
@@ -718,7 +750,7 @@ class TestMcSimulator:
         claim, whose paths run on to T, and it lands within 3 SE of the
         closed form; no floating-point warning escapes."""
         option = OptionSpec(T1=T1, E=0.9, kind=OptionKind.PUT)
-        composite = (lambda v: max(bond_price(v, T1, _MOVING, _REF_MARKET), 0.9),
+        composite = (lambda v: bond_prices(v, T1, _MOVING, _REF_MARKET).clip(min=0.9),
                      _recovery(_MOVING), T1)
         bond_claim = (lambda v: 1.0, _recovery(_MOVING), 2.0)
         barrier = (0.05, 100.0, 2.0)
@@ -793,7 +825,7 @@ class TestMcSimulator:
         def payoff(v):
             nonlocal calls
             calls += 1
-            if calls > 20_000:
+            if calls == 20:
                 raise Boom(calls)
             return 1.0
 
@@ -801,7 +833,7 @@ class TestMcSimulator:
         mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
         (outcome,) = mc_barrier_price([(payoff, lambda t: 0.0, 2.0)], (0.0, 1e-9, 2.0),
                                       _REF_MARKET, mc, 139.0)
-        assert isinstance(outcome, Boom) and outcome.args == (20_001,)
+        assert isinstance(outcome, Boom) and outcome.args == (20,)
         assert threading.active_count() == before
 
 
@@ -812,23 +844,23 @@ class TestMcSimulator:
         class Boom(Exception):
             pass
 
-        calls = 0
+        paid = 0
 
         def raising(payoff):
             def wrapped(v):
-                nonlocal calls
-                calls += 1
+                nonlocal paid
+                paid += len(v)
                 # the first 24 blocks pay 19 407 payoffs here, the first 25
                 # 20 210
-                if calls > 20_000:
-                    raise Boom(calls)
+                if paid > 20_000:
+                    raise Boom(paid)
                 return payoff(v)
             return wrapped
 
         before = threading.active_count()
         mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
         bond_claim, composite = _shared_pass("reference", mc, raising)
-        assert isinstance(composite, Boom) and composite.args == (20_001,)
+        assert isinstance(composite, Boom) and composite.args == (20_210,)
         assert _hexes([bond_claim]) == _MC_SHARED_PINS["reference"][:1]
         assert threading.active_count() == before
 
@@ -967,16 +999,16 @@ class TestMcChecks:
     def test_failing_composite_payoff_fails_only_its_check(self, bond, market, put_spec,
                                                            monkeypatch):
         (bond_alone,) = mc_checks(bond, market, None, 199.0, self._MC)
-        failing_at_t1 = _bond_price_raising_at(put_spec.T1, NumericalError("no price at T1"))
-        monkeypatch.setattr("credit_pricer.verification.bond_price", failing_at_t1)
+        failing_at_t1 = _bond_prices_raising_at(put_spec.T1, NumericalError("no price at T1"))
+        monkeypatch.setattr("credit_pricer.verification.bond_prices", failing_at_t1)
         bond_check, puttable_check = mc_checks(bond, market, put_spec, 199.0, self._MC)
         assert bond_check == bond_alone
         assert puttable_check.name == "mc_puttable_within_3se"
         assert puttable_check.error == "no price at T1" and not puttable_check.ok
 
     def test_other_payoff_exception_propagates(self, bond, market, put_spec, monkeypatch):
-        failing_at_t1 = _bond_price_raising_at(put_spec.T1, RuntimeError("not numerical"))
-        monkeypatch.setattr("credit_pricer.verification.bond_price", failing_at_t1)
+        failing_at_t1 = _bond_prices_raising_at(put_spec.T1, RuntimeError("not numerical"))
+        monkeypatch.setattr("credit_pricer.verification.bond_prices", failing_at_t1)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="not numerical"):
             mc_checks(bond, market, put_spec, 199.0, self._MC)
@@ -994,12 +1026,12 @@ class TestWorstGap:
         assert (check.ok, check.error) == (False, "a gap is NaN")
 
 
-def _bond_price_raising_at(t_fail, exc):
-    """bond_price, except that it raises exc at time t_fail."""
+def _bond_prices_raising_at(t_fail, exc):
+    """bond_prices, except that it raises exc at time t_fail."""
     def price(v, t, *args):
         if t == t_fail:
             raise exc
-        return bond_price(v, t, *args)
+        return bond_prices(v, t, *args)
 
     return price
 

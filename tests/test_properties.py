@@ -16,6 +16,7 @@ pytest --hypothesis-show-statistics)."""
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from credit_pricer import (
     barrier_level,
     bond_option_price,
     bond_price,
+    bond_prices,
     callable_bond_price,
     image_transform,
     option_price_paths,
@@ -123,6 +125,32 @@ def test_public_pricers_return_finite_or_raise_a_pricer_error(position):
     for price, args in prices:
         outcome = _outcome(price, *args)
         assert isinstance(outcome, tuple) or math.isfinite(float.fromhex(outcome)), price
+
+
+@_SETTINGS
+@given(positions(), st.lists(st.just(0.0) | st.floats(0.0, math.log(1e4)), min_size=1,
+                             max_size=16))
+def test_bond_prices_is_bond_price_element_by_element(position, logs):
+    """bond_prices over the position's V and firm values from the barrier
+    to 1e4 times it, at the position's t: each element within 1e-15 of
+    bond_price's; where bond_price raises at some element, the same
+    PricerError subclass. Under np.errstate(over="raise"), as the Monte
+    Carlo pass runs its payoffs, no FloatingPointError escapes."""
+    V, t, bond, _, market = position
+    level = barrier_level(bond, t)
+    vs = [V] + [level * math.exp(x) for x in logs]
+    expected = [_outcome(bond_price, v, t, bond, market) for v in vs]
+    raised = [outcome[0] for outcome in expected if isinstance(outcome, tuple)]
+    with np.errstate(over="raise"):
+        if raised:
+            with pytest.raises(PricerError) as info:
+                bond_prices(np.array(vs), t, bond, market)
+            assert type(info.value).__name__ == raised[0]
+            return
+        prices = bond_prices(np.array(vs), t, bond, market)
+    assert prices.dtype == np.float64 and prices.shape == (len(vs),)
+    for price, exact in zip(prices.tolist(), expected):
+        assert abs(price - float.fromhex(exact)) <= 1e-15
 
 
 @_SETTINGS
@@ -333,6 +361,31 @@ def test_survival_weight_with_an_overflowing_image_factor_is_finite():
     w = tbvp_w(1.336132269105638, 2.918778468077814, -0.3387434177110583,
                0.016569320620558926, 4.059178299793679)
     assert w == pytest.approx(1.985350197552656e-08, rel=1e-12)  # mpmath
+
+
+def test_bond_prices_where_the_image_factor_overflows_under_a_vanishing_weight():
+    """x^gamma = 5^501 overflows a float where N(d-) underflows to 0, so
+    bond_price never forms it and returns 1.0; bond_prices returns the same,
+    with no FloatingPointError under the Monte Carlo pass's errstate."""
+    bond = BondSpec(T=2.0, a=0.0, b=100.0, R=0.5)
+    market = MarketParams(r=0.0, q=0.1, sigma=0.02)
+    assert bond_price(500.0, 1.0, bond, market) == 1.0
+    with np.errstate(over="raise"):
+        assert bond_prices(np.array([500.0]), 1.0, bond, market).tolist() == [1.0]
+
+
+def test_bond_prices_raises_where_the_image_factor_overflows():
+    """At the input of the strict xfail above, where x^gamma overflows
+    under a nonzero N(d-), both forms raise NumericalError; the fix of
+    that xfail is to price both."""
+    x, t, c, sigma, T = (1.336132269105638, 2.918778468077814, -0.3387434177110583,
+                         0.016569320620558926, 4.059178299793679)
+    bond = BondSpec(T=T, a=0.0, b=1.0, R=0.5)  # the barrier is 1 at every t: V = x
+    market = MarketParams(r=c, q=0.0, sigma=sigma)
+    with pytest.raises(NumericalError):
+        bond_price(x, t, bond, market)
+    with np.errstate(over="raise"), pytest.raises(NumericalError):
+        bond_prices(np.array([1.2, x]), t, bond, market)
 
 
 # Book pool positions (perfbench/workloads.py) at which the composed path is
