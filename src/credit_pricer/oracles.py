@@ -51,8 +51,8 @@ class GridSpec:
 @dataclass(frozen=True)
 class McSpec:
     """Monte Carlo controls: n_paths paths of n_steps intervals of [0, anchor]
-    of the pass's barrier (mc_barrier_price). The seed feeds a
-    counter-based Philox generator, so results are reproducible anywhere.
+    of the pass's barrier (mc_barrier_price). The seed feeds one SFC64
+    stream, read in a fixed order, so results are reproducible anywhere.
     Each claim's control variate (mc_barrier_price) lets 45 000 paths reach
     the standard errors 100 000 plain paths gave on verify's claims."""
 
@@ -441,7 +441,7 @@ def mc_barrier_price(claims, barrier, market: MarketParams, mc: McSpec,
     Such a claim is simulated no further, and the others run on; when none
     is left the pass stops.
 
-    One Philox stream feeds the pass, block by block: a block's m * n_steps
+    One SFC64 stream feeds the pass, block by block: a block's m * n_steps
     normals, then as many uniforms, then the next block's normals. A second
     thread, the only user of the stream, draws one block ahead while this
     one builds the current block's paths and payoffs. Every number keeps
@@ -471,7 +471,7 @@ def mc_barrier_price(claims, barrier, market: MarketParams, mc: McSpec,
 
     path = (log_v0, -2.0 * (log_v0 - log_b0), _step_terms(market, dt),
             log_barrier(np.arange(1, n_steps + 1) * dt))
-    stream = np.random.Generator(np.random.Philox(mc.seed))
+    stream = np.random.Generator(np.random.SFC64(mc.seed))
 
     def draw(pair, m):
         """Fill a pair's first m rows with a block's normals, then its uniforms."""

@@ -35,8 +35,8 @@ PASS  pde_bond_agreement                 measured=1.303695e-06  tol=1.000000e-03
 PASS  pde_survival_agreement             measured=4.525255e-06  tol=1.000000e-03
 PASS  pde_put_agreement                  measured=5.932241e-05  tol=1.000000e-03
 PASS  pde_call_agreement                 measured=4.386690e-05  tol=1.000000e-03
-PASS  mc_bond_within_3se                 measured=1.521105e+00  tol=3.000000e+00
-PASS  mc_puttable_within_3se             measured=7.420782e-01  tol=3.000000e+00
+PASS  mc_bond_within_3se                 measured=8.757661e-01  tol=3.000000e+00
+PASS  mc_puttable_within_3se             measured=8.282896e-01  tol=3.000000e+00
 PASS  quadrature_power_binary_sweep      measured=9.876378e-13  tol=1.000000e-06
 PASS  quadrature_bond_agreement          measured=1.110223e-16  tol=1.000000e-08
 PASS  survival_bounds_and_monotone       measured=0.000000e+00  tol=0.000000e+00
@@ -53,8 +53,8 @@ PASS  pde_bond_agreement                 measured=4.845520e-06  tol=1.000000e-03
 PASS  pde_survival_agreement             measured=8.672821e-06  tol=1.000000e-03
 PASS  pde_put_agreement                  measured=2.236793e-04  tol=1.000000e-03
 PASS  pde_call_agreement                 measured=3.496303e-05  tol=1.000000e-03
-PASS  mc_bond_within_3se                 measured=8.253884e-01  tol=3.000000e+00
-PASS  mc_callable_within_3se             measured=7.412804e-01  tol=3.000000e+00
+PASS  mc_bond_within_3se                 measured=1.542350e+00  tol=3.000000e+00
+PASS  mc_callable_within_3se             measured=1.067992e+00  tol=3.000000e+00
 PASS  quadrature_power_binary_sweep      measured=9.876378e-13  tol=1.000000e-06
 PASS  quadrature_bond_agreement          measured=0.000000e+00  tol=1.000000e-08
 PASS  survival_bounds_and_monotone       measured=0.000000e+00  tol=0.000000e+00

@@ -97,17 +97,17 @@ _MC_PIN_RUNS = {
 
 # (estimate, SE) as float.hex per case, at 20 000 paths x 64 steps, seed 5:
 # the control-variate estimate and its residual SE, re-recorded when the
-# stream took its block-by-block layout. The streamed sums agree with exact
-# rational arithmetic on the same path values
+# stream became SFC64 (the layout, block by block, unchanged). The streamed
+# sums agree with exact rational arithmetic on the same path values
 # (test_streamed_sums_match_exact_arithmetic).
 _MC_PINS = {
-    "flat_bond": ("0x1.73cd86d6d1fa9p-1", "0x1.8417cd9df251ep-11"),
+    "flat_bond": ("0x1.739178a4384abp-1", "0x1.825072acc4742p-11"),
     # the composite steps anchor / n_steps: T/64 to T1
-    "moving_composite": ("0x1.87a29df195312p-1", "0x1.260c6c598b4f4p-11"),
-    "near_barrier": ("0x1.4ada1746dfb98p-1", "0x1.d09c24f0c2c0fp-17"),
-    "unreachable": ("0x1.2330b250c3139p+0", "0x1.503748a37ac8ap-10"),
-    "low_vol_near": ("0x1.8fcbc2a3b2e23p-1", "0x1.ec2ce083840e9p-11"),
-    "low_vol_far": ("0x1.002fc51a42972p+0", "0x1.b9928f6c242d0p-12"),
+    "moving_composite": ("0x1.878a4a68cfc48p-1", "0x1.23b1e7d3112fap-11"),
+    "near_barrier": ("0x1.4ada1c1321871p-1", "0x1.d09c1713d46eep-17"),
+    "unreachable": ("0x1.2312066c23f58p+0", "0x1.4db979fcb4a5fp-10"),
+    "low_vol_near": ("0x1.8f8a84eeeac57p-1", "0x1.ec63f60f8e961p-11"),
+    "low_vol_far": ("0x1.0004a8f876873p+0", "0x1.b838eb713ce1ap-12"),
 }
 
 
@@ -135,9 +135,9 @@ _MC_PIN_CLOSED_FORMS = {
 # 1024-path blocks and a partial fortieth of 65 paths, each block's draws
 # made while the block before is processed. Re-recorded as in _MC_PINS.
 _MC_BLOCKED_PINS = {
-    "flat_bond": ("0x1.73bb3169b8295p-1", "0x1.113e05c764c97p-11"),
+    "flat_bond": ("0x1.74615a7d57895p-1", "0x1.10942c84bf192p-11"),
     # T/50 to T1
-    "moving_composite": ("0x1.878f8cf74ba69p-1", "0x1.9ee0254b0a97ap-12"),
+    "moving_composite": ("0x1.878148238e444p-1", "0x1.a05dc354ca204p-12"),
 }
 
 # The two claims of verify's MC checks on one shared pass, for the default
@@ -180,10 +180,10 @@ def _shared_pass(config, mc, composite_payoff=None):
 # claim's paths in steps of T/50 up to T1; both were re-recorded as in
 # _MC_PINS.
 _MC_SHARED_PINS = {
-    "reference": (("0x1.9e0cb98f4bf24p-1", "0x1.c9dab070792f0p-12"),
-                  ("0x1.ab425a6427e18p-1", "0x1.3045bf4c7512dp-12")),
-    "moving_call": (("0x1.7d809745d286fp-1", "0x1.904e6b15defcep-11"),
-                    ("0x1.5eea39902b646p-1", "0x1.0e0266ca63e69p-12")),
+    "reference": (("0x1.9e4874d3cc9d9p-1", "0x1.c844636daf00cp-12"),
+                  ("0x1.ab449770e1faep-1", "0x1.3108fbeca17e2p-12")),
+    "moving_call": (("0x1.7d838ea162147p-1", "0x1.9013713a71deap-11"),
+                    ("0x1.5eb747f2b6c51p-1", "0x1.0fc90d471e790p-12")),
 }
 
 
@@ -640,7 +640,7 @@ class TestMcSimulator:
     def test_no_claims_draw_nothing(self, monkeypatch):
         """No claims return [] once the barrier and V0 pass their checks,
         without a generator or a thread; an invalid barrier still raises."""
-        monkeypatch.setattr(np.random, "Philox", lambda seed: pytest.fail("a stream was made"))
+        monkeypatch.setattr(np.random, "SFC64", lambda seed: pytest.fail("a stream was made"))
         before = threading.active_count()
         mc = McSpec(n_paths=1000, n_steps=50)
         assert mc_barrier_price([], (0.0, 100.0, 2.0), _REF_MARKET, mc, 139.0) == []
@@ -850,8 +850,8 @@ class TestMcSimulator:
             def wrapped(v):
                 nonlocal paid
                 paid += len(v)
-                # the first 24 blocks pay 19 407 payoffs here, the first 25
-                # 20 210
+                # the first 24 blocks pay 19 354 payoffs here, the first 25
+                # 20 151
                 if paid > 20_000:
                     raise Boom(paid)
                 return payoff(v)
@@ -860,7 +860,7 @@ class TestMcSimulator:
         before = threading.active_count()
         mc = McSpec(n_paths=40_001, n_steps=50, seed=5)
         bond_claim, composite = _shared_pass("reference", mc, raising)
-        assert isinstance(composite, Boom) and composite.args == (20_210,)
+        assert isinstance(composite, Boom) and composite.args == (20_151,)
         assert _hexes([bond_claim]) == _MC_SHARED_PINS["reference"][:1]
         assert threading.active_count() == before
 
@@ -1037,7 +1037,7 @@ def _bond_prices_raising_at(t_fail, exc):
 
 
 class TestStreamSplit:
-    """The blocks split one Philox stream: each reads a full block's normals
+    """The blocks split one SFC64 stream: each reads a full block's normals
     (a short last block, fewer), then as many uniforms, right after the
     previous block's, so the thread drawing ahead moves no number."""
 
@@ -1055,7 +1055,7 @@ class TestStreamSplit:
                          _REF_MARKET, mc, 139.0)
         full, last = divmod(n_paths, oracles._MC_BLOCK)
         assert [len(z) for z, _ in blocks] == [oracles._MC_BLOCK] * full + [last] * (last > 0)
-        sequential = np.random.Generator(np.random.Philox(mc.seed))
+        sequential = np.random.Generator(np.random.SFC64(mc.seed))
         for z, u in blocks:
             assert np.array_equal(z, sequential.standard_normal((len(z), 50)))
             assert np.array_equal(u, sequential.random((len(u), 50)))
